@@ -20,7 +20,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from functools import partial
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -95,33 +96,50 @@ def _int_field(obj: dict, key: str, path: str, minimum: int | None = None) -> in
     return value
 
 
+SIZE_KINDS = {
+    "degenerate": Degenerate,
+    "table": Table,
+    "truncated_power_law": TruncatedPowerLaw,
+    "binomial": BinomialSizes,
+}
+
+
+def _float_field(obj: dict, key: str, path: str) -> float:
+    return float(obj[key])
+
+
+def _list_field(obj: dict, key: str, path: str) -> list[float]:
+    if not isinstance(obj[key], list):
+        raise ConfigError(f"{path}.{key}", "expected a list")
+    return [float(w) for w in obj[key]]
+
+
+# reader of each size-spec field, called as reader(obj, key, path)
+_SIZE_FIELDS = {
+    "x": partial(_int_field, minimum=0),
+    "weights": _list_field,
+    "gamma": _float_field,
+    "x_min": partial(_int_field, minimum=1),
+    "x_max": partial(_int_field, minimum=1),
+    "trials": partial(_int_field, minimum=0),
+    "p": _float_field,
+}
+
+
 def parse_size_spec(obj: dict, path: str) -> SizeSpec:
-    _check_keys(obj, path, required=("kind",), optional=("x", "weights", "gamma", "x_min", "x_max", "trials", "p"))
+    _check_keys(obj, path, required=("kind",), optional=tuple(_SIZE_FIELDS))
     kind = obj["kind"]
+    cls = SIZE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"{path}.kind", f"unknown size distribution kind {kind!r}")
+    names = [f.name for f in fields(cls)]
+    _check_keys(obj, path, required=("kind", *names))
     try:
-        if kind == "degenerate":
-            _check_keys(obj, path, required=("kind", "x"))
-            return Degenerate(x=_int_field(obj, "x", path, 0))
-        if kind == "table":
-            _check_keys(obj, path, required=("kind", "weights"))
-            if not isinstance(obj["weights"], list):
-                raise ConfigError(f"{path}.weights", "expected a list")
-            return Table(weights=[float(w) for w in obj["weights"]])
-        if kind == "truncated_power_law":
-            _check_keys(obj, path, required=("kind", "gamma", "x_min", "x_max"))
-            return TruncatedPowerLaw(
-                gamma=float(obj["gamma"]),
-                x_min=_int_field(obj, "x_min", path, 1),
-                x_max=_int_field(obj, "x_max", path, 1),
-            )
-        if kind == "binomial":
-            _check_keys(obj, path, required=("kind", "trials", "p"))
-            return BinomialSizes(trials=_int_field(obj, "trials", path, 0), p=float(obj["p"]))
+        return cls(**{name: _SIZE_FIELDS[name](obj, name, path) for name in names})
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown size distribution kind {kind!r}")
 
 
 @dataclass
@@ -147,15 +165,8 @@ class ScenarioConfig:
         return ModelParams(n=self.n, m=self.m, s=self.s, size_dist=self.size_dist, kind=self.kind)
 
     def echo(self, seed: int) -> dict:
-        spec = self.size_spec
-        if isinstance(spec, Degenerate):
-            sd = {"kind": "degenerate", "x": spec.x}
-        elif isinstance(spec, Table):
-            sd = {"kind": "table", "weights": list(spec.weights)}
-        elif isinstance(spec, TruncatedPowerLaw):
-            sd = {"kind": "truncated_power_law", "gamma": spec.gamma, "x_min": spec.x_min, "x_max": spec.x_max}
-        else:
-            sd = {"kind": "binomial", "trials": spec.trials, "p": spec.p}
+        kind = next(name for name, cls in SIZE_KINDS.items() if isinstance(self.size_spec, cls))
+        sd = {"kind": kind, **asdict(self.size_spec)}
         return {
             "model": {"kind": self.kind, "n": self.n, "m": self.m, "s": self.s, "size_dist": sd},
             "replicates": self.replicates,
@@ -369,46 +380,27 @@ def preset_config(name: str) -> ScenarioConfig:
 
 # ---------------------------------------------------------------- execution
 
-def _replicate_worker(args: tuple) -> tuple:
+def _replicate_worker(cfg: ScenarioConfig, seed: int, r: int) -> tuple:
     """Run one replicate on its own stream; returns plain picklable data."""
-    kind, n, m, s, support_max, weights, seed, r, min_bucket, want_sizes = args
-    dist = SizeDistribution(support_max, np.asarray(weights))
-    params = ModelParams(n=n, m=m, s=s, size_dist=dist, kind=kind)
     rng = RngStream(seed, r)
     try:
-        inc = sample_incidence(params, rng)
-        graph = build_active(inc, s) if kind == "active" else build_passive(inc, s)
+        inc = sample_incidence(cfg.params(), rng)
+        graph = build_active(inc, cfg.s) if cfg.kind == "active" else build_passive(inc, cfg.s)
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"replicate {r}: {exc}") from exc
     degree_counts = np.bincount(graph.degrees, minlength=1)
-    report = stats.clustering_report(graph, min_bucket)
-    sizes = inc.sizes.copy() if want_sizes else None
-    return r, degree_counts, report, sizes
+    report = stats.clustering_report(graph, cfg.min_bucket)
+    sizes = inc.sizes.copy() if r == 0 else None
+    return degree_counts, report, sizes
 
 
-def _run_replicates(cfg: ScenarioConfig, seed: int, jobs: int):
-    tasks = [
-        (
-            cfg.kind,
-            cfg.n,
-            cfg.m,
-            cfg.s,
-            cfg.size_dist.support_max,
-            np.asarray(cfg.size_dist.weights),
-            seed,
-            r,
-            cfg.min_bucket,
-            r == 0,
-        )
-        for r in range(cfg.replicates)
-    ]
+def _run_replicates(cfg: ScenarioConfig, seed: int, jobs: int) -> list[tuple]:
+    """Replicate results in replicate order."""
+    work = partial(_replicate_worker, cfg, seed)
     if jobs <= 1 or cfg.replicates == 1:
-        results = [_replicate_worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, cfg.replicates)) as pool:
-            results = list(pool.map(_replicate_worker, tasks))
-    results.sort(key=lambda item: item[0])
-    return results
+        return [work(r) for r in range(cfg.replicates)]
+    with ProcessPoolExecutor(max_workers=min(jobs, cfg.replicates)) as pool:
+        return list(pool.map(work, range(cfg.replicates)))
 
 
 def _json_float(x) -> float | str | None:
@@ -418,6 +410,11 @@ def _json_float(x) -> float | str | None:
     if math.isfinite(x):
         return x
     return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
+
+
+def _json_floats(result) -> dict:
+    """A dataclass result as a dict of JSON-safe floats, keyed by field name."""
+    return {key: _json_float(value) for key, value in vars(result).items()}
 
 
 def _pmf_json(pmf: DiscretePmf) -> dict:
@@ -506,12 +503,12 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
 
     pooled_report = None
     if results:
-        pooled_report = stats.pooled_estimates([rep for _, _, rep, _ in results])
+        pooled_report = stats.pooled_estimates([rep for _, rep, _ in results])
 
     if "degree" in cfg.outputs:
-        width = max(counts.size for _, counts, _, _ in results)
+        width = max(counts.size for counts, _, _ in results)
         total = np.zeros(width)
-        for _, counts, _, _ in results:
+        for counts, _, _ in results:
             total[: counts.size] += counts
         empirical = DiscretePmf(total / (vertices_per_rep * cfg.replicates), 0.0)
         theory_pmf = _theory_degree_pmf(cfg)
@@ -583,30 +580,15 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
         analyses["alpha_k"] = entry
 
     if "regime" in cfg.outputs:
-        regime = theory.passive_regime_classify(cfg.n, cfg.m, cfg.size_dist)
-        analyses["regime"] = {
-            "case_label": regime.case_label,
-            "n_star": regime.n_star,
-            "advice": regime.advice,
-        }
+        analyses["regime"] = vars(theory.passive_regime_classify(cfg.n, cfg.m, cfg.size_dist))
 
     if "theorem1_stats" in cfg.outputs:
-        sizes0 = results[0][3]
-        diag = theory.poisson_approx_stats(sizes0, cfg.m, cfg.s)
-        analyses["theorem1_stats"] = {
-            "lambda_bar": _json_float(diag.lambda_bar),
-            "kappa1": _json_float(diag.kappa1),
-            "kappa2": _json_float(diag.kappa2),
-        }
+        sizes0 = results[0][2]
+        analyses["theorem1_stats"] = _json_floats(theory.poisson_approx_stats(sizes0, cfg.m, cfg.s))
 
     if "example2" in cfg.outputs:
         diag2 = oracle.dense_overlap_diagnostics(cfg.m, cfg.epsilon)
-        analyses["example2"] = {
-            "p_star": diag2.p_star,
-            "ratio_prime": diag2.ratio_prime,
-            "bound": diag2.bound,
-            "tail_within_10pct": diag2.tail_within_10pct,
-        }
+        analyses["example2"] = vars(diag2)
         passes["example2"] = bool(diag2.ratio_prime <= diag2.bound)
 
     body = {
@@ -690,14 +672,6 @@ def _summary_lines(report: Report) -> list[str]:
 
 # ---------------------------------------------------------------- CLI plumbing
 
-def _add_size_dist_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--size-dist",
-        required=True,
-        help='size distribution as JSON, e.g. \'{"kind": "degenerate", "x": 5}\'',
-    )
-
-
 def _parse_size_dist_arg(text: str, m: int) -> SizeDistribution:
     try:
         obj = json.loads(text)
@@ -741,106 +715,155 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _cmd_theory(args: argparse.Namespace) -> int:
-    sub = args.theory_cmd
-    if sub == "edge-prob":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        res = theory.active_edge_prob_asymptotic(dist, args.m, args.s)
-        _print_json({"value": res.value, "raw": res.raw, "clamped": res.clamped})
-    elif sub == "degree-pmf":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        pmf = theory.mixed_poisson_degree_pmf(dist, args.n, args.m, args.s, k_max=args.k_max)
-        _print_json(_pmf_json(pmf))
-    elif sub == "alpha":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        _print_json({"alpha": theory.alpha_active(dist, args.m, args.s)})
-    elif sub == "alpha-beta-form":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        _print_json({"alpha": theory.alpha_active_beta_form(dist, args.n, args.m, args.s)})
-    elif sub == "alpha-from-moments":
-        _print_json({"alpha": theory.alpha_active_from_degree_moments(args.beta, args.ed, args.ed2)})
-    elif sub == "alpha-k":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        _print_json({"alpha_k": theory.alpha_k_active(dist, args.n, args.m, args.s, args.k)})
-    elif sub == "passive-spec":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        spec = theory.passive_compound_spec(dist, args.n, args.m)
-        _print_json({"lam": spec.lam, "jump": _pmf_json(spec.jump_pmf)})
-    elif sub == "compound-pmf":
-        probs = [float(p) for p in args.jump_probs.split(",")]
-        spec = theory.CompoundPoissonSpec(args.lam, DiscretePmf(np.array(probs)))
-        _print_json(_pmf_json(theory.compound_poisson_pmf(spec, k_max=args.k_max)))
-    elif sub == "alpha-passive":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        _print_json({"alpha_star": theory.alpha_passive_finite(dist, args.n, args.m)})
-    elif sub == "alpha-passive-limit":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        spec = theory.passive_compound_spec(dist, args.n, args.m)
-        _print_json({"alpha_star": theory.alpha_passive_limit(spec)})
-    elif sub == "alpha-k-passive":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        spec = theory.passive_compound_spec(dist, args.n, args.m)
-        _print_json({"alpha_star_k": theory.alpha_k_passive(spec, args.k)})
-    elif sub == "regime":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        rep = theory.passive_regime_classify(args.n, args.m, dist)
-        _print_json({"case_label": rep.case_label, "n_star": rep.n_star, "advice": rep.advice})
-    elif sub == "degree-stats":
-        if args.sizes:
-            sizes = [int(x) for x in args.sizes.split(",")]
-        elif args.uniform_size is not None and args.count is not None:
-            sizes = [args.uniform_size] * args.count
-        else:
-            raise ConfigError(
-                "--sizes", "provide either --sizes or both --uniform-size and --count"
-            )
-        diag = theory.poisson_approx_stats(sizes, args.m, args.s)
-        _print_json(
-            {
-                "lambda_bar": _json_float(diag.lambda_bar),
-                "kappa1": _json_float(diag.kappa1),
-                "kappa2": _json_float(diag.kappa2),
-            }
-        )
-    else:  # pragma: no cover
-        raise ConfigError("theory", f"unknown subcommand {sub!r}")
-    return EXIT_PASS
+# Each theory/oracle subcommand is (its flags, a function of the parsed
+# arguments returning the JSON document); ``args.dist`` is the parsed
+# --size-dist of the commands that take one.
+
+def _ints(*flags: str) -> tuple:
+    return tuple((flag, {"type": int, "required": True}) for flag in flags)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    sub = args.oracle_cmd
-    if sub == "intersection-pmf":
-        _print_json(_pmf_json(oracle.intersection_pmf(args.m, args.d1, args.d2)))
-    elif sub == "intersection-tail":
-        _print_json({"tail": oracle.intersection_tail(args.m, args.d1, args.d2, args.s)})
-    elif sub == "tail-bounds":
-        b = oracle.intersection_tail_bounds(args.m, args.d1, args.d2, args.s)
-        _print_json({"lower": b.lower, "upper": b.upper})
-    elif sub == "exact-degree-pmf":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        _print_json(_pmf_json(oracle.exact_active_degree_pmf(dist, args.n, args.m, args.s)))
-    elif sub == "links-pmf":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        _print_json(_pmf_json(oracle.exact_passive_links_pmf(dist, args.n, args.m, k_max=args.k_max)))
-    elif sub == "lecam":
-        probs = [float(p) for p in args.probs.split(",")] if args.probs else []
-        _print_json({"bound": oracle.lecam_bound(probs)})
-    elif sub == "brute-force":
-        dist = _parse_size_dist_arg(args.size_dist, args.m)
-        params = ModelParams(n=args.n, m=args.m, s=args.s, size_dist=dist, kind=args.kind)
-        _print_json(_pmf_json(oracle.brute_force_degree_pmf(params)))
-    elif sub == "dense-overlap":
-        d = oracle.dense_overlap_diagnostics(args.m, args.epsilon)
-        _print_json(
-            {
-                "p_star": d.p_star,
-                "ratio_prime": d.ratio_prime,
-                "bound": d.bound,
-                "tail_within_10pct": d.tail_within_10pct,
-            }
-        )
-    else:  # pragma: no cover
-        raise ConfigError("oracle", f"unknown subcommand {sub!r}")
+def _floats(*flags: str) -> tuple:
+    return tuple((flag, {"type": float, "required": True}) for flag in flags)
+
+
+_SIZE_DIST = (
+    "--size-dist",
+    {"required": True, "help": 'size distribution as JSON, e.g. \'{"kind": "degenerate", "x": 5}\''},
+)
+_K_MAX = ("--k-max", {"type": int, "default": None})
+
+
+def _passive_spec(a: argparse.Namespace) -> theory.CompoundPoissonSpec:
+    return theory.passive_compound_spec(a.dist, a.n, a.m)
+
+
+def _passive_spec_json(a: argparse.Namespace) -> dict:
+    spec = _passive_spec(a)
+    return {"lam": spec.lam, "jump": _pmf_json(spec.jump_pmf)}
+
+
+def _compound_pmf(a: argparse.Namespace) -> dict:
+    probs = [float(p) for p in a.jump_probs.split(",")]
+    spec = theory.CompoundPoissonSpec(a.lam, DiscretePmf(np.array(probs)))
+    return _pmf_json(theory.compound_poisson_pmf(spec, k_max=a.k_max))
+
+
+def _degree_stats(a: argparse.Namespace) -> dict:
+    if a.sizes:
+        sizes = [int(x) for x in a.sizes.split(",")]
+    elif a.uniform_size is not None and a.count is not None:
+        sizes = [a.uniform_size] * a.count
+    else:
+        raise ConfigError("--sizes", "provide either --sizes or both --uniform-size and --count")
+    return _json_floats(theory.poisson_approx_stats(sizes, a.m, a.s))
+
+
+THEORY_COMMANDS = {
+    "edge-prob": (
+        _ints("--m", "--s") + (_SIZE_DIST,),
+        lambda a: vars(theory.active_edge_prob_asymptotic(a.dist, a.m, a.s)),
+    ),
+    "degree-pmf": (
+        _ints("--n", "--m", "--s") + (_K_MAX, _SIZE_DIST),
+        lambda a: _pmf_json(theory.mixed_poisson_degree_pmf(a.dist, a.n, a.m, a.s, k_max=a.k_max)),
+    ),
+    "alpha": (
+        _ints("--m", "--s") + (_SIZE_DIST,),
+        lambda a: {"alpha": theory.alpha_active(a.dist, a.m, a.s)},
+    ),
+    "alpha-beta-form": (
+        _ints("--n", "--m", "--s") + (_SIZE_DIST,),
+        lambda a: {"alpha": theory.alpha_active_beta_form(a.dist, a.n, a.m, a.s)},
+    ),
+    "alpha-from-moments": (
+        _floats("--beta", "--ed", "--ed2"),
+        lambda a: {"alpha": theory.alpha_active_from_degree_moments(a.beta, a.ed, a.ed2)},
+    ),
+    "alpha-k": (
+        _ints("--n", "--m", "--s", "--k") + (_SIZE_DIST,),
+        lambda a: {"alpha_k": theory.alpha_k_active(a.dist, a.n, a.m, a.s, a.k)},
+    ),
+    "passive-spec": (
+        _ints("--n", "--m") + (_SIZE_DIST,),
+        _passive_spec_json,
+    ),
+    "compound-pmf": (
+        _floats("--lam") + (("--jump-probs", {"required": True, "help": "comma list, mass at 0,1,2,..."}), _K_MAX),
+        _compound_pmf,
+    ),
+    "alpha-passive": (
+        _ints("--n", "--m") + (_SIZE_DIST,),
+        lambda a: {"alpha_star": theory.alpha_passive_finite(a.dist, a.n, a.m)},
+    ),
+    "alpha-passive-limit": (
+        _ints("--n", "--m") + (_SIZE_DIST,),
+        lambda a: {"alpha_star": theory.alpha_passive_limit(_passive_spec(a))},
+    ),
+    "alpha-k-passive": (
+        _ints("--n", "--m", "--k") + (_SIZE_DIST,),
+        lambda a: {"alpha_star_k": theory.alpha_k_passive(_passive_spec(a), a.k)},
+    ),
+    "regime": (
+        _ints("--n", "--m") + (_SIZE_DIST,),
+        lambda a: vars(theory.passive_regime_classify(a.n, a.m, a.dist)),
+    ),
+    "degree-stats": (
+        _ints("--m", "--s")
+        + (
+            ("--sizes", {"default": None, "help": "comma list of set sizes, vertex 1 first"}),
+            ("--uniform-size", {"type": int, "default": None}),
+            ("--count", {"type": int, "default": None}),
+        ),
+        _degree_stats,
+    ),
+}
+
+ORACLE_COMMANDS = {
+    "intersection-pmf": (
+        _ints("--m", "--d1", "--d2"),
+        lambda a: _pmf_json(oracle.intersection_pmf(a.m, a.d1, a.d2)),
+    ),
+    "intersection-tail": (
+        _ints("--m", "--d1", "--d2", "--s"),
+        lambda a: {"tail": oracle.intersection_tail(a.m, a.d1, a.d2, a.s)},
+    ),
+    "tail-bounds": (
+        _ints("--m", "--d1", "--d2", "--s"),
+        lambda a: vars(oracle.intersection_tail_bounds(a.m, a.d1, a.d2, a.s)),
+    ),
+    "exact-degree-pmf": (
+        _ints("--n", "--m", "--s") + (_SIZE_DIST,),
+        lambda a: _pmf_json(oracle.exact_active_degree_pmf(a.dist, a.n, a.m, a.s)),
+    ),
+    "links-pmf": (
+        _ints("--n", "--m") + (_K_MAX, _SIZE_DIST),
+        lambda a: _pmf_json(oracle.exact_passive_links_pmf(a.dist, a.n, a.m, k_max=a.k_max)),
+    ),
+    "lecam": (
+        (("--probs", {"default": "", "help": "comma list of indicator probabilities"}),),
+        lambda a: {"bound": oracle.lecam_bound([float(p) for p in a.probs.split(",")] if a.probs else [])},
+    ),
+    "brute-force": (
+        (("--kind", {"choices": ("active", "passive"), "required": True}),)
+        + _ints("--n", "--m", "--s")
+        + (_SIZE_DIST,),
+        lambda a: _pmf_json(
+            oracle.brute_force_degree_pmf(ModelParams(n=a.n, m=a.m, s=a.s, size_dist=a.dist, kind=a.kind))
+        ),
+    ),
+    "dense-overlap": (
+        _ints("--m") + _floats("--epsilon"),
+        lambda a: vars(oracle.dense_overlap_diagnostics(a.m, a.epsilon)),
+    ),
+}
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    """Run one THEORY_COMMANDS/ORACLE_COMMANDS entry and print its JSON."""
+    if getattr(args, "size_dist", None) is not None:
+        args.dist = _parse_size_dist_arg(args.size_dist, args.m)
+    _print_json(args.compute(args))
     return EXIT_PASS
 
 
@@ -868,97 +891,16 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--emit-graph", required=True, help="output path for the edge list")
     gen_p.set_defaults(func=_cmd_gen)
 
-    th = subs.add_parser("theory", help="evaluate closed-form laws")
-    th_subs = th.add_subparsers(dest="theory_cmd", required=True)
-    p = th_subs.add_parser("edge-prob")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    _add_size_dist_arg(p)
-    p = th_subs.add_parser("degree-pmf")
-    for flag in ("--n", "--m", "--s"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--k-max", type=int, default=None)
-    _add_size_dist_arg(p)
-    p = th_subs.add_parser("alpha")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    _add_size_dist_arg(p)
-    p = th_subs.add_parser("alpha-beta-form")
-    for flag in ("--n", "--m", "--s"):
-        p.add_argument(flag, type=int, required=True)
-    _add_size_dist_arg(p)
-    p = th_subs.add_parser("alpha-from-moments")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--ed", type=float, required=True)
-    p.add_argument("--ed2", type=float, required=True)
-    p = th_subs.add_parser("alpha-k")
-    for flag in ("--n", "--m", "--s", "--k"):
-        p.add_argument(flag, type=int, required=True)
-    _add_size_dist_arg(p)
-    p = th_subs.add_parser("passive-spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_size_dist_arg(p)
-    p = th_subs.add_parser("compound-pmf")
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--jump-probs", required=True, help="comma list, mass at 0,1,2,...")
-    p.add_argument("--k-max", type=int, default=None)
-    p = th_subs.add_parser("alpha-passive")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_size_dist_arg(p)
-    p = th_subs.add_parser("alpha-passive-limit")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_size_dist_arg(p)
-    p = th_subs.add_parser("alpha-k-passive")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_size_dist_arg(p)
-    p = th_subs.add_parser("regime")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_size_dist_arg(p)
-    p = th_subs.add_parser("degree-stats")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--sizes", default=None, help="comma list of set sizes, vertex 1 first")
-    p.add_argument("--uniform-size", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    th.set_defaults(func=_cmd_theory)
-
-    orc = subs.add_parser("oracle", help="exact finite-size computations")
-    orc_subs = orc.add_subparsers(dest="oracle_cmd", required=True)
-    p = orc_subs.add_parser("intersection-pmf")
-    for flag in ("--m", "--d1", "--d2"):
-        p.add_argument(flag, type=int, required=True)
-    p = orc_subs.add_parser("intersection-tail")
-    for flag in ("--m", "--d1", "--d2", "--s"):
-        p.add_argument(flag, type=int, required=True)
-    p = orc_subs.add_parser("tail-bounds")
-    for flag in ("--m", "--d1", "--d2", "--s"):
-        p.add_argument(flag, type=int, required=True)
-    p = orc_subs.add_parser("exact-degree-pmf")
-    for flag in ("--n", "--m", "--s"):
-        p.add_argument(flag, type=int, required=True)
-    _add_size_dist_arg(p)
-    p = orc_subs.add_parser("links-pmf")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k-max", type=int, default=None)
-    _add_size_dist_arg(p)
-    p = orc_subs.add_parser("lecam")
-    p.add_argument("--probs", default="", help="comma list of indicator probabilities")
-    p = orc_subs.add_parser("brute-force")
-    p.add_argument("--kind", choices=("active", "passive"), required=True)
-    for flag in ("--n", "--m", "--s"):
-        p.add_argument(flag, type=int, required=True)
-    _add_size_dist_arg(p)
-    p = orc_subs.add_parser("dense-overlap")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    orc.set_defaults(func=_cmd_oracle)
+    for group, commands, help_text in (
+        ("theory", THEORY_COMMANDS, "evaluate closed-form laws"),
+        ("oracle", ORACLE_COMMANDS, "exact finite-size computations"),
+    ):
+        group_subs = subs.add_parser(group, help=help_text).add_subparsers(dest=f"{group}_cmd", required=True)
+        for name, (flags, compute) in commands.items():
+            p = group_subs.add_parser(name)
+            for flag, options in flags:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=_cmd_table, compute=compute)
     return parser
 
 

@@ -31,11 +31,11 @@ from .model import (
     binomial,
     log_binomial,
     moments,
+    size_biased,
 )
 
 __all__ = [
     "TAIL_TOL",
-    "COUNT_TAIL_TOL",
     "ClampedProbability",
     "CompoundPoissonSpec",
     "RegimeReport",
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-10  # auto-truncation target for returned pmfs
-COUNT_TAIL_TOL = 1e-12  # Poisson-count truncation inside the joint DP
 _REGIME_RATIO = 0.01  # "<<" convention for regime classification
 
 
@@ -264,16 +263,8 @@ def passive_compound_spec(
     law (covering sets are seen size-biased; the covered vertex itself
     does not count).  E[X] = 0 degenerates to zero jumps at rate 0.
     """
-    ex = dist.mean()
-    lam = (n / m) * ex
-    jump = _size_biased_pmf(dist)
-    return CompoundPoissonSpec(lam=lam, jump_pmf=jump)
-
-
-def _size_biased_pmf(dist: SizeDistribution) -> DiscretePmf:
-    from .model import size_biased
-
-    return size_biased(dist.as_pmf())
+    lam = (n / m) * dist.mean()
+    return CompoundPoissonSpec(lam=lam, jump_pmf=size_biased(dist.as_pmf()))
 
 
 def compound_poisson_pmf(
@@ -345,82 +336,37 @@ def alpha_passive_limit(spec: CompoundPoissonSpec) -> float:
     return (fall2 - ed * ed) / fall2
 
 
-def _poisson_count_cap(lam: float, tol: float) -> int:
-    """Smallest t with P(Poisson(lam) > t) < tol."""
-    if lam <= 0.0:
-        return 0
-    t, term, cdf = 0, math.exp(-lam), math.exp(-lam)
-    while 1.0 - cdf >= tol:
-        t += 1
-        term *= lam / t
-        cdf += term
-        if t > 10_000_000:  # pragma: no cover - safety valve
-            raise RuntimeError("Poisson truncation failed to converge")
-    return t
-
-
 def alpha_k_passive_curve(
     spec: CompoundPoissonSpec, k_max: int
 ) -> dict[int, float]:
     """Degree-conditional clustering alpha*[k] for every k in [2, k_max].
 
-    Exact bivariate dynamic program over the joint law of
-    (total, sum of within-jump pairs): each jump contributes the pair
-    (j, j (j-1)) with probability f_j, the Poisson count is truncated
-    where its tail drops below ``COUNT_TAIL_TOL``, and
+    With g the compound Poisson pmf and f the jump pmf, the Palm (Mecke)
+    formula gives E[sum of within-jump pairs; total = k] as
+    lam sum_j f_j j (j-1) g_{k-j}, so
 
-        alpha*[k] = E[pair sum | total = k] / (k (k - 1)).
+        alpha*[k] = lam sum_j f_j j (j-1) g_{k-j} / (k (k-1) g_k).
 
     Degrees k with zero probability are omitted from the result.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    f = np.asarray(spec.jump_pmf.probs, dtype=float)
-    jmax = f.size - 1
-    s2_cap = k_max * (k_max - 1)
-    t_cap = _poisson_count_cap(spec.lam, COUNT_TAIL_TOL)
-    # joint[t] built iteratively; accumulate Poisson-weighted mixture
-    joint = np.zeros((k_max + 1, s2_cap + 1))
-    joint[0, 0] = 1.0
-    acc = np.zeros_like(joint)
-    log_lam = math.log(spec.lam) if spec.lam > 0 else -math.inf
-    for t in range(t_cap + 1):
-        if spec.lam > 0:
-            w = math.exp(t * log_lam - spec.lam - math.lgamma(t + 1))
-        else:
-            w = 1.0 if t == 0 else 0.0
-        acc += w * joint
-        if t == t_cap:
-            break
-        nxt = np.zeros_like(joint)
-        for j in range(min(jmax, k_max) + 1):
-            if f[j] == 0.0:
-                continue
-            j2 = j * (j - 1)
-            if j == 0:
-                nxt += f[j] * joint
-            else:
-                nxt[j:, j2:] += f[j] * joint[:-j, : s2_cap + 1 - j2]
-        joint = nxt
-    out: dict[int, float] = {}
-    s2_vals = np.arange(s2_cap + 1, dtype=float)
-    for k in range(2, k_max + 1):
-        pk = float(acc[k].sum())
-        if pk <= 0.0:
-            continue
-        expected = float(np.dot(s2_vals, acc[k])) / pk
-        out[k] = expected / (k * (k - 1))
-    return out
+    g = compound_poisson_pmf(spec, k_max=k_max).probs
+    f = np.asarray(spec.jump_pmf.probs, dtype=float)[: k_max + 1]
+    js = np.arange(f.size)
+    pairs = np.convolve(f * js * (js - 1), g)  # sum_j f_j j (j-1) g_{k-j}
+    return {
+        k: spec.lam * (float(pairs[k]) / float(g[k])) / (k * (k - 1))
+        for k in range(2, k_max + 1)
+        if g[k] > 0.0
+    }
 
 
-def alpha_k_passive(
-    spec: CompoundPoissonSpec, k: int, k_max: int | None = None
-) -> float:
+def alpha_k_passive(spec: CompoundPoissonSpec, k: int) -> float:
     """alpha*[k] for a single degree; see :func:`alpha_k_passive_curve`."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    cap = max(k, k_max or k)
-    curve = alpha_k_passive_curve(spec, cap)
+    curve = alpha_k_passive_curve(spec, k)
     if k not in curve:
         raise ValueError(f"degree {k} has zero asymptotic mass")
     return curve[k]

@@ -1,6 +1,7 @@
 """Scenario configs, the runner contract and the command-line surface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,18 @@ from riglab.cli import (
     EXIT_COMPARISON,
     EXIT_PASS,
     EXIT_USAGE,
+    ORACLE_COMMANDS,
     PRESETS,
+    THEORY_COMMANDS,
     main,
     parse_scenario,
     preset_config,
     run_scenario,
 )
+
+# argv, exit code and exact stdout of every theory/oracle subcommand,
+# including the optional-flag paths and the usage errors
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def small_scenario(**overrides):
@@ -98,6 +105,21 @@ class TestConfigParsing:
         doc["scenario"]["model"]["size_dist"] = {"kind": "degenerate", "x": 500}
         with pytest.raises(ConfigError, match="scenario.model"):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "size_dist",
+        [
+            {"kind": "degenerate", "x": 3},
+            {"kind": "table", "weights": [0.0, 0.25, 0.75]},
+            {"kind": "truncated_power_law", "gamma": 2.5, "x_min": 1, "x_max": 9},
+            {"kind": "binomial", "trials": 6, "p": 0.5},
+        ],
+    )
+    def test_size_dist_echo_round_trips(self, size_dist):
+        doc = small_scenario()
+        doc["scenario"]["model"]["size_dist"] = size_dist
+        cfg = parse_scenario(doc)
+        assert cfg.echo(0)["model"]["size_dist"] == size_dist
 
     def test_presets_all_parse(self):
         for name in PRESETS:
@@ -313,33 +335,19 @@ class TestCommandLine:
         assert code == EXIT_USAGE
         assert "size-dist" in capsys.readouterr().err
 
-    DELTA5 = '{"kind": "degenerate", "x": 5}'
-
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["theory", "edge-prob", "--m", "100", "--s", "2", "--size-dist", DELTA5],
-            ["theory", "degree-pmf", "--n", "200", "--m", "100", "--s", "2", "--size-dist", DELTA5],
-            ["theory", "alpha-beta-form", "--n", "200", "--m", "100", "--s", "2", "--size-dist", DELTA5],
-            ["theory", "alpha-from-moments", "--beta", "1.0", "--ed", "4.0", "--ed2", "20.0"],
-            ["theory", "alpha-k", "--n", "200", "--m", "100", "--s", "2", "--k", "3", "--size-dist", DELTA5],
-            ["theory", "passive-spec", "--n", "200", "--m", "100", "--size-dist", DELTA5],
-            ["theory", "alpha-passive", "--n", "200", "--m", "100", "--size-dist", DELTA5],
-            ["theory", "alpha-passive-limit", "--n", "200", "--m", "100", "--size-dist", DELTA5],
-            ["theory", "alpha-k-passive", "--n", "200", "--m", "100", "--k", "4", "--size-dist", DELTA5],
-            ["theory", "regime", "--n", "200", "--m", "100", "--size-dist", DELTA5],
-            ["oracle", "intersection-pmf", "--m", "9", "--d1", "3", "--d2", "4"],
-            ["oracle", "tail-bounds", "--m", "9", "--d1", "3", "--d2", "4", "--s", "2"],
-            ["oracle", "exact-degree-pmf", "--n", "4", "--m", "9", "--s", "1", "--size-dist", '{"kind": "degenerate", "x": 3}'],
-            ["oracle", "links-pmf", "--n", "4", "--m", "9", "--size-dist", '{"kind": "degenerate", "x": 3}'],
-            ["oracle", "lecam", "--probs", "0.1,0.2"],
-        ],
+        "case", [pytest.param(case, id=f"argv{i}") for i, case in enumerate(GOLDEN)]
     )
-    def test_every_subcommand_emits_json(self, argv, capsys):
-        code = main(argv)
-        out = capsys.readouterr().out
-        assert code == EXIT_PASS
-        json.loads(out)
+    def test_every_subcommand_emits_json(self, case, capsys):
+        """Every recorded invocation reproduces its exit code and stdout
+        byte for byte (usage errors exit 1 with nothing on stdout)."""
+        code = main(case["argv"])
+        assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+
+    def test_golden_covers_every_subcommand(self):
+        declared = {("theory", name) for name in THEORY_COMMANDS}
+        declared |= {("oracle", name) for name in ORACLE_COMMANDS}
+        assert {tuple(case["argv"][:2]) for case in GOLDEN} == declared
 
     def test_degree_stats_requires_sizes(self, capsys):
         code = main(["theory", "degree-stats", "--m", "10", "--s", "1"])
