@@ -460,20 +460,13 @@ def _theory_alpha(cfg: ScenarioConfig) -> float | None:
     return None
 
 
-def _theory_alpha_k(cfg: ScenarioConfig, ks: list[int]) -> dict[int, float]:
-    out: dict[int, float] = {}
+def _theory_alpha_k(cfg: ScenarioConfig) -> dict[int, float]:
     if cfg.kind == "active":
-        for k in ks:
-            try:
-                out[k] = theory.alpha_k_active(cfg.size_dist, cfg.n, cfg.m, cfg.s, k)
-            except ValueError:
-                continue
-        return out
-    if cfg.s != 1:
-        return out
-    spec = theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m)
-    curve = theory.alpha_k_passive_curve(spec, max(ks)) if ks else {}
-    return {k: curve[k] for k in ks if k in curve}
+        return theory.alpha_k_active_curve(cfg.size_dist, cfg.n, cfg.m, cfg.s, cfg.k_range[1])
+    if cfg.s == 1:
+        spec = theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m)
+        return theory.alpha_k_passive_curve(spec, cfg.k_range[1])
+    return {}  # passive s >= 2: construction only, no limit law
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None = None) -> Report:
@@ -546,7 +539,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
 
     if "alpha_k" in cfg.outputs:
         ks = list(range(cfg.k_range[0], cfg.k_range[1] + 1))
-        theory_curve = _theory_alpha_k(cfg, ks)
+        theory_curve = _theory_alpha_k(cfg)
         per_k = {}
         checked, ok = 0, True
         for k in ks:
@@ -564,15 +557,14 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
                 if abs(emp - th) / th > cfg.tolerances["alpha_k_rel"]:
                     ok = False
         entry = {"per_k": per_k, "buckets_compared": checked}
-        if len([1 for row in per_k.values() if row["empirical"] is not None]) >= 3:
-            emp_points = {
-                int(k): row["empirical"]
-                for k, row in per_k.items()
-                if row["empirical"] is not None and row["empirical"] > 0
-            }
-            if len(emp_points) >= 3:
-                fit = stats.loglog_slope(emp_points)
-                entry["loglog"] = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
+        emp_points = {
+            int(k): row["empirical"]
+            for k, row in per_k.items()
+            if row["empirical"] is not None and row["empirical"] > 0
+        }
+        if len(emp_points) >= 3:
+            fit = stats.loglog_slope(emp_points)
+            entry["loglog"] = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
         if cfg.kind == "passive" and cfg.s >= 2:
             passes["alpha_k"] = None
         else:

@@ -27,6 +27,7 @@ __all__ = [
     "binomial",
     "falling_factorial",
     "DiscretePmf",
+    "trim_tail",
     "SizeDistribution",
     "ModelParams",
     "DerivedParams",
@@ -38,6 +39,7 @@ __all__ = [
     "SizeSpec",
     "make_size_dist",
     "moments",
+    "scale_constants",
     "derive_params",
     "size_biased",
     "conditional_ge2",
@@ -169,6 +171,14 @@ class DiscretePmf:
         return DiscretePmf(probs, 0.0)
 
 
+def trim_tail(probs: np.ndarray, tol: float) -> np.ndarray:
+    """``probs`` without its longest trailing run of total mass < ``tol``
+    (at least the first entry stays)."""
+    csum = np.cumsum(probs[::-1])[::-1]
+    keep = np.nonzero(csum >= tol)[0]
+    return probs[: (int(keep[-1]) + 1) if keep.size else 1]
+
+
 @dataclass(frozen=True)
 class SizeDistribution:
     """Pmf of attribute-set sizes on {0..support_max}.
@@ -206,11 +216,6 @@ class SizeDistribution:
     def support(self) -> np.ndarray:
         """Sizes carrying positive mass, ascending."""
         return np.flatnonzero(self.weights > 0.0)
-
-    @property
-    def max_size(self) -> int:
-        sup = self.support
-        return int(sup[-1]) if sup.size else 0
 
     def prob(self, x: int) -> float:
         if 0 <= x < self.weights.size:
@@ -270,11 +275,13 @@ class DerivedParams:
     """Scale constants of the sparse regime.
 
     ``z_scale(x)`` = C(x, s) * sqrt(n / C(m, s)) is the rescaled joint
-    count of an actor with set size x; ``mu1`` is its mean under the size
-    distribution.  ``beta_active`` = C(m, s)/n and ``beta_passive`` = m/n
-    set the clustering magnitude of the two graph kinds; ``beta_star`` =
-    n/m is the reciprocal passive ratio and ``n_star`` = n * P(X >= 2)
-    counts the sets that can actually create passive edges.
+    count of an actor with set size x; ``z`` holds it at each size of
+    ``support``, whose probabilities are ``weights``, and ``mu1`` is its
+    mean under the size distribution.  ``beta_active`` = C(m, s)/n and
+    ``beta_passive`` = m/n set the clustering magnitude of the two graph
+    kinds; ``beta_star`` = n/m is the reciprocal passive ratio and
+    ``n_star`` = n * P(X >= 2) counts the sets that can actually create
+    passive edges.
     """
 
     z_scale: Callable[[int], float]
@@ -283,6 +290,9 @@ class DerivedParams:
     beta_passive: float
     beta_star: float
     n_star: float
+    support: np.ndarray
+    weights: np.ndarray
+    z: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -403,13 +413,14 @@ def moments(dist: SizeDistribution, s: int) -> Moments:
     return Moments(a1=a1, a2=a2, f1=fs[0], f2=fs[1], f3=fs[2])
 
 
-def derive_params(params: ModelParams) -> DerivedParams:
-    """Scale constants for ``params``; see :class:`DerivedParams`.
+def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedParams:
+    """Scale constants of size law ``dist`` at (n, m, s); see
+    :class:`DerivedParams`.
 
     Binomials are evaluated in log space so the map z(x) and the ratio
-    C(m, s)/n stay finite for m up to 1e9 and any s <= m.
+    C(m, s)/n stay finite for m up to 1e9 and any s <= m.  mu1 is the
+    dot product of the support weights with z.
     """
-    n, m, s = params.n, params.m, params.s
     log_m_choose_s = log_binomial(m, s)
     half_log = 0.5 * (math.log(n) - log_m_choose_s)
 
@@ -419,20 +430,28 @@ def derive_params(params: ModelParams) -> DerivedParams:
             return 0.0
         return math.exp(lb + half_log)
 
-    dist = params.size_dist
     xs = dist.support
-    mu1 = float(math.fsum(dist.prob(int(x)) * z_scale(int(x)) for x in xs))
+    w = dist.weights[xs]
+    z = np.array([z_scale(x) for x in xs])
     beta_active = binomial(m, s) / n
     if not math.isfinite(beta_active):
         beta_active = math.exp(log_m_choose_s - math.log(n))
     return DerivedParams(
         z_scale=z_scale,
-        mu1=mu1,
+        mu1=float(np.dot(w, z)),
         beta_active=beta_active,
         beta_passive=m / n,
         beta_star=n / m,
         n_star=n * dist.prob_ge(2),
+        support=xs,
+        weights=w,
+        z=z,
     )
+
+
+def derive_params(params: ModelParams) -> DerivedParams:
+    """Scale constants for ``params``; see :class:`DerivedParams`."""
+    return scale_constants(params.size_dist, params.n, params.m, params.s)
 
 
 def size_biased(q: DiscretePmf) -> DiscretePmf:

@@ -27,6 +27,7 @@ from .model import (
     binomial,
     falling_factorial,
     log_binomial,
+    trim_tail,
 )
 
 __all__ = [
@@ -187,15 +188,6 @@ def exact_active_degree_pmf(
     return DiscretePmf(probs, tail)
 
 
-def _convolve_truncated(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Full convolution, then drop a trailing chunk of mass < tol."""
-    c = np.convolve(a, b)
-    csum = np.cumsum(c[::-1])[::-1]
-    keep = np.nonzero(csum >= tol)[0]
-    cut = (int(keep[-1]) + 1) if keep.size else 1
-    return c[:cut]
-
-
 def exact_passive_links_pmf(
     dist: SizeDistribution, n: int, m: int, k_max: int | None = None
 ) -> DiscretePmf:
@@ -225,16 +217,14 @@ def exact_passive_links_pmf(
     e = n
     while e:
         if e & 1:
-            result = _convolve_truncated(result, power, step_tol)
+            result = trim_tail(np.convolve(result, power), step_tol)
         e >>= 1
         if e:
-            power = _convolve_truncated(power, power, step_tol)
+            power = trim_tail(np.convolve(power, power), step_tol)
     if k_max is not None:
         result = result[: k_max + 1]
     else:
-        csum = np.cumsum(result[::-1])[::-1]
-        keep = np.nonzero(csum >= CONV_TAIL_TOL)[0]
-        result = result[: (int(keep[-1]) + 1) if keep.size else 1]
+        result = trim_tail(result, CONV_TAIL_TOL)
     tail = max(0.0, 1.0 - float(result.sum()))
     return DiscretePmf(result, tail)
 

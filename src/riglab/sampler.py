@@ -31,6 +31,7 @@ __all__ = [
     "sample_incidence",
     "build_active",
     "build_passive",
+    "group_pair_indices",
     "write_edge_list",
 ]
 
@@ -254,7 +255,7 @@ class Graph:
         )
 
 
-def _group_pair_indices(group_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def group_pair_indices(group_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat-index pairs (i, j), i < j, within every contiguous group.
 
     For each element the fan of pairs it starts is materialized with one
@@ -282,7 +283,7 @@ def _group_pairs(members: np.ndarray, group_sizes: np.ndarray) -> tuple[np.ndarr
     """All unordered within-group pairs of a flat, contiguously grouped
     array.  When members are ascending inside each group, left < right
     holds in the output."""
-    li, ri = _group_pair_indices(group_sizes)
+    li, ri = group_pair_indices(group_sizes)
     return members[li], members[ri]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DiscretePmf
-from .sampler import Graph
+from .sampler import Graph, group_pair_indices
 
 __all__ = [
     "LocalCounts",
@@ -95,8 +95,6 @@ def local_counts(graph: Graph) -> LocalCounts:
     sorted neighbor lists; a wedge contributes a triangle iff (u, w) is
     an edge, tested against the sorted edge-key array.
     """
-    from .sampler import _group_pair_indices
-
     n = graph.vertex_count
     deg = graph.degrees.astype(np.int64)
     n2 = deg * (deg - 1) // 2
@@ -105,7 +103,7 @@ def local_counts(graph: Graph) -> LocalCounts:
         return LocalCounts(degree=deg, n2=n2, n3=n3)
     ekeys = graph.edge_keys()  # already sorted
     centers = np.repeat(np.arange(n, dtype=np.int64), deg)
-    li, ri = _group_pair_indices(deg)
+    li, ri = group_pair_indices(deg)
     nn = np.int64(n)
     chunk = 8_000_000  # bound transient memory on wedge-heavy graphs
     for lo in range(0, li.size, chunk):

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    DerivedParams,
     DiscretePmf,
     SizeDistribution,
     binomial,
-    log_binomial,
     moments,
+    scale_constants,
     size_biased,
+    trim_tail,
 )
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "alpha_active_beta_form",
     "alpha_active_from_degree_moments",
     "alpha_k_active",
+    "alpha_k_active_curve",
     "passive_compound_spec",
     "compound_poisson_pmf",
     "alpha_passive_finite",
@@ -134,23 +137,6 @@ def active_edge_prob_asymptotic(
     return ClampedProbability(value=min(max(raw, 0.0), 1.0), raw=raw, clamped=clamped)
 
 
-def _scale_quantities(dist: SizeDistribution, n: int, m: int, s: int):
-    """(support, weights, z values, mu1) at finite scale."""
-    half_log = 0.5 * (math.log(n) - log_binomial(m, s))
-    xs = dist.support
-    w = dist.weights[xs]
-    zs = np.array(
-        [
-            math.exp(log_binomial(int(x), s) + half_log)
-            if log_binomial(int(x), s) > -math.inf
-            else 0.0
-            for x in xs
-        ]
-    )
-    mu1 = float(np.dot(w, zs))
-    return xs, w, zs, mu1
-
-
 def _poisson_log_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
     out = np.full(ks.shape, -math.inf)
     if lam <= 0.0:
@@ -167,8 +153,11 @@ def mixed_poisson_degree_pmf(
     With ``k_max=None`` the truncation point is extended until the
     recorded tail mass drops below ``TAIL_TOL``.
     """
-    xs, w, zs, mu1 = _scale_quantities(dist, n, m, s)
-    lams = zs * mu1
+    return _mixed_poisson_pmf(scale_constants(dist, n, m, s), k_max)
+
+
+def _mixed_poisson_pmf(scale: DerivedParams, k_max: int | None) -> DiscretePmf:
+    lams = scale.z * scale.mu1
     if k_max is None:
         cap = 5
         for lam in lams:
@@ -177,12 +166,10 @@ def mixed_poisson_degree_pmf(
         cap = k_max
     ks = np.arange(cap + 1)
     probs = np.zeros(cap + 1)
-    for weight, lam in zip(w, lams):
+    for weight, lam in zip(scale.weights, lams):
         probs += weight * np.exp(_poisson_log_pmf(ks, float(lam)))
     if k_max is None:
-        csum = np.cumsum(probs[::-1])[::-1]
-        keep = np.nonzero(csum >= TAIL_TOL)[0]
-        probs = probs[: (int(keep[-1]) + 1) if keep.size else 1]
+        probs = trim_tail(probs, TAIL_TOL)
     tail = max(0.0, 1.0 - float(probs.sum()))
     return DiscretePmf(probs, tail)
 
@@ -194,9 +181,9 @@ def asymptotic_degree_moments(
 
     E d = mu1^2 and E d^2 = mu1^2 E[z(X)^2] + mu1^2.
     """
-    _, w, zs, mu1 = _scale_quantities(dist, n, m, s)
-    ez2 = float(np.dot(w, zs * zs))
-    ed = mu1 * mu1
+    scale = scale_constants(dist, n, m, s)
+    ez2 = float(np.dot(scale.weights, scale.z * scale.z))
+    ed = scale.mu1 * scale.mu1
     return ed, ed * ez2 + ed
 
 
@@ -218,12 +205,11 @@ def alpha_active_beta_form(dist: SizeDistribution, n: int, m: int, s: int) -> fl
     Algebraically identical to :func:`alpha_active`; kept as a separate
     route so the identity can be checked numerically.
     """
-    _, w, zs, mu1 = _scale_quantities(dist, n, m, s)
-    ez2 = float(np.dot(w, zs * zs))
+    scale = scale_constants(dist, n, m, s)
+    ez2 = float(np.dot(scale.weights, scale.z * scale.z))
     if ez2 <= 0.0:
         raise ValueError("clustering undefined: E[z^2] = 0")
-    beta = binomial(m, s) / n
-    return (1.0 / math.sqrt(beta)) * mu1 / ez2
+    return (1.0 / math.sqrt(scale.beta_active)) * scale.mu1 / ez2
 
 
 def alpha_active_from_degree_moments(beta: float, ed: float, ed2: float) -> float:
@@ -236,22 +222,35 @@ def alpha_active_from_degree_moments(beta: float, ed: float, ed2: float) -> floa
     return (1.0 / math.sqrt(beta)) * ed**1.5 / (ed2 - ed)
 
 
-def alpha_k_active(dist: SizeDistribution, n: int, m: int, s: int, k: int) -> float:
-    """Degree-conditional clustering of the actor graph.
-
-    alpha^[k] = (1/k) (E[z]/sqrt(beta)) p_{k-1} / p_k with p the mixed
-    Poisson degree law.  Constant in k for a fixed set size; ~ c/k for
-    heavy-tailed sizes.
+def alpha_k_active_curve(
+    dist: SizeDistribution, n: int, m: int, s: int, k_max: int
+) -> dict[int, float]:
+    """Degree-conditional clustering alpha^[k] of the actor graph for
+    every k in [2, k_max]: (1/k) (E[z]/sqrt(beta)) p_{k-1} / p_k, with p
+    the mixed Poisson degree law.  Constant in k for a fixed set size;
+    ~ c/k for heavy-tailed sizes.  Degrees k with zero probability are
+    omitted from the result.
     """
+    if k_max < 2:
+        raise ValueError("k_max must be >= 2")
+    scale = scale_constants(dist, n, m, s)
+    p = _mixed_poisson_pmf(scale, k_max).probs
+    ratio = scale.mu1 / math.sqrt(scale.beta_active)
+    return {
+        k: (1.0 / k) * ratio * float(p[k - 1]) / float(p[k])
+        for k in range(2, k_max + 1)
+        if p[k] > 0.0
+    }
+
+
+def alpha_k_active(dist: SizeDistribution, n: int, m: int, s: int, k: int) -> float:
+    """alpha^[k] for a single degree; see :func:`alpha_k_active_curve`."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    pmf = mixed_poisson_degree_pmf(dist, n, m, s, k_max=k)
-    p_km1, p_k = pmf.prob(k - 1), pmf.prob(k)
-    if p_k <= 0.0:
+    curve = alpha_k_active_curve(dist, n, m, s, k)
+    if k not in curve:
         raise ValueError(f"degree {k} has zero asymptotic mass")
-    _, _, _, mu1 = _scale_quantities(dist, n, m, s)
-    beta = binomial(m, s) / n
-    return (1.0 / k) * (mu1 / math.sqrt(beta)) * p_km1 / p_k
+    return curve[k]
 
 
 def passive_compound_spec(
@@ -298,9 +297,7 @@ def compound_poisson_pmf(
         acc = float(np.dot(jf[1 : jmax + 1], g[k - 1 :: -1][:jmax]))
         g[k] = (lam / k) * acc
     if k_max is None:
-        csum = np.cumsum(g[::-1])[::-1]
-        keep = np.nonzero(csum >= TAIL_TOL)[0]
-        g = g[: (int(keep[-1]) + 1) if keep.size else 1]
+        g = trim_tail(g, TAIL_TOL)
     tail = max(0.0, 1.0 - float(g.sum()))
     return DiscretePmf(g, tail)
 

@@ -20,6 +20,7 @@ from riglab.model import (
     make_size_dist,
     moments,
     size_biased,
+    trim_tail,
 )
 
 
@@ -93,6 +94,13 @@ class TestDiscretePmf:
         assert p.mean() == 1.0
         assert p.second_moment() == pytest.approx(1.5)
         assert p.factorial_moment(2) == pytest.approx(0.5)
+
+    def test_trim_tail_drops_light_trailing_run(self):
+        probs = np.array([0.5, 0.3, 0.2 - 2e-9, 1e-9, 1e-9, 0.0])
+        assert trim_tail(probs, 1e-8).tolist() == probs[:3].tolist()
+        assert trim_tail(probs, 1e-9).tolist() == probs[:5].tolist()
+        # a run of total mass below tol from the start keeps one entry
+        assert trim_tail(np.array([1e-12, 1e-12]), 1e-10).tolist() == [1e-12]
 
 
 class TestMakeSizeDist:

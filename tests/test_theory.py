@@ -199,6 +199,46 @@ class TestAlphaKActive:
         with pytest.raises(ValueError, match="zero asymptotic mass"):
             theory.alpha_k_active(d, 10, 10, 1, 5)
 
+    @pytest.mark.parametrize(
+        "weights, n, m, s",
+        [
+            ({2: 0.7, 9: 0.3}, 500, 200, 1),
+            ({3: 0.5, 4: 0.3, 12: 0.2}, 900, 60, 2),
+        ],
+    )
+    def test_curve_against_term_by_term_reference(self, weights, n, m, s):
+        """alpha^[k] = (1/k) (mu1/sqrt(beta)) p_{k-1}/p_k, with z, mu1,
+        beta and the mixed Poisson pmf rebuilt here from exact binomials."""
+        k_max = 25
+        table = [0.0] * (max(weights) + 1)
+        for x, w in weights.items():
+            table[x] = w
+        d = make_size_dist(Table(table), m)
+        beta = math.comb(m, s) / n
+        z = {x: math.comb(x, s) / math.sqrt(beta) for x in weights}
+        mu1 = sum(w * z[x] for x, w in weights.items())
+        p = sum(w * poisson_pmf(z[x] * mu1, k_max) for x, w in weights.items())
+        curve = theory.alpha_k_active_curve(d, n, m, s, k_max)
+        assert sorted(curve) == list(range(2, k_max + 1))
+        for k, value in curve.items():
+            ref = (1.0 / k) * (mu1 / math.sqrt(beta)) * p[k - 1] / p[k]
+            assert value == pytest.approx(ref, rel=1e-12)
+            assert theory.alpha_k_active(d, n, m, s, k) == value
+
+    def test_curve_omits_zero_mass_degrees(self):
+        assert theory.alpha_k_active_curve(make_size_dist(Degenerate(0), 10), 10, 10, 1, 8) == {}
+        # intensity n/m = 1e-4: p_k underflows to 0 well before k = 80
+        d = make_size_dist(Degenerate(1), 100_000)
+        probs = theory.mixed_poisson_degree_pmf(d, 10, 100_000, 1, k_max=80).probs
+        curve = theory.alpha_k_active_curve(d, 10, 100_000, 1, 80)
+        assert probs[80] == 0.0 and 80 not in curve
+        assert sorted(curve) == [k for k in range(2, 81) if probs[k] > 0.0]
+
+    def test_curve_needs_k_max_two(self):
+        d = make_size_dist(Degenerate(2), 100)
+        with pytest.raises(ValueError, match="k_max must be >= 2"):
+            theory.alpha_k_active_curve(d, 100, 100, 1, 1)
+
 
 class TestPassiveCompoundSpec:
     def test_fixed_size_four(self):
