@@ -119,13 +119,14 @@ class Incidence:
     def set(self, i: int) -> np.ndarray:
         return self.attrs[self.offsets[i] : self.offsets[i + 1]]
 
-    @property
-    def sets(self) -> list[np.ndarray]:
-        return [self.set(i) for i in range(self.n)]
-
     @staticmethod
     def from_sets(m: int, sets) -> "Incidence":
-        arrays = [np.asarray(s, dtype=np.int64) for s in sets]
+        """Incidence of explicit sets; each is sorted, and must hold
+        distinct attributes in [0, m)."""
+        arrays = [np.sort(np.asarray(s, dtype=np.int64)) for s in sets]
+        for i, a in enumerate(arrays):
+            if a.size and (a[0] < 0 or a[-1] >= m or np.any(a[1:] == a[:-1])):
+                raise ValueError(f"set {i} must hold distinct attributes in [0, {m})")
         sizes = np.array([a.size for a in arrays], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         attrs = np.concatenate(arrays) if arrays else np.empty(0, np.int64)
@@ -137,7 +138,7 @@ def _batch_subsets(
 ) -> np.ndarray:
     """(count, x) matrix of independent uniform x-subsets, rows sorted.
 
-    Sparse sizes (x^2 <= m/2) use a vectorized draw-and-redraw of the
+    Sparse sizes (x(x-1) <= m // 2) use a vectorized draw-and-redraw of the
     few colliding rows; larger sizes fall back to per-row partial
     selection, which never stalls.
     """
@@ -237,14 +238,18 @@ class Graph:
 
     @staticmethod
     def from_edge_arrays(vertex_count: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        """Build from unique undirected edges u < v."""
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        order = np.lexsort((cols, rows))
-        indices = cols[order]
-        counts = np.bincount(rows, minlength=vertex_count)
+        """Build from unique undirected edges u < v.
+
+        Both directions of every edge become one int64 key row * V + col
+        (V the vertex count); sorting the keys orders the rows and each
+        neighbor list at once.
+        """
+        width = np.int64(vertex_count)
+        keys = np.concatenate([u * width + v, v * width + u])
+        keys.sort()
+        counts = np.bincount(u, minlength=vertex_count) + np.bincount(v, minlength=vertex_count)
         indptr = np.concatenate([[0], np.cumsum(counts)])
-        return Graph(vertex_count=vertex_count, indptr=indptr, indices=indices)
+        return Graph(vertex_count=vertex_count, indptr=indptr, indices=keys % width)
 
     @staticmethod
     def empty(vertex_count: int) -> "Graph":
@@ -274,35 +279,49 @@ def group_pair_indices(group_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         return np.empty(0, np.int64), np.empty(0, np.int64)
     left = np.repeat(np.arange(total, dtype=np.int64), fanout)
     fan_starts = np.concatenate([[0], np.cumsum(fanout)[:-1]])
-    offset = np.arange(pair_total, dtype=np.int64) - np.repeat(fan_starts, fanout)
-    right = left + offset + 1
+    right = np.arange(1, pair_total + 1, dtype=np.int64)
+    right -= np.repeat(fan_starts, fanout)
+    right += left
     return left, right
 
 
-def _group_pairs(members: np.ndarray, group_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All unordered within-group pairs of a flat, contiguously grouped
-    array.  When members are ascending inside each group, left < right
-    holds in the output."""
-    li, ri = group_pair_indices(group_sizes)
-    return members[li], members[ri]
-
-
-def _projected_pairs(group_sizes: np.ndarray) -> int:
-    g = group_sizes.astype(np.int64)
-    return int(np.sum(g * (g - 1) // 2))
-
-
 def _threshold_pairs(keys: np.ndarray, s: int) -> np.ndarray:
-    """Distinct keys with multiplicity >= s (sorts in place)."""
+    """Distinct keys with multiplicity >= s (sorts in place).
+
+    After the sort, a key repeats at least s times iff its run starts at
+    some i with keys[i] == keys[i + s - 1].
+    """
     keys.sort()
-    is_first = np.empty(keys.size, dtype=bool)
-    is_first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=is_first[1:])
-    firsts = np.flatnonzero(is_first)
-    if s == 1:
-        return keys[firsts]
-    counts = np.diff(np.append(firsts, keys.size))
-    return keys[firsts[counts >= s]]
+    starts = keys.size - s + 1
+    if starts <= 0:
+        return keys[:0]
+    keep = keys[s - 1 :] == keys[:starts]
+    keep[1:] &= keys[1:starts] != keys[: starts - 1]
+    return keys[:starts][keep]
+
+
+def _project(
+    kind: str, members: np.ndarray, group_sizes: np.ndarray, vertex_count: int, s: int, pair_cap: int
+) -> Graph:
+    """Graph on ``vertex_count`` vertices with an edge {a, b} iff a and b
+    share at least s groups of ``members`` (a flat array, grouped
+    contiguously by ``group_sizes`` and ascending inside each group)."""
+    g = group_sizes.astype(np.int64)
+    projected = int(np.sum(g * (g - 1) // 2))
+    if projected > pair_cap:
+        raise ResourceLimitError(
+            f"{kind} build needs {projected} within-group pairs (cap {pair_cap}); "
+            "this regime is too dense for pair counting"
+        )
+    left, right = group_pair_indices(group_sizes)
+    # key a * V + b with a < b; each index array is dropped once read
+    keys = members[left].astype(np.int64, copy=False)
+    del left
+    keys *= np.int64(vertex_count)
+    keys += members[right]
+    del right
+    keys = _threshold_pairs(keys, s)
+    return Graph.from_edge_arrays(vertex_count, keys // vertex_count, keys % vertex_count)
 
 
 def build_active(
@@ -315,25 +334,13 @@ def build_active(
     :class:`ResourceLimitError` when the projected pair count
     sum_w C(deg(w), 2) exceeds ``pair_cap``.
     """
-    n = inc.n
     if not 1 <= s <= inc.m:
         raise ValueError("need 1 <= s <= m")
-    attr_deg = np.bincount(inc.attrs, minlength=inc.m)
-    projected = _projected_pairs(attr_deg)
-    if projected > pair_cap:
-        raise ResourceLimitError(
-            f"active build needs {projected} co-occurrence pairs "
-            f"(cap {pair_cap}); this regime is too dense for pair counting"
-        )
-    # stable sort keeps actor ids ascending inside each attribute group,
-    # so every emitted pair already satisfies left < right
+    # stable sort keeps actor ids ascending inside each attribute group
     order = np.argsort(inc.attrs, kind="stable")
-    actors_by_attr = np.repeat(np.arange(n, dtype=np.int64), inc.sizes)[order]
-    left, right = _group_pairs(actors_by_attr, attr_deg)
-    if left.size == 0:
-        return Graph.empty(n)
-    keys = _threshold_pairs(left * np.int64(n) + right, s)
-    return Graph.from_edge_arrays(n, keys // n, keys % n)
+    actors_by_attr = np.repeat(np.arange(inc.n, dtype=np.int64), inc.sizes)[order]
+    attr_deg = np.bincount(inc.attrs, minlength=inc.m)
+    return _project("active", actors_by_attr, attr_deg, inc.n, s, pair_cap)
 
 
 def build_passive(
@@ -347,17 +354,7 @@ def build_passive(
     """
     if not 1 <= s <= inc.n:
         raise ValueError("need 1 <= s <= n")
-    projected = _projected_pairs(inc.sizes)
-    if projected > pair_cap:
-        raise ResourceLimitError(
-            f"passive build needs {projected} within-set pairs (cap {pair_cap})"
-        )
-    left, right = _group_pairs(inc.attrs, inc.sizes)
-    if left.size == 0:
-        return Graph.empty(inc.m)
-    # sets are stored sorted, so left < right already
-    keys = _threshold_pairs(left * np.int64(inc.m) + right, s)
-    return Graph.from_edge_arrays(inc.m, keys // inc.m, keys % inc.m)
+    return _project("passive", inc.attrs, inc.sizes, inc.m, s, pair_cap)
 
 
 def write_edge_list(

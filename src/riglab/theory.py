@@ -137,14 +137,6 @@ def active_edge_prob_asymptotic(
     return ClampedProbability(value=min(max(raw, 0.0), 1.0), raw=raw, clamped=clamped)
 
 
-def _poisson_log_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
-    out = np.full(ks.shape, -math.inf)
-    if lam <= 0.0:
-        out[ks == 0] = 0.0
-        return out
-    return ks * math.log(lam) - lam - np.array([math.lgamma(k + 1) for k in ks])
-
-
 def mixed_poisson_degree_pmf(
     dist: SizeDistribution, n: int, m: int, s: int, k_max: int | None = None
 ) -> DiscretePmf:
@@ -165,9 +157,14 @@ def _mixed_poisson_pmf(scale: DerivedParams, k_max: int | None) -> DiscretePmf:
     else:
         cap = k_max
     ks = np.arange(cap + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in ks])
     probs = np.zeros(cap + 1)
     for weight, lam in zip(scale.weights, lams):
-        probs += weight * np.exp(_poisson_log_pmf(ks, float(lam)))
+        lam = float(lam)
+        if lam <= 0.0:
+            probs[0] += weight
+        else:
+            probs += weight * np.exp(ks * math.log(lam) - lam - log_fact)
     if k_max is None:
         probs = trim_tail(probs, TAIL_TOL)
     tail = max(0.0, 1.0 - float(probs.sum()))

@@ -24,6 +24,11 @@ from riglab.cli import (
 # including the optional-flag paths and the usage errors
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
+# report bodies of every preset at seed 0, --jobs 1, byte for byte
+PRESET_GOLDEN = json.loads(
+    (Path(__file__).parent / "preset_golden.json").read_text(encoding="utf-8")
+)
+
 
 def small_scenario(**overrides):
     doc = {
@@ -135,6 +140,13 @@ class TestRunScenario:
         r3 = run_scenario(cfg, seed=9, jobs=1)
         assert r1.json_body() == r2.json_body() == r3.json_body()
         assert r1.body["scenario"]["seed"] == 9
+
+    @pytest.mark.parametrize("name", sorted(PRESET_GOLDEN))
+    def test_preset_body_is_pinned(self, name):
+        assert run_scenario(preset_config(name), seed=0, jobs=1).json_body() == PRESET_GOLDEN[name]
+
+    def test_preset_golden_covers_every_preset(self):
+        assert set(PRESET_GOLDEN) == set(PRESETS)
 
     def test_seed_changes_body(self):
         cfg = parse_scenario(small_scenario())

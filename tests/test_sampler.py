@@ -46,6 +46,16 @@ def edge_set(graph):
     return set(zip(u.tolist(), v.tolist()))
 
 
+def lexsort_csr(vertex_count, u, v):
+    """Reference CSR: both edge directions ordered by (row, col) with
+    np.lexsort."""
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    order = np.lexsort((cols, rows))
+    counts = np.bincount(rows, minlength=vertex_count)
+    return np.concatenate([[0], np.cumsum(counts)]), cols[order]
+
+
 class TestRngStream:
     def test_identical_addresses_reproduce(self):
         a = RngStream(99, 4).generator().integers(0, 1 << 30, 64)
@@ -151,7 +161,7 @@ class TestSampleIncidence:
         assert np.array_equal(a.attrs, b.attrs) and np.array_equal(a.sizes, b.sizes)
 
     def test_large_sizes_take_partial_selection_path(self):
-        # x^2 > m/2 forces the per-row fallback
+        # x(x-1) > m // 2 forces the per-row fallback
         p = ModelParams(
             n=40, m=30, s=1, size_dist=make_size_dist(Degenerate(25), 30)
         )
@@ -209,7 +219,7 @@ class TestBuildActive:
 
     def test_pair_cap_aborts(self):
         inc = Incidence.from_sets(3, [[0, 1, 2]] * 40)
-        with pytest.raises(ResourceLimitError, match="pair"):
+        with pytest.raises(ResourceLimitError, match="active build needs 2340 .*pair"):
             build_active(inc, 1, pair_cap=100)
 
     def test_edge_frequency_matches_exact_tail(self):
@@ -272,6 +282,27 @@ class TestBuildPassive:
         with pytest.raises(ValueError):
             build_passive(inc, 2)  # s > n
 
+    def test_pair_cap_aborts(self):
+        inc = Incidence.from_sets(40, [range(40)])
+        with pytest.raises(ResourceLimitError, match="passive build needs 780 .*pair"):
+            build_passive(inc, 1, pair_cap=100)
+
+
+class TestIncidenceFromSets:
+    def test_unsorted_sets_are_sorted(self):
+        inc = Incidence.from_sets(3, [[1, 0], [0, 1]])
+        assert inc.attrs.tolist() == [0, 1, 0, 1]
+        assert edge_set(build_passive(inc, 2)) == {(0, 1)}
+
+    def test_repeated_attribute_rejected(self):
+        with pytest.raises(ValueError, match="set 0"):
+            build_active(Incidence.from_sets(3, [[0, 0], [0]]), 1)
+
+    @pytest.mark.parametrize("sets, bad", [([[5], [5]], 0), ([[0], [2, -1]], 1)])
+    def test_out_of_range_attribute_rejected(self, sets, bad):
+        with pytest.raises(ValueError, match=f"set {bad} "):
+            Incidence.from_sets(3, sets)
+
 
 class TestGraph:
     def test_from_edge_arrays(self):
@@ -279,6 +310,25 @@ class TestGraph:
         assert g.edge_count == 2
         assert g.has_edge(0, 2) and g.has_edge(2, 0) and not g.has_edge(0, 1)
         assert [list(g.neighbors(v)) for v in range(4)] == [[2], [3], [0], [1]]
+
+    @pytest.mark.parametrize(
+        "vertex_count, density",
+        [(0, 0.0), (6, 0.0), (40, 0.02), (40, 0.1), (60, 0.3), (9, 1.0)],
+    )
+    def test_from_edge_arrays_matches_lexsort_reference(self, vertex_count, density):
+        """Random unsorted unique edges u < v: empty graphs, sparse graphs
+        with isolated vertices, and a complete graph."""
+        gen = np.random.default_rng(vertex_count)
+        pairs = [(a, b) for a in range(vertex_count) for b in range(a + 1, vertex_count)]
+        keep = gen.random(len(pairs)) < density
+        chosen = np.array([p for p, k in zip(pairs, keep) if k], dtype=np.int64).reshape(-1, 2)
+        chosen = chosen[gen.permutation(len(chosen))]
+        u, v = chosen[:, 0], chosen[:, 1]
+        g = Graph.from_edge_arrays(vertex_count, u, v)
+        indptr, indices = lexsort_csr(vertex_count, u, v)
+        assert g.indptr.dtype == indptr.dtype and g.indices.dtype == indices.dtype
+        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+        g.validate()
 
     def test_empty(self):
         g = Graph.empty(5)
