@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 OUTPUTS = ("degree", "clustering", "alpha_k", "regime", "theorem1_stats", "example2")
+_TRIANGLE_OUTPUTS = ("clustering", "alpha_k")  # read the clustering report
+_GRAPH_OUTPUTS = ("degree", *_TRIANGLE_OUTPUTS)  # read the built graph
 DEFAULT_TOLERANCES = {"tv_degree": 0.01, "alpha_abs": 0.02, "alpha_k_rel": 0.25}
 ENV_SEED = "RIGLAB_SEED"
 
@@ -381,15 +383,24 @@ def preset_config(name: str) -> ScenarioConfig:
 # ---------------------------------------------------------------- execution
 
 def _replicate_worker(cfg: ScenarioConfig, seed: int, r: int) -> tuple:
-    """Run one replicate on its own stream; returns plain picklable data."""
-    rng = RngStream(seed, r)
-    try:
-        inc = sample_incidence(cfg.params(), rng)
-        graph = build_active(inc, cfg.s) if cfg.kind == "active" else build_passive(inc, cfg.s)
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(f"replicate {r}: {exc}") from exc
-    degree_counts = np.bincount(graph.degrees, minlength=1)
-    report = stats.clustering_report(graph, cfg.min_bucket)
+    """Run one replicate on its own stream; returns plain picklable data.
+
+    The graph is built only for the outputs that read it, and the
+    clustering report only for those that read triangles; what is not
+    computed comes back as None, so a scenario that builds nothing can
+    never trip the pair cap.
+    """
+    inc = sample_incidence(cfg.params(), RngStream(seed, r))
+    degree_counts = report = None
+    if any(o in cfg.outputs for o in _GRAPH_OUTPUTS):
+        try:
+            graph = build_active(inc, cfg.s) if cfg.kind == "active" else build_passive(inc, cfg.s)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(f"replicate {r}: {exc}") from exc
+        if "degree" in cfg.outputs:
+            degree_counts = np.bincount(graph.degrees, minlength=1)
+        if any(o in cfg.outputs for o in _TRIANGLE_OUTPUTS):
+            report = stats.clustering_report(graph, cfg.min_bucket)
     sizes = inc.sizes.copy() if r == 0 else None
     return degree_counts, report, sizes
 
@@ -478,7 +489,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
     t_start = time.perf_counter()
     resolved_seed = _resolve_seed(seed, cfg.seed)
     jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-    need_sim = any(o in cfg.outputs for o in ("degree", "clustering", "alpha_k", "theorem1_stats"))
+    need_sim = any(o in cfg.outputs for o in (*_GRAPH_OUTPUTS, "theorem1_stats"))
     results = _run_replicates(cfg, resolved_seed, jobs) if need_sim else []
     vertices_per_rep = cfg.n if cfg.kind == "active" else cfg.m
 
@@ -494,9 +505,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
         edge = theory.active_edge_prob_asymptotic(cfg.size_dist, cfg.m, cfg.s)
         metadata["clamped_probability"] = edge.clamped
 
-    pooled_report = None
-    if results:
-        pooled_report = stats.pooled_estimates([rep for _, rep, _ in results])
+    reports = [rep for _, rep, _ in results if rep is not None]
+    pooled_report = stats.pooled_estimates(reports) if reports else None
 
     if "degree" in cfg.outputs:
         width = max(counts.size for counts, _, _ in results)

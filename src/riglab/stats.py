@@ -1,9 +1,14 @@
 """Empirical estimators on realized graphs and comparison utilities.
 
-Triangle counting enumerates the wedges (2-stars) of each vertex from
-its sorted neighbor list and checks which of them close into an edge;
-that costs O(sum_v deg(v)^2) probes, fine in the sparse regimes this
-package targets, and it yields the per-vertex 2-star counts for free.
+Triangle counting orients every edge from its lower- to its
+higher-ranked end, ranking vertices by (degree, id) as in Chiba and
+Nishizeki (1985) and Latapy (2008).  Each triangle is then one wedge
+(a, b) of out-neighbors around its lowest-ranked corner, so only the
+sum_v C(d+(v), 2) oriented wedges are probed against the edge set
+(d+ the out-degree, at most sqrt(2 * edges)), not all sum_v C(d(v), 2)
+wedges: 1.8 M instead of 8.4 M on the example5 graph.  A closed wedge
+credits all three corners, so triangle counts stay per vertex; the
+2-star counts C(d, 2) come from the degrees alone.
 
 The vertex-averaged clustering estimate skips vertices with no 2-star
 (degree < 2): the 0/0 terms are undefined and excluding them is the
@@ -35,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_MIN_BUCKET = 30
+WEDGE_CHUNK = 8_000_000  # oriented wedges probed per block of centers
 ALPHA_HAT_CONVENTION = "vertices with no 2-star excluded from the average"
 
 
@@ -91,30 +97,50 @@ def degree_histogram(graph: Graph) -> DiscretePmf:
 def local_counts(graph: Graph) -> LocalCounts:
     """Degrees, 2-star counts and per-vertex triangle counts.
 
-    Wedges (u, w) with u < w around each center are generated from the
-    sorted neighbor lists; a wedge contributes a triangle iff (u, w) is
-    an edge, tested against the sorted edge-key array.
+    Each edge is kept in the out-list of its end of lower (degree, id)
+    rank; out-lists stay sorted by id.  A pair a < b of one out-list
+    closes a triangle iff a * V + b is among the sorted edge keys (V the
+    vertex count), and every triangle is found exactly once, from its
+    lowest-ranked corner; its closed pair then credits all three corners.
+    Pairs are formed for blocks of centers whose sum of C(d+, 2) stays
+    within ``WEDGE_CHUNK``, which bounds the transient memory; a single
+    center may exceed it, with at most C(sqrt(2 * edges), 2) pairs.
     """
     n = graph.vertex_count
     deg = graph.degrees.astype(np.int64)
     n2 = deg * (deg - 1) // 2
     n3 = np.zeros(n, dtype=np.int64)
-    if graph.indices.size == 0 or int(deg.max(initial=0)) < 2:
-        return LocalCounts(degree=deg, n2=n2, n3=n3)
-    ekeys = graph.edge_keys()  # already sorted
-    centers = np.repeat(np.arange(n, dtype=np.int64), deg)
-    li, ri = group_pair_indices(deg)
     nn = np.int64(n)
-    chunk = 8_000_000  # bound transient memory on wedge-heavy graphs
-    for lo in range(0, li.size, chunk):
-        hi = min(lo + chunk, li.size)
-        # neighbor lists are sorted, so wedge endpoints come out u < w
-        wkeys = graph.indices[li[lo:hi]] * nn + graph.indices[ri[lo:hi]]
+    rank = deg * nn + np.arange(n, dtype=np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), deg)
+    up = rank[graph.indices] > rank[rows]
+    out = graph.indices[up]
+    outdeg = np.bincount(rows[up], minlength=n)
+    del rank, rows, up
+    pairs = outdeg * (outdeg - 1) // 2
+    ends = np.cumsum(pairs)
+    ekeys = graph.edge_keys()  # already sorted
+    starts = np.concatenate([[0], np.cumsum(outdeg)])
+    lo = 0
+    while lo < n:
+        done = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, done + WEDGE_CHUNK, side="right")), lo + 1)
+        li, ri = group_pair_indices(outdeg[lo:hi])
+        li += starts[lo]
+        ri += starts[lo]
+        a = out[li]
+        b = out[ri]
+        del li, ri
+        wkeys = a * nn + b  # out-lists are sorted, so a < b
         slot = np.searchsorted(ekeys, wkeys)
         slot[slot == ekeys.size] = 0
         closed = ekeys[slot] == wkeys
         if closed.any():
-            n3 += np.bincount(centers[li[lo:hi][closed]], minlength=n)
+            centers = np.repeat(np.arange(lo, hi, dtype=np.int64), pairs[lo:hi])
+            n3 += np.bincount(centers[closed], minlength=n)
+            n3 += np.bincount(a[closed], minlength=n)
+            n3 += np.bincount(b[closed], minlength=n)
+        lo = hi
     return LocalCounts(degree=deg, n2=n2, n3=n3)
 
 

@@ -399,3 +399,29 @@ class TestReportReproducibility:
         cfg = parse_scenario(small_scenario())
         with pytest.raises(ResourceLimitError, match="replicate 0"):
             run_scenario(cfg, seed=1, jobs=1)
+
+    def test_sizes_only_outputs_build_no_graph(self, monkeypatch):
+        """Outputs that read only the sampled sizes build no graph, so
+        they cannot trip the pair cap."""
+        import riglab.cli as cli_mod
+        from riglab.sampler import ResourceLimitError
+
+        def exploding_build(inc, s):
+            raise ResourceLimitError("projected pairs exceed cap")
+
+        monkeypatch.setattr(cli_mod, "build_active", exploding_build)
+        cfg = parse_scenario(small_scenario(outputs=["regime", "theorem1_stats"]))
+        rep = run_scenario(cfg, seed=1, jobs=1)
+        assert sorted(rep.body["analyses"]) == ["regime", "theorem1_stats"]
+
+    def test_degree_only_outputs_count_no_triangles(self, monkeypatch):
+        from riglab import stats
+
+        def exploding_report(graph, min_bucket):
+            raise AssertionError("clustering report built for a degree-only scenario")
+
+        monkeypatch.setattr(stats, "clustering_report", exploding_report)
+        cfg = parse_scenario(small_scenario(outputs=["degree"]))
+        rep = run_scenario(cfg, seed=1, jobs=1)
+        assert sorted(rep.body["analyses"]) == ["degree"]
+        assert rep.body["passes"]["degree"] is not None

@@ -2,11 +2,23 @@
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from riglab import stats
+from riglab.cli import PRESETS, preset_config
 from riglab.model import DiscretePmf, ModelParams, Table, make_size_dist
-from riglab.sampler import Graph, RngStream, build_active, sample_incidence
+from riglab.sampler import (
+    Graph,
+    RngStream,
+    build_active,
+    build_passive,
+    group_pair_indices,
+    sample_incidence,
+)
 from riglab.stats import (
     clustering_report,
     degree_histogram,
@@ -59,6 +71,40 @@ def random_graph(seed, n=60):
     return build_active(sample_incidence(p, RngStream(seed)), 1)
 
 
+def wedge_probe_counts(graph):
+    """Reference n3: probe every wedge (u, w), u < w, around every center
+    against the sorted edge keys, and credit the center alone."""
+    n = graph.vertex_count
+    deg = graph.degrees.astype(np.int64)
+    ekeys = graph.edge_keys()
+    centers = np.repeat(np.arange(n, dtype=np.int64), deg)
+    li, ri = group_pair_indices(deg)
+    wkeys = graph.indices[li] * np.int64(n) + graph.indices[ri]
+    slot = np.searchsorted(ekeys, wkeys)
+    slot[slot == ekeys.size] = 0
+    closed = ekeys[slot] == wkeys
+    return np.bincount(centers[li[closed]], minlength=n)
+
+
+def graph_from_pairs(n, pairs):
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    return Graph.from_edge_arrays(n, u, v)
+
+
+def complete_pairs(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+@st.composite
+def small_graphs(draw):
+    """(vertex count, sorted unique edges u < v) of a graph on <= 12 vertices."""
+    n = draw(st.integers(0, 12))
+    if n < 2:
+        return n, []
+    return n, sorted(draw(st.lists(st.sampled_from(complete_pairs(n)), unique=True)))
+
+
 class TestDegreeHistogram:
     def test_triangle(self):
         pmf = degree_histogram(k3())
@@ -105,6 +151,46 @@ class TestLocalCounts:
             g = random_graph(seed)
             lc = local_counts(g)
             assert lc.n3.sum() == 3 * triangle_total_by_edge_iteration(g)
+
+    @settings(deadline=None, max_examples=200)
+    @given(graph=small_graphs(), chunk=st.sampled_from([1, 2, 5, stats.WEDGE_CHUNK]))
+    @example(graph=(0, []), chunk=stats.WEDGE_CHUNK)
+    @example(graph=(6, []), chunk=stats.WEDGE_CHUNK)
+    @example(graph=(9, [(0, 1), (0, 2), (1, 2), (4, 5)]), chunk=1)  # isolated vertices
+    @example(  # octahedron: every degree tied, eight triangles
+        graph=(6, [p for p in complete_pairs(6) if p not in ((0, 1), (2, 3), (4, 5))]), chunk=1
+    )
+    @example(graph=(8, complete_pairs(8)), chunk=1)
+    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK)
+    def test_matches_networkx_triangles(self, graph, chunk):
+        """Per-vertex n3 equals networkx's triangle count, with the
+        oriented wedges probed in blocks of any size."""
+        n, pairs = graph
+        g = graph_from_pairs(n, pairs)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(pairs)
+        expected = nx.triangles(nxg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "WEDGE_CHUNK", chunk)
+            lc = local_counts(g)
+        assert lc.n3.tolist() == [expected[v] for v in range(n)]
+        assert lc.degree.tolist() == [nxg.degree(v) for v in range(n)]
+        np.testing.assert_array_equal(lc.n2, lc.degree * (lc.degree - 1) // 2)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, *range(10, 16), 21, 22, 33])
+    def test_matches_all_wedge_reference(self, seed):
+        for n in (60, 80, 120):
+            g = random_graph(seed, n=n)
+            np.testing.assert_array_equal(local_counts(g).n3, wedge_probe_counts(g))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_matches_all_wedge_reference(self, name):
+        """Replicate 0 of every preset at seed 0."""
+        cfg = preset_config(name)
+        inc = sample_incidence(cfg.params(), RngStream(0, 0))
+        g = build_active(inc, cfg.s) if cfg.kind == "active" else build_passive(inc, cfg.s)
+        np.testing.assert_array_equal(local_counts(g).n3, wedge_probe_counts(g))
 
 
 class TestClusteringReport:
