@@ -405,13 +405,13 @@ def _replicate_worker(cfg: ScenarioConfig, seed: int, r: int) -> tuple:
     return degree_counts, report, sizes
 
 
-def _run_replicates(cfg: ScenarioConfig, seed: int, jobs: int) -> list[tuple]:
-    """Replicate results in replicate order."""
+def _run_replicates(cfg: ScenarioConfig, seed: int, jobs: int, count: int) -> list[tuple]:
+    """Results of replicates 0..count-1, in replicate order."""
     work = partial(_replicate_worker, cfg, seed)
-    if jobs <= 1 or cfg.replicates == 1:
-        return [work(r) for r in range(cfg.replicates)]
-    with ProcessPoolExecutor(max_workers=min(jobs, cfg.replicates)) as pool:
-        return list(pool.map(work, range(cfg.replicates)))
+    if jobs <= 1 or count <= 1:
+        return [work(r) for r in range(count)]
+    with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
+        return list(pool.map(work, range(count)))
 
 
 def _json_float(x) -> float | str | None:
@@ -489,8 +489,11 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
     t_start = time.perf_counter()
     resolved_seed = _resolve_seed(seed, cfg.seed)
     jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-    need_sim = any(o in cfg.outputs for o in (*_GRAPH_OUTPUTS, "theorem1_stats"))
-    results = _run_replicates(cfg, resolved_seed, jobs) if need_sim else []
+    if any(o in cfg.outputs for o in _GRAPH_OUTPUTS):
+        replicates = cfg.replicates
+    else:  # theorem1_stats reads only replicate 0's sizes
+        replicates = 1 if "theorem1_stats" in cfg.outputs else 0
+    results = _run_replicates(cfg, resolved_seed, jobs, replicates)
     vertices_per_rep = cfg.n if cfg.kind == "active" else cfg.m
 
     analyses: dict[str, dict] = {}

@@ -4,17 +4,24 @@ Sampling is driven by counter-based (Philox) streams addressed by a
 (seed, stream_id) pair, so replicates are reproducible bit for bit and
 independent streams can run concurrently in any order.
 
-Both graph constructions funnel through the same machinery: group the
-bipartite incidence by one side, emit every within-group pair, and
-threshold the pair multiplicities at s.  Grouping by attribute projects
-onto actors (the "active" graph); grouping by actor projects onto
-attributes (the "passive" graph).  The projected pair count is checked
-against a hard cap first, because dense regimes explode quadratically
-and are outside the sparse scope of this package.
+Both graph constructions funnel through one routine.  Every vertex has
+a group list: an actor's attributes for the actor ("active") graph, the
+actors holding an attribute for the attribute ("passive") graph.  The
+routine keys each vertex by the t-subsets of its group list, t in
+{1, s}, sorts the keys once, emits pairs only within equal signatures
+and keeps the pairs formed at least C(s, t) times.  t = 1 counts
+co-occurrences and thresholds them at s; t = s rests on two lists
+sharing at least s groups iff they share an s-subset, so it keeps the
+distinct pairs, and it is taken when its signature count is the smaller.
+Each count of the chosen route is checked against a hard cap before the
+array it sizes is allocated, because dense regimes explode
+quadratically and are outside the sparse scope of this package.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,28 +307,132 @@ def _threshold_pairs(keys: np.ndarray, s: int) -> np.ndarray:
     return keys[:starts][keep]
 
 
-def _project(
-    kind: str, members: np.ndarray, group_sizes: np.ndarray, vertex_count: int, s: int, pair_cap: int
-) -> Graph:
-    """Graph on ``vertex_count`` vertices with an edge {a, b} iff a and b
-    share at least s groups of ``members`` (a flat array, grouped
-    contiguously by ``group_sizes`` and ascending inside each group)."""
-    g = group_sizes.astype(np.int64)
-    projected = int(np.sum(g * (g - 1) // 2))
-    if projected > pair_cap:
-        raise ResourceLimitError(
-            f"{kind} build needs {projected} within-group pairs (cap {pair_cap}); "
-            "this regime is too dense for pair counting"
-        )
-    left, right = group_pair_indices(group_sizes)
+def _comb_total(counts: np.ndarray, r: int) -> int:
+    """Exact sum of C(c, r) over the non-negative integers ``counts``."""
+    hist = np.bincount(counts)
+    return sum(math.comb(int(c), r) * int(hist[c]) for c in np.flatnonzero(hist[r:]) + r)
+
+
+def _actors_by_attribute(inc: Incidence) -> np.ndarray:
+    """The actors holding each attribute, attribute by attribute and
+    ascending inside each, from one sort of the int64 key attr * n + actor."""
+    keys = inc.attrs * np.int64(inc.n)
+    keys += np.repeat(np.arange(inc.n, dtype=np.int64), inc.sizes)
+    keys.sort()
+    return keys % inc.n
+
+
+def _subset_table(length: int, t: int) -> np.ndarray:
+    """The t-subsets of range(length), one per row, lexicographically."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(length), t))
+    return np.fromiter(flat, dtype=np.int64, count=math.comb(length, t) * t).reshape(-1, t)
+
+
+def _subset_keys(
+    lens: np.ndarray, groups: np.ndarray, t: int, group_count: int, vertex_count: int
+) -> np.ndarray:
+    """Sorted int64 keys signature * V + v over every t-subset of every
+    vertex's group list.
+
+    Vertex v's list is the v-th run of ``groups`` (runs of length
+    ``lens``, ascending inside); a subset's signature is its groups read
+    as t digits in base ``group_count``.  The caller checks that
+    group_count**t * V fits in int64.  Vertices are handled one list
+    length at a time, each length with one index table.
+    """
+    offsets = np.concatenate([[0], np.cumsum(lens)])
+    hist = np.bincount(lens)
+    ends = np.cumsum(hist)
+    by_length = np.argsort(lens, kind="stable")
+    parts = [np.empty(0, np.int64)]
+    for length in np.flatnonzero(hist[t:]) + t:
+        vertices = by_length[ends[length] - hist[length] : ends[length]]
+        rows = groups[offsets[vertices][:, None] + np.arange(length)]
+        table = _subset_table(int(length), t)
+        sig = rows[:, table[:, 0]]
+        for j in range(1, t):
+            sig *= np.int64(group_count)
+            sig += rows[:, table[:, j]]
+        sig *= np.int64(vertex_count)
+        sig += vertices[:, None]
+        parts.append(sig.ravel())
+    keys = np.concatenate(parts)
+    keys.sort()
+    return keys
+
+
+def _run_lengths(values: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal entries of a sorted array."""
+    starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+    return np.diff(np.append(starts, values.size))
+
+
+def _edges_within(members: np.ndarray, runs: np.ndarray, vertex_count: int, threshold: int) -> Graph:
+    """Graph whose edges are the member pairs formed inside at least
+    ``threshold`` runs (``members`` in runs of length ``runs``, ascending
+    inside each).  A run with a single member emits no pair, so it is
+    dropped first; with none to drop, ``members`` is not copied."""
+    shared = runs >= 2
+    if not shared.all():
+        members, runs = members[np.repeat(shared, runs)], runs[shared]
+    left, right = group_pair_indices(runs)
     # key a * V + b with a < b; each index array is dropped once read
     keys = members[left].astype(np.int64, copy=False)
     del left
     keys *= np.int64(vertex_count)
     keys += members[right]
     del right
-    keys = _threshold_pairs(keys, s)
+    keys = _threshold_pairs(keys, threshold)
     return Graph.from_edge_arrays(vertex_count, keys // vertex_count, keys % vertex_count)
+
+
+def _project(kind: str, inc: Incidence, s: int, pair_cap: int) -> Graph:
+    """Graph with an edge {a, b} iff the group lists of a and b share at
+    least s groups, by the t-subset keying of the module docstring.
+
+    Active: the vertices are actors and an actor's groups are its
+    attributes.  Passive: the vertices are attributes and an attribute's
+    groups are the actors that hold it (the transposed incidence).
+
+    t = s is taken when s >= 2, the keys fit in int64 and the signature
+    count sum C(len, s) is at most the t = 1 pair count sum C(deg, 2).
+    Identical lists can still give it more within-signature pairs than
+    t = 1 emits; the build then falls back to t = 1.  Every count is
+    checked against ``pair_cap`` before the array it sizes is allocated.
+    """
+    active = kind == "active"
+    attr_deg = np.bincount(inc.attrs, minlength=inc.m)
+    V, G = (inc.n, inc.m) if active else (inc.m, inc.n)
+    lens, group_sizes = (inc.sizes, attr_deg) if active else (attr_deg, inc.sizes)
+    pair_count = _comb_total(group_sizes, 2)
+    # max key G**s * V - 1 must fit in int64
+    if s > 1 and G**s * V <= 2**63 and (signatures := _comb_total(lens, s)) <= pair_count:
+        if signatures > pair_cap:
+            raise ResourceLimitError(
+                f"{kind} build needs {signatures} {s}-subset signatures (cap {pair_cap}); "
+                "this regime is too dense for subset keying"
+            )
+        groups = inc.attrs if active else _actors_by_attribute(inc)
+        sig, members = np.divmod(_subset_keys(lens, groups, s, G, V), V)
+        runs = _run_lengths(sig)
+        del sig
+        within = _comb_total(runs, 2)
+        if within <= pair_count:
+            if within > pair_cap:
+                raise ResourceLimitError(
+                    f"{kind} build needs {within} within-signature pairs (cap {pair_cap}); "
+                    "this regime is too dense for pair counting"
+                )
+            return _edges_within(members, runs, V, 1)
+    if pair_count > pair_cap:
+        raise ResourceLimitError(
+            f"{kind} build needs {pair_count} within-group pairs (cap {pair_cap}); "
+            "this regime is too dense for pair counting"
+        )
+    # t = 1: the signatures are the groups themselves; the passive groups
+    # (actors) are the incidence as stored
+    members = _actors_by_attribute(inc) if active else inc.attrs
+    return _edges_within(members, group_sizes, V, s)
 
 
 def build_active(
@@ -329,18 +440,16 @@ def build_active(
 ) -> Graph:
     """Actor graph: edge {i, j} iff the sets share at least s attributes.
 
-    Inverted index (attribute -> actors) feeding a pair-keyed
-    co-occurrence count, thresholded at s.  Aborts with
-    :class:`ResourceLimitError` when the projected pair count
-    sum_w C(deg(w), 2) exceeds ``pair_cap``.
+    Each actor is keyed by the t-subsets of its attribute set, t in
+    {1, s} (see :func:`_project`).  Aborts with
+    :class:`ResourceLimitError` when the chosen route's count exceeds
+    ``pair_cap``: at t = 1 the pair count sum_w C(deg(w), 2) over
+    attribute degrees; at t = s first the signature count
+    sum_i C(x_i, s), then the within-signature pair count.
     """
     if not 1 <= s <= inc.m:
         raise ValueError("need 1 <= s <= m")
-    # stable sort keeps actor ids ascending inside each attribute group
-    order = np.argsort(inc.attrs, kind="stable")
-    actors_by_attr = np.repeat(np.arange(inc.n, dtype=np.int64), inc.sizes)[order]
-    attr_deg = np.bincount(inc.attrs, minlength=inc.m)
-    return _project("active", actors_by_attr, attr_deg, inc.n, s, pair_cap)
+    return _project("active", inc, s, pair_cap)
 
 
 def build_passive(
@@ -350,11 +459,15 @@ def build_passive(
 
     For s = 1 this is the union of cliques over the sets; s >= 2 counts
     multigraph link multiplicities, which is well defined even where no
-    limiting theory is provided.
+    limiting theory is provided.  Each attribute is keyed by the
+    t-subsets of the actors that hold it, t in {1, s} (see
+    :func:`_project`); the cap counts sum_i C(x_i, 2) over set sizes at
+    t = 1, and at t = s the signature count sum_w C(deg(w), s) over
+    attribute degrees, then the within-signature pair count.
     """
     if not 1 <= s <= inc.n:
         raise ValueError("need 1 <= s <= n")
-    return _project("passive", inc.attrs, inc.sizes, inc.m, s, pair_cap)
+    return _project("passive", inc, s, pair_cap)
 
 
 def write_edge_list(

@@ -414,6 +414,31 @@ class TestReportReproducibility:
         rep = run_scenario(cfg, seed=1, jobs=1)
         assert sorted(rep.body["analyses"]) == ["regime", "theorem1_stats"]
 
+    def test_sizes_only_outputs_sample_replicate_zero_only(self, monkeypatch):
+        """theorem1_stats reads only replicate 0's sizes, so the other
+        replicates are not sampled; the body is the one every replicate
+        used to be sampled for (its sha256 was recorded then)."""
+        import hashlib
+
+        import riglab.cli as cli_mod
+
+        inner = cli_mod.sample_incidence
+        streams = []
+
+        def counting_sample(params, rng):
+            streams.append(rng.stream_id)
+            return inner(params, rng)
+
+        monkeypatch.setattr(cli_mod, "sample_incidence", counting_sample)
+        cfg = parse_scenario(small_scenario(outputs=["theorem1_stats"]))
+        assert cfg.replicates == 3
+        body = run_scenario(cfg, seed=1, jobs=1).json_body()
+        assert streams == [0]
+        assert (
+            hashlib.sha256(body.encode()).hexdigest()
+            == "6488aac195f6f54634c06f0a15ea84a8324c4d66cf40ebadecd0e0b130e39b03"
+        )
+
     def test_degree_only_outputs_count_no_triangles(self, monkeypatch):
         from riglab import stats
 

@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from riglab import oracle
+from riglab import oracle, sampler
+from riglab.cli import PRESETS, preset_config
 from riglab.model import Degenerate, ModelParams, Table, make_size_dist
 from riglab.sampler import (
     Graph,
@@ -14,6 +17,7 @@ from riglab.sampler import (
     RngStream,
     build_active,
     build_passive,
+    group_pair_indices,
     sample_incidence,
     sample_subset,
     write_edge_list,
@@ -44,6 +48,28 @@ def brute_force_passive(inc, s):
 def edge_set(graph):
     u, v = graph.edges()
     return set(zip(u.tolist(), v.tolist()))
+
+
+def pair_count_reference(kind, inc, s):
+    """The co-occurrence route: group the incidence by the other side
+    (stable argsort), emit every within-group pair and keep the pairs
+    formed at least s times."""
+    if kind == "active":
+        order = np.argsort(inc.attrs, kind="stable")
+        members = np.repeat(np.arange(inc.n, dtype=np.int64), inc.sizes)[order]
+        sizes, width = np.bincount(inc.attrs, minlength=inc.m), inc.n
+    else:
+        members, sizes, width = inc.attrs, inc.sizes, inc.m
+    left, right = group_pair_indices(sizes)
+    keys, counts = np.unique(members[left] * width + members[right], return_counts=True)
+    keys = keys[counts >= s]
+    return Graph.from_edge_arrays(width, keys // width, keys % width)
+
+
+def assert_same_csr(got, want):
+    assert got.vertex_count == want.vertex_count
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
 
 
 def lexsort_csr(vertex_count, u, v):
@@ -286,6 +312,125 @@ class TestBuildPassive:
         inc = Incidence.from_sets(40, [range(40)])
         with pytest.raises(ResourceLimitError, match="passive build needs 780 .*pair"):
             build_passive(inc, 1, pair_cap=100)
+
+
+@st.composite
+def tiny_incidences(draw):
+    """Up to 10 sets over at most 9 attributes; each set is either one of
+    a few shared base sets (so identical sets repeat) or drawn on its
+    own, of any size up to m (so x can far exceed s)."""
+    m = draw(st.integers(3, 9))
+    subsets = st.lists(st.integers(0, m - 1), unique=True, max_size=m)
+    bases = draw(st.lists(subsets, min_size=1, max_size=3))
+    sets = draw(st.lists(st.one_of(st.sampled_from(bases), subsets), min_size=1, max_size=10))
+    return Incidence.from_sets(m, sets)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Record how each build projects: whether it keyed the vertices by
+    s-subsets, and the multiplicity its edges were thresholded at (1 on
+    the s-subset route, s on the single-group route)."""
+    seen = {"subset_keys": 0, "thresholds": []}
+    subset_keys, edges_within = sampler._subset_keys, sampler._edges_within
+
+    def spy_subset_keys(*args):
+        seen["subset_keys"] += 1
+        return subset_keys(*args)
+
+    def spy_edges_within(members, runs, vertex_count, threshold):
+        seen["thresholds"].append(threshold)
+        return edges_within(members, runs, vertex_count, threshold)
+
+    monkeypatch.setattr(sampler, "_subset_keys", spy_subset_keys)
+    monkeypatch.setattr(sampler, "_edges_within", spy_edges_within)
+    return seen
+
+
+class TestSubsetProjection:
+    """Both builders against the brute-force references, on both sides
+    of the choice between s-subset keys and single-group keys."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(inc=tiny_incidences(), s=st.sampled_from([1, 2, 3]))
+    def test_active_matches_brute_force(self, inc, s):
+        g = build_active(inc, s)
+        g.validate()
+        assert edge_set(g) == brute_force_active(inc, s)
+
+    @settings(deadline=None, max_examples=300)
+    @given(inc=tiny_incidences(), s=st.sampled_from([1, 2, 3]))
+    def test_passive_matches_brute_force(self, inc, s):
+        assume(s <= inc.n)
+        g = build_passive(inc, s)
+        g.validate()
+        assert edge_set(g) == brute_force_passive(inc, s)
+
+    @pytest.mark.parametrize(
+        "kind, m, sets, s, subset_keys, threshold",
+        [
+            # sparse sets: C(x, s) signatures undercut the co-occurrence pairs
+            ("active", 12, [[0, 1, 2], [1, 2, 3], [0, 2, 5], [1, 2, 7], [2, 3, 9]], 2, 1, 1),
+            # x >> s: C(9, 3) = 84 signatures per set outnumber the pairs
+            ("active", 10, [[0, 1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8, 9], [0, 2, 4]], 3, 0, 3),
+            # identical sets: 15 signatures each, but 675 within-signature
+            # pairs against 270 co-occurrence pairs, so the build falls back
+            ("active", 8, [[0, 1, 2, 3, 4, 5]] * 10, 2, 1, 2),
+            # attributes held by the same few actors
+            ("passive", 40, [range(40), range(1, 40), range(0, 40, 2)], 2, 1, 1),
+            # popular attributes: 19 signatures against 6 pairs
+            ("passive", 3, [[0, 1]] * 3 + [[1, 2]] * 2 + [[0, 2]], 2, 0, 2),
+        ],
+    )
+    def test_route_choice(self, routes, kind, m, sets, s, subset_keys, threshold):
+        inc = Incidence.from_sets(m, sets)
+        build, brute = (build_active, brute_force_active) if kind == "active" else (build_passive, brute_force_passive)
+        assert edge_set(build(inc, s)) == brute(inc, s)
+        assert routes == {"subset_keys": subset_keys, "thresholds": [threshold]}
+
+    def test_key_overflow_takes_single_groups(self, routes):
+        """Subset keys would pay off here, but 3-subsets of m = 10**6
+        attributes read as base-m digits, times n = 12, overflow int64."""
+        m = 10**6
+        top = [m - 10 + j for j in range(10)]
+        sets = [[top[(i + j) % 10] for j in (0, 1, 2, 4)] for i in range(12)]
+        inc = Incidence.from_sets(m, sets)
+        assert sampler._comb_total(inc.sizes, 3) <= sampler._comb_total(np.bincount(inc.attrs), 2)
+        assert m**3 * inc.n > 2**63
+        g = build_active(inc, 3)
+        assert edge_set(g) == brute_force_active(inc, 3)
+        assert routes == {"subset_keys": 0, "thresholds": [3]}
+
+    def test_signature_cap_aborts(self):
+        inc = Incidence.from_sets(3, [[0, 1, 2]] * 40)
+        with pytest.raises(ResourceLimitError, match="active build needs 120 2-subset signatures"):
+            build_active(inc, 2, pair_cap=100)
+        inc = Incidence.from_sets(40, [range(40)] * 3)
+        with pytest.raises(ResourceLimitError, match="passive build needs 120 2-subset signatures"):
+            build_passive(inc, 2, pair_cap=100)
+
+    def test_within_signature_cap_aborts(self):
+        inc = Incidence.from_sets(2, [[0, 1]] * 40)
+        with pytest.raises(ResourceLimitError, match="active build needs 780 within-signature pairs"):
+            build_active(inc, 2, pair_cap=100)
+        inc = Incidence.from_sets(40, [range(40)] * 3)
+        with pytest.raises(ResourceLimitError, match="passive build needs 2340 within-signature pairs"):
+            build_passive(inc, 2, pair_cap=200)
+
+    def test_subset_route_lifts_pair_cap(self):
+        """The cap counts the route taken: 780 co-occurrence pairs would
+        exceed it, 40 signatures and 20 within-signature pairs do not."""
+        sets = [[2 * i, 2 * i + 1] for i in range(20)] * 2
+        inc = Incidence.from_sets(40, sets)
+        assert edge_set(build_active(inc, 2, pair_cap=100)) == brute_force_active(inc, 2)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_matches_pair_count_reference(self, name):
+        """Replicate 0 of every preset at seed 0, both graph kinds, s = 1, 2, 3."""
+        inc = sample_incidence(preset_config(name).params(), RngStream(0, 0))
+        for kind, build in (("active", build_active), ("passive", build_passive)):
+            for s in (1, 2, 3):
+                assert_same_csr(build(inc, s), pair_count_reference(kind, inc, s))
 
 
 class TestIncidenceFromSets:
