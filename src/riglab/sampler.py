@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 PAIR_CAP_DEFAULT = 200_000_000
+# bytes of draws per block of rows in the batched Floyd sampler
+_FLOYD_BLOCK_BYTES = 1 << 22
 
 
 class ResourceLimitError(RuntimeError):
@@ -86,9 +88,10 @@ def _as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator
 def sample_subset(m: int, x: int, rng: "RngStream | np.random.Generator") -> np.ndarray:
     """Uniform x-subset of {0..m-1}, sorted ascending.
 
-    Partial-selection algorithm (Floyd): exactly x draws regardless of
-    how close x is to m, so there is no rejection loop to stall in the
-    dense regime.
+    Floyd's partial selection: exactly x draws however close x is to m
+    (none when x == m), so nothing stalls in the dense regime.  This
+    scalar loop is the reference that the batched draws of
+    :func:`sample_incidence` reproduce row for row.
     """
     if not 0 <= x <= m:
         raise ValueError(f"need 0 <= x <= m, got x={x}, m={m}")
@@ -123,9 +126,6 @@ class Incidence:
     def n(self) -> int:
         return self.sizes.size
 
-    def set(self, i: int) -> np.ndarray:
-        return self.attrs[self.offsets[i] : self.offsets[i + 1]]
-
     @staticmethod
     def from_sets(m: int, sets) -> "Incidence":
         """Incidence of explicit sets; each is sorted, and must hold
@@ -140,15 +140,48 @@ class Incidence:
         return Incidence(m=m, sizes=sizes, offsets=offsets, attrs=attrs)
 
 
+def _floyd_rows(gen: np.random.Generator, m: int, x: int, count: int) -> np.ndarray:
+    """(count, x) matrix of Floyd subsets for 0 < x < m, rows sorted.
+
+    Column c holds step j = m - x + c of every row, all drawn by one
+    ``integers`` call, which consumes the stream as ``count`` calls of
+    :func:`sample_subset` do.  A step takes j when its draw is already
+    taken: the taken entries are the row's earlier draws (a stable row
+    sort finds repeats) and the j of each earlier such step (one pass
+    per column).  Blocks of ``_FLOYD_BLOCK_BYTES`` of draws bound the
+    temporaries for any m.
+    """
+    top = m - x
+    rows = gen.integers(0, np.arange(top + 1, m + 1), size=(count, x), dtype=np.int64)
+    late = np.arange(top, m, dtype=np.int64)
+    block = max(1, _FLOYD_BLOCK_BYTES // (8 * x))
+    for lo in range(0, count, block):
+        part = rows[lo : lo + block]
+        order = np.argsort(part, axis=1, kind="stable")
+        ranked = np.take_along_axis(part, order, axis=1)
+        replaced = np.zeros(part.shape, dtype=bool)
+        np.put_along_axis(replaced, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
+        for c in range(1, x):
+            step = part[:, c] - top
+            hit = np.flatnonzero((step >= 0) & (step < c))
+            replaced[hit, c] |= replaced[hit, step[hit]]
+        np.copyto(part, late, where=replaced)
+    rows.sort(axis=1)
+    return rows
+
+
 def _batch_subsets(
     gen: np.random.Generator, m: int, x: int, count: int
 ) -> np.ndarray:
     """(count, x) matrix of independent uniform x-subsets, rows sorted.
 
-    Sparse sizes (x(x-1) <= m // 2) use a vectorized draw-and-redraw of the
-    few colliding rows; larger sizes fall back to per-row partial
-    selection, which never stalls.
+    A full set (x == m) takes no draws.  Sparse sizes (x(x-1) <= m // 2)
+    use a vectorized draw-and-redraw of the few colliding rows; larger
+    sizes run :func:`_floyd_rows`, which draws what per-row
+    :func:`sample_subset` would.
     """
+    if x == m:
+        return np.tile(np.arange(m, dtype=np.int64), (count, 1))
     if x == 1:
         return gen.integers(0, m, size=(count, 1), dtype=np.int64)
     if x * (x - 1) <= m // 2:
@@ -161,7 +194,7 @@ def _batch_subsets(
             rows[bad] = redraw
             bad = bad[(np.diff(redraw, axis=1) == 0).any(axis=1)]
         return rows
-    return np.stack([sample_subset(m, x, gen) for _ in range(count)])
+    return _floyd_rows(gen, m, x, count)
 
 
 def sample_incidence(
@@ -179,11 +212,13 @@ def sample_incidence(
     sizes = gen.choice(support, size=n, p=probs).astype(np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     attrs = np.empty(int(offsets[-1]), dtype=np.int64)
-    for x in np.unique(sizes):
+    # draw order: size classes ascending, actors ascending inside each
+    by_size = np.argsort(sizes, kind="stable")
+    hist = np.bincount(sizes)
+    ends = np.cumsum(hist)
+    for x in np.flatnonzero(hist[1:]) + 1:
         x = int(x)
-        if x == 0:
-            continue
-        idx = np.flatnonzero(sizes == x)
+        idx = by_size[ends[x] - hist[x] : ends[x]]
         rows = _batch_subsets(gen, m, x, idx.size)
         flat_pos = (offsets[idx][:, None] + np.arange(x)[None, :]).ravel()
         attrs[flat_pos] = rows.ravel()
@@ -209,10 +244,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    @property
-    def adjacency(self) -> list[np.ndarray]:
-        return [self.neighbors(v) for v in range(self.vertex_count)]
-
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge arrays (u, v) with u < v, lexicographically sorted."""
         rows = np.repeat(np.arange(self.vertex_count), self.degrees)
@@ -223,25 +254,6 @@ class Graph:
         """Sorted int64 keys u * vertex_count + v over edges u < v."""
         u, v = self.edges()
         return u * np.int64(self.vertex_count) + v
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return bool(i < nb.size and nb[i] == v)
-
-    def validate(self) -> None:
-        """Check simplicity, symmetry and sortedness (test support)."""
-        rows = np.repeat(np.arange(self.vertex_count), self.degrees)
-        if np.any(rows == self.indices):
-            raise AssertionError("self-loop present")
-        for v in range(self.vertex_count):
-            nb = self.neighbors(v)
-            if nb.size and (np.any(np.diff(nb) <= 0)):
-                raise AssertionError(f"neighbors of {v} not strictly sorted")
-        fwd = set(zip(rows.tolist(), self.indices.tolist()))
-        for a, b in fwd:
-            if (b, a) not in fwd:
-                raise AssertionError(f"asymmetric edge ({a}, {b})")
 
     @staticmethod
     def from_edge_arrays(vertex_count: int, u: np.ndarray, v: np.ndarray) -> "Graph":

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from riglab import oracle, sampler
@@ -27,7 +27,7 @@ from riglab.sampler import (
 def brute_force_active(inc, s):
     """Quadratic comparator: sorted-merge intersection of every pair."""
     edges = set()
-    sets = [set(inc.set(i).tolist()) for i in range(inc.n)]
+    sets = [set(members(inc, i).tolist()) for i in range(inc.n)]
     for i, j in itertools.combinations(range(inc.n), 2):
         if len(sets[i] & sets[j]) >= s:
             edges.add((i, j))
@@ -37,12 +37,43 @@ def brute_force_active(inc, s):
 def brute_force_passive(inc, s):
     """Exhaustive pair-count over all attribute pairs."""
     edges = set()
-    sets = [set(inc.set(i).tolist()) for i in range(inc.n)]
+    sets = [set(members(inc, i).tolist()) for i in range(inc.n)]
     for w1, w2 in itertools.combinations(range(inc.m), 2):
         covering = sum(1 for d in sets if w1 in d and w2 in d)
         if covering >= s:
             edges.add((w1, w2))
     return edges
+
+
+def members(inc, i):
+    """The sorted attribute set of actor i."""
+    return inc.attrs[inc.offsets[i] : inc.offsets[i + 1]]
+
+
+def adjacency(graph):
+    """Neighbour list of every vertex."""
+    return [graph.neighbors(v) for v in range(graph.vertex_count)]
+
+
+def has_edge(graph, u, v):
+    """Whether v is in u's sorted neighbour list."""
+    nb = graph.neighbors(u)
+    i = np.searchsorted(nb, v)
+    return bool(i < nb.size and nb[i] == v)
+
+
+def validate(graph):
+    """Check simplicity, symmetry and sortedness of a CSR graph."""
+    rows = np.repeat(np.arange(graph.vertex_count), graph.degrees)
+    if np.any(rows == graph.indices):
+        raise AssertionError("self-loop present")
+    for v, nb in enumerate(adjacency(graph)):
+        if nb.size and np.any(np.diff(nb) <= 0):
+            raise AssertionError(f"neighbors of {v} not strictly sorted")
+    fwd = set(zip(rows.tolist(), graph.indices.tolist()))
+    for a, b in fwd:
+        if (b, a) not in fwd:
+            raise AssertionError(f"asymmetric edge ({a}, {b})")
 
 
 def edge_set(graph):
@@ -138,6 +169,55 @@ class TestSampleSubset:
         np.testing.assert_allclose(freq, 0.10, atol=0.004)  # > 4 sigma
 
 
+@st.composite
+def dense_shapes(draw):
+    """(m, x, count, block_rows) on the dense route, x(x-1) > m // 2, with
+    x up to m; blocks of 1-4 rows, so most counts cross a block edge."""
+    m = draw(st.integers(2, 300))
+    x_min = next(x for x in range(2, m + 1) if x * (x - 1) > m // 2)
+    return m, draw(st.integers(x_min, m)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+
+
+def assert_matches_scalar(batch, m, x, count, block_rows, seed):
+    """``batch`` draws, row for row, the stacked :func:`sample_subset`
+    rows of a twin generator, and leaves it where they leave the twin."""
+    gen, twin = RngStream(seed).generator(), RngStream(seed).generator()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_FLOYD_BLOCK_BYTES", 8 * x * block_rows)
+        rows = batch(gen, m, x, count)
+    want = np.stack([sample_subset(m, x, twin) for _ in range(count)])
+    assert rows.dtype == want.dtype and np.array_equal(rows, want)
+    assert gen.integers(2**63 - 1) == twin.integers(2**63 - 1)
+
+
+class TestBatchedFloyd:
+    """The batched Floyd route against the scalar reference."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(shape=dense_shapes(), seed=st.integers(0, 2**32))
+    @example(shape=(7, 7, 5, 1), seed=0)  # full sets take no draws
+    @example(shape=(100, 10, 9, 4), seed=1)  # blocks of 4, 4 and 1 rows
+    # m above 2**32: 64-bit bounds, and the smallest dense x there
+    @example(shape=(2**32 + 1000, 46342, 2, 1), seed=2)
+    def test_dense_route_matches_scalar(self, shape, seed):
+        m, x, count, block_rows = shape
+        assert x * (x - 1) > m // 2
+        assert_matches_scalar(sampler._batch_subsets, m, x, count, block_rows, seed)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        m=st.integers(2**32 + 1, 2**62),
+        x=st.integers(2, 30),
+        count=st.integers(1, 10),
+        block_rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_wide_bounds_match_scalar(self, m, x, count, block_rows, seed):
+        """Bounds above 2**32 draw 64-bit words where smaller ones draw
+        32-bit halves; the batched call must consume the stream alike."""
+        assert_matches_scalar(sampler._floyd_rows, m, x, count, block_rows, seed)
+
+
 class TestSampleIncidence:
     def make_params(self, n=10_000, m=100, weights=(0, 0.5, 0, 0.5)):
         return ModelParams(
@@ -147,16 +227,16 @@ class TestSampleIncidence:
     def test_empty_and_full(self):
         p = ModelParams(n=3, m=5, s=1, size_dist=make_size_dist(Degenerate(0), 5))
         inc = sample_incidence(p, RngStream(0))
-        assert all(inc.set(i).size == 0 for i in range(3))
+        assert all(members(inc, i).size == 0 for i in range(3))
         p = ModelParams(n=1, m=5, s=1, size_dist=make_size_dist(Degenerate(5), 5))
         inc = sample_incidence(p, RngStream(0))
-        assert np.array_equal(inc.set(0), np.arange(5))
+        assert np.array_equal(members(inc, 0), np.arange(5))
 
     def test_sets_sorted_distinct_in_range(self):
         p = self.make_params(n=500, weights=(0.1, 0.2, 0.3, 0.2, 0.2))
         inc = sample_incidence(p, RngStream(5))
         for i in range(inc.n):
-            row = inc.set(i)
+            row = members(inc, i)
             assert np.all(np.diff(row) > 0) if row.size > 1 else True
             if row.size:
                 assert 0 <= row[0] and row[-1] < inc.m
@@ -186,14 +266,23 @@ class TestSampleIncidence:
         b = sample_incidence(p, RngStream(17, 2))
         assert np.array_equal(a.attrs, b.attrs) and np.array_equal(a.sizes, b.sizes)
 
-    def test_large_sizes_take_partial_selection_path(self):
-        # x(x-1) > m // 2 forces the per-row fallback
+    def test_large_sizes_take_partial_selection_path(self, monkeypatch):
+        # x(x-1) > m // 2: all 40 rows go through one batched Floyd call
+        calls = []
+        floyd_rows = sampler._floyd_rows
+
+        def spy(gen, m, x, count):
+            calls.append((m, x, count))
+            return floyd_rows(gen, m, x, count)
+
+        monkeypatch.setattr(sampler, "_floyd_rows", spy)
         p = ModelParams(
             n=40, m=30, s=1, size_dist=make_size_dist(Degenerate(25), 30)
         )
         inc = sample_incidence(p, RngStream(23))
+        assert calls == [(30, 25, 40)]
         for i in range(inc.n):
-            row = inc.set(i)
+            row = members(inc, i)
             assert row.size == 25 and np.all(np.diff(row) > 0)
 
 
@@ -234,7 +323,7 @@ class TestBuildActive:
             n=200, m=40, s=2, size_dist=make_size_dist(Degenerate(4), 40)
         )
         g = build_active(sample_incidence(p, RngStream(41)), 2)
-        g.validate()
+        validate(g)
 
     def test_determinism_bit_identical(self):
         p = ModelParams(n=150, m=30, s=1, size_dist=make_size_dist(Degenerate(3), 30))
@@ -297,7 +386,7 @@ class TestBuildPassive:
         prev = None
         for s in (1, 2, 3):
             g = build_passive(inc, s)
-            g.validate()
+            validate(g)
             cur = edge_set(g)
             if prev is not None:
                 assert cur <= prev
@@ -355,7 +444,7 @@ class TestSubsetProjection:
     @given(inc=tiny_incidences(), s=st.sampled_from([1, 2, 3]))
     def test_active_matches_brute_force(self, inc, s):
         g = build_active(inc, s)
-        g.validate()
+        validate(g)
         assert edge_set(g) == brute_force_active(inc, s)
 
     @settings(deadline=None, max_examples=300)
@@ -363,7 +452,7 @@ class TestSubsetProjection:
     def test_passive_matches_brute_force(self, inc, s):
         assume(s <= inc.n)
         g = build_passive(inc, s)
-        g.validate()
+        validate(g)
         assert edge_set(g) == brute_force_passive(inc, s)
 
     @pytest.mark.parametrize(
@@ -453,7 +542,7 @@ class TestGraph:
     def test_from_edge_arrays(self):
         g = Graph.from_edge_arrays(4, np.array([0, 1]), np.array([2, 3]))
         assert g.edge_count == 2
-        assert g.has_edge(0, 2) and g.has_edge(2, 0) and not g.has_edge(0, 1)
+        assert has_edge(g, 0, 2) and has_edge(g, 2, 0) and not has_edge(g, 0, 1)
         assert [list(g.neighbors(v)) for v in range(4)] == [[2], [3], [0], [1]]
 
     @pytest.mark.parametrize(
@@ -473,7 +562,7 @@ class TestGraph:
         indptr, indices = lexsort_csr(vertex_count, u, v)
         assert g.indptr.dtype == indptr.dtype and g.indices.dtype == indices.dtype
         assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
-        g.validate()
+        validate(g)
 
     def test_empty(self):
         g = Graph.empty(5)
@@ -481,7 +570,7 @@ class TestGraph:
 
     def test_adjacency_view(self):
         g = Graph.from_edge_arrays(3, np.array([0, 0]), np.array([1, 2]))
-        adj = g.adjacency
+        adj = adjacency(g)
         assert [a.tolist() for a in adj] == [[1, 2], [0], [0]]
 
 
