@@ -250,11 +250,6 @@ class Graph:
         mask = rows < self.indices
         return rows[mask], self.indices[mask]
 
-    def edge_keys(self) -> np.ndarray:
-        """Sorted int64 keys u * vertex_count + v over edges u < v."""
-        u, v = self.edges()
-        return u * np.int64(self.vertex_count) + v
-
     @staticmethod
     def from_edge_arrays(vertex_count: int, u: np.ndarray, v: np.ndarray) -> "Graph":
         """Build from unique undirected edges u < v.

@@ -10,6 +10,12 @@ wedges: 1.8 M instead of 8.4 M on the example5 graph.  A closed wedge
 credits all three corners, so triangle counts stay per vertex; the
 2-star counts C(d, 2) come from the degrees alone.
 
+The wedges of a block of centers are packed into one int64 key each,
+(a * V + b) * S + (c - lo) for a block [lo, lo + S), and sorted before
+the lookup, so the binary search over the sorted edge keys receives
+ascending needles and narrows each search from the last one.  S is
+bounded so the packed keys fit in int64.
+
 The vertex-averaged clustering estimate skips vertices with no 2-star
 (degree < 2): the 0/0 terms are undefined and excluding them is the
 standard convention, recorded in report metadata.  The global estimate
@@ -41,6 +47,7 @@ __all__ = [
 
 DEFAULT_MIN_BUCKET = 30
 WEDGE_CHUNK = 8_000_000  # oriented wedges probed per block of centers
+KEY_LIMIT = 2**63  # packed wedge keys stay below this (int64)
 ALPHA_HAT_CONVENTION = "vertices with no 2-star excluded from the average"
 
 
@@ -102,9 +109,16 @@ def local_counts(graph: Graph) -> LocalCounts:
     closes a triangle iff a * V + b is among the sorted edge keys (V the
     vertex count), and every triangle is found exactly once, from its
     lowest-ranked corner; its closed pair then credits all three corners.
-    Pairs are formed for blocks of centers whose sum of C(d+, 2) stays
-    within ``WEDGE_CHUNK``, which bounds the transient memory; a single
-    center may exceed it, with at most C(sqrt(2 * edges), 2) pairs.
+
+    Pairs are formed for blocks of centers [lo, hi), each pair as one
+    packed key (a * V + b) * S + (c - lo) with c its center and
+    S = hi - lo.  The keys are sorted before they are split back into
+    a * V + b and c, so the edge-key search sees ascending needles.  A
+    block's sum of C(d+, 2) stays within ``WEDGE_CHUNK``, which bounds
+    the transient memory (a single center may exceed it, with at most
+    C(sqrt(2 * edges), 2) pairs), and S stays within
+    (``KEY_LIMIT`` - 1) // V**2, so packed keys fit in int64; every
+    block holds at least one center, which V**2 < 2**63 always allows.
     """
     n = graph.vertex_count
     deg = graph.degrees.astype(np.int64)
@@ -116,30 +130,40 @@ def local_counts(graph: Graph) -> LocalCounts:
     up = rank[graph.indices] > rank[rows]
     out = graph.indices[up]
     outdeg = np.bincount(rows[up], minlength=n)
-    del rank, rows, up
+    del rank, up
+    forward = rows < graph.indices
+    ekeys = rows[forward] * nn + graph.indices[forward]  # CSR order: sorted
+    del rows, forward
     pairs = outdeg * (outdeg - 1) // 2
     ends = np.cumsum(pairs)
-    ekeys = graph.edge_keys()  # already sorted
     starts = np.concatenate([[0], np.cumsum(outdeg)])
+    max_span = max((KEY_LIMIT - 1) // max(n * n, 1), 1)
     lo = 0
     while lo < n:
         done = ends[lo - 1] if lo else 0
         hi = max(int(np.searchsorted(ends, done + WEDGE_CHUNK, side="right")), lo + 1)
+        hi = min(hi, lo + max_span)
+        span = hi - lo
         li, ri = group_pair_indices(outdeg[lo:hi])
         li += starts[lo]
         ri += starts[lo]
-        a = out[li]
-        b = out[ri]
-        del li, ri
-        wkeys = a * nn + b  # out-lists are sorted, so a < b
-        slot = np.searchsorted(ekeys, wkeys)
-        slot[slot == ekeys.size] = 0
-        closed = ekeys[slot] == wkeys
+        keys = out[li]
+        del li
+        keys *= nn
+        keys += out[ri]  # out-lists are sorted, so a < b
+        del ri
+        keys *= span
+        keys += np.repeat(np.arange(span, dtype=np.int64), pairs[lo:hi])
+        keys.sort()
+        ab, c = np.divmod(keys, span)
+        del keys
+        # "clip" maps a needle past the last edge key onto that key
+        closed = np.take(ekeys, np.searchsorted(ekeys, ab), mode="clip") == ab
         if closed.any():
-            centers = np.repeat(np.arange(lo, hi, dtype=np.int64), pairs[lo:hi])
-            n3 += np.bincount(centers[closed], minlength=n)
-            n3 += np.bincount(a[closed], minlength=n)
-            n3 += np.bincount(b[closed], minlength=n)
+            a, b = np.divmod(ab[closed], nn)
+            n3[lo:hi] += np.bincount(c[closed], minlength=hi - lo)
+            n3 += np.bincount(a, minlength=n)
+            n3 += np.bincount(b, minlength=n)
         lo = hi
     return LocalCounts(degree=deg, n2=n2, n3=n3)
 

@@ -377,15 +377,15 @@ def poisson_approx_stats(sizes, m: int, s: int) -> PoissonApproxStats:
 
     kappa2 is +inf when x1 = m with s < m (the guard term divides by 0).
     """
-    xs = np.asarray(list(sizes), dtype=np.int64)
+    xs = np.asarray(sizes if isinstance(sizes, np.ndarray) else list(sizes), dtype=np.int64)
     if xs.size < 2:
         raise ValueError("need at least 2 set sizes")
     if np.any(xs < 0) or np.any(xs > m):
         raise ValueError("sizes must lie in [0, m]")
     big_m = binomial(m, s)
-    c1 = binomial(int(xs[0]), s)
-    cs = np.array([binomial(int(x), s) for x in xs[1:]])
-    u = c1 * cs
+    support, where = np.unique(xs, return_inverse=True)
+    cs = np.array([binomial(int(x), s) for x in support])[where]  # C(x_k, s)
+    u = cs[0] * cs[1:]
     lam = float(u.sum() / big_m)
     kappa1 = float(np.dot(u, u) / (big_m * big_m))
     x1p = max(0, int(xs[0]) - s)

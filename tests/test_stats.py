@@ -76,7 +76,8 @@ def wedge_probe_counts(graph):
     against the sorted edge keys, and credit the center alone."""
     n = graph.vertex_count
     deg = graph.degrees.astype(np.int64)
-    ekeys = graph.edge_keys()
+    u, v = graph.edges()
+    ekeys = u * np.int64(n) + v  # sorted: edges() lists u < v in CSR order
     centers = np.repeat(np.arange(n, dtype=np.int64), deg)
     li, ri = group_pair_indices(deg)
     wkeys = graph.indices[li] * np.int64(n) + graph.indices[ri]
@@ -153,18 +154,30 @@ class TestLocalCounts:
             assert lc.n3.sum() == 3 * triangle_total_by_edge_iteration(g)
 
     @settings(deadline=None, max_examples=200)
-    @given(graph=small_graphs(), chunk=st.sampled_from([1, 2, 5, stats.WEDGE_CHUNK]))
-    @example(graph=(0, []), chunk=stats.WEDGE_CHUNK)
-    @example(graph=(6, []), chunk=stats.WEDGE_CHUNK)
-    @example(graph=(9, [(0, 1), (0, 2), (1, 2), (4, 5)]), chunk=1)  # isolated vertices
-    @example(  # octahedron: every degree tied, eight triangles
-        graph=(6, [p for p in complete_pairs(6) if p not in ((0, 1), (2, 3), (4, 5))]), chunk=1
+    @given(
+        graph=small_graphs(),
+        chunk=st.sampled_from([1, 2, 5, stats.WEDGE_CHUNK]),
+        span=st.sampled_from([0, 1, 2, 5, None]),
     )
-    @example(graph=(8, complete_pairs(8)), chunk=1)
-    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK)
-    def test_matches_networkx_triangles(self, graph, chunk):
+    @example(graph=(0, []), chunk=stats.WEDGE_CHUNK, span=None)
+    @example(graph=(6, []), chunk=stats.WEDGE_CHUNK, span=None)
+    @example(  # isolated vertices
+        graph=(9, [(0, 1), (0, 2), (1, 2), (4, 5)]), chunk=1, span=None
+    )
+    @example(  # octahedron: every degree tied, eight triangles
+        graph=(6, [p for p in complete_pairs(6) if p not in ((0, 1), (2, 3), (4, 5))]),
+        chunk=1,
+        span=None,
+    )
+    @example(graph=(8, complete_pairs(8)), chunk=1, span=None)
+    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=None)
+    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=0)
+    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=3)
+    def test_matches_networkx_triangles(self, graph, chunk, span):
         """Per-vertex n3 equals networkx's triangle count, with the
-        oriented wedges probed in blocks of any size."""
+        oriented wedges probed in blocks of any size.  ``span`` lowers
+        ``KEY_LIMIT`` so that a block holds at most that many centers
+        (0 leaves only the one-center floor); None keeps 2**63."""
         n, pairs = graph
         g = graph_from_pairs(n, pairs)
         nxg = nx.Graph()
@@ -173,10 +186,21 @@ class TestLocalCounts:
         expected = nx.triangles(nxg)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stats, "WEDGE_CHUNK", chunk)
+            if span is not None:
+                mp.setattr(stats, "KEY_LIMIT", span * n * n + 1)
             lc = local_counts(g)
         assert lc.n3.tolist() == [expected[v] for v in range(n)]
         assert lc.degree.tolist() == [nxg.degree(v) for v in range(n)]
         np.testing.assert_array_equal(lc.n2, lc.degree * (lc.degree - 1) // 2)
+
+    def test_packed_key_fits_int64_at_largest_vertex_count(self):
+        """At the largest V whose a * V + b keys fit (V**2 < 2**63) the
+        span bound still admits one center, and the packed key of the
+        largest wedge (a, b, c - lo) = (V - 2, V - 1, S - 1) fits."""
+        v = math.isqrt(stats.KEY_LIMIT)
+        span = (stats.KEY_LIMIT - 1) // (v * v)
+        assert span == 1
+        assert ((v - 2) * v + (v - 1)) * span + (span - 1) < 2**63
 
     @pytest.mark.parametrize("seed", [1, 2, 3, *range(10, 16), 21, 22, 33])
     def test_matches_all_wedge_reference(self, seed):

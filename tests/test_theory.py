@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riglab import theory
 from riglab.model import (
@@ -457,6 +459,39 @@ class TestPoissonApproxStats:
     def test_full_set_divides_by_zero(self):
         stats = theory.poisson_approx_stats([20, 5, 5], 20, 2)
         assert math.isinf(stats.kappa2)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        data=st.integers(1, 12).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.integers(1, m),
+                st.lists(st.integers(0, m), min_size=2, max_size=40),
+            )
+        ),
+        kind=st.sampled_from([list, tuple, np.array]),
+    )
+    @example(data=(6, 2, [6, 0, 1, 6, 3]), kind=list)  # x1 = m: kappa2 = inf
+    @example(data=(6, 4, [0, 3, 6, 2]), kind=tuple)  # x1 = 0 and s > x
+    @example(data=(5, 5, [5, 5, 4]), kind=np.array)  # s = m = x1, s > x
+    def test_matches_per_actor_loop(self, data, kind):
+        """Tabulated C(x, s) gives the floats of the per-actor loop,
+        summed in the same order, for any sequence type."""
+        m, s, sizes = data
+        got = theory.poisson_approx_stats(kind(sizes), m, s)
+        big_m = binomial(m, s)
+        u = binomial(sizes[0], s) * np.array([binomial(x, s) for x in sizes[1:]])
+        x1p = max(0, sizes[0] - s)
+        if x1p == 0:
+            kappa2 = 0.0
+        elif sizes[0] == m:
+            kappa2 = math.inf
+        else:
+            xkp = np.array([max(0, x - s) for x in sizes[1:]], dtype=float)
+            kappa2 = float(x1p / (m - sizes[0]) * np.dot(u, xkp) / big_m)
+        assert got.lambda_bar == float(u.sum() / big_m)
+        assert got.kappa1 == float(np.dot(u, u) / (big_m * big_m))
+        assert got.kappa2 == kappa2
 
     def test_validation(self):
         with pytest.raises(ValueError):
