@@ -7,8 +7,9 @@ replicate order, so a report body is a pure function of (config, seed)
 at any parallelism level.  Wall-clock numbers live in a separate
 ``timing`` section so report bodies can be compared byte for byte.
 
-Config parsing is fail-closed: unknown keys anywhere raise an error
-naming the offending field path.
+Config parsing is fail-closed: unknown keys anywhere, and numeric
+fields holding anything but a JSON number, raise an error naming the
+offending field path.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import sys
 import time
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from dataclasses import asdict, dataclass, field, fields
@@ -106,14 +108,21 @@ SIZE_KINDS = {
 }
 
 
+def _number(value, path: str) -> float:
+    """A JSON number as a float; bool, null and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, "expected a number")
+    return float(value)
+
+
 def _float_field(obj: dict, key: str, path: str) -> float:
-    return float(obj[key])
+    return _number(obj[key], f"{path}.{key}")
 
 
 def _list_field(obj: dict, key: str, path: str) -> list[float]:
     if not isinstance(obj[key], list):
         raise ConfigError(f"{path}.{key}", "expected a list")
-    return [float(w) for w in obj[key]]
+    return [_number(w, f"{path}.{key}[{i}]") for i, w in enumerate(obj[key])]
 
 
 # reader of each size-spec field, called as reader(obj, key, path)
@@ -220,8 +229,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if "tolerances" in sc:
         tol = sc["tolerances"]
         _check_keys(tol, "scenario.tolerances", required=(), optional=tuple(DEFAULT_TOLERANCES))
-        for key, value in tol.items():
-            value = float(value)
+        for key in tol:
+            value = _float_field(tol, key, "scenario.tolerances")
             if not value > 0:
                 raise ConfigError(f"scenario.tolerances.{key}", "must be > 0")
             tolerances[key] = value
@@ -241,7 +250,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         min_bucket = _int_field(sc, "min_bucket", "scenario", 1)
     epsilon = None
     if "epsilon" in sc:
-        epsilon = float(sc["epsilon"])
+        epsilon = _float_field(sc, "epsilon", "scenario")
         if not 0 < epsilon < 0.5:
             raise ConfigError("scenario.epsilon", "must lie in (0, 0.5)")
     if "example2" in outputs and epsilon is None:
@@ -275,109 +284,46 @@ def load_config(path: str) -> ScenarioConfig:
 
 # ---------------------------------------------------------------- presets
 
-def _preset_example1() -> dict:
+def _preset(kind, n, m, s, size_dist, replicates, outputs, **extra) -> dict:
+    model = {"kind": kind, "n": n, "m": m, "s": s, "size_dist": size_dist}
+    return {"scenario": {"model": model, "replicates": replicates, "outputs": outputs, **extra}}
+
+
+# built-in scenario documents, shared module data: parse, never mutate
+PRESETS = {
     # fixed size 6, threshold 2, scale tuned so the degree law is ~Poisson(1)
-    return {
-        "scenario": {
-            "model": {
-                "kind": "active",
-                "n": 20000,
-                "m": 3000,
-                "s": 2,
-                "size_dist": {"kind": "degenerate", "x": 6},
-            },
-            "replicates": 2,
-            "outputs": ["degree", "theorem1_stats"],
-        }
-    }
-
-
-def _preset_example2() -> dict:
+    "example1": _preset(
+        "active", 20000, 3000, 2, {"kind": "degenerate", "x": 6}, 2, ["degree", "theorem1_stats"]
+    ),
     # half-overlap diagnostics: s = m/2, x = 0.6 m; n tuned so the
     # conditional degree mean is ~1 while kappa2 stays order-1
-    return {
-        "scenario": {
-            "model": {
-                "kind": "active",
-                "n": 1222,
-                "m": 40,
-                "s": 20,
-                "size_dist": {"kind": "degenerate", "x": 24},
-            },
-            "replicates": 1,
-            "outputs": ["example2", "theorem1_stats"],
-            "epsilon": 0.1,
-        }
-    }
-
-
-def _preset_example3() -> dict:
+    "example2": _preset(
+        "active", 1222, 40, 20, {"kind": "degenerate", "x": 24}, 1, ["example2", "theorem1_stats"],
+        epsilon=0.1,
+    ),
     # heavy-tailed sizes: clustering decays like 1/degree
-    return {
-        "scenario": {
-            "model": {
-                "kind": "active",
-                "n": 200000,
-                "m": 200000,
-                "s": 1,
-                "size_dist": {"kind": "truncated_power_law", "gamma": 4.5, "x_min": 1, "x_max": 200},
-            },
-            "replicates": 4,
-            "outputs": ["degree", "clustering", "alpha_k"],
-            "k_range": [4, 20],
-        }
-    }
-
-
-def _preset_example4() -> dict:
+    "example3": _preset(
+        "active", 200000, 200000, 1,
+        {"kind": "truncated_power_law", "gamma": 4.5, "x_min": 1, "x_max": 200},
+        4, ["degree", "clustering", "alpha_k"], k_range=[4, 20],
+    ),
     # fixed size 2 at n = m: Poisson(4) degrees, flat alpha^[k]
-    return {
-        "scenario": {
-            "model": {
-                "kind": "active",
-                "n": 100000,
-                "m": 100000,
-                "s": 1,
-                "size_dist": {"kind": "degenerate", "x": 2},
-            },
-            "replicates": 1,
-            "outputs": ["degree", "clustering", "alpha_k"],
-            "k_range": [2, 10],
-        }
-    }
-
-
-def _preset_example5() -> dict:
+    "example4": _preset(
+        "active", 100000, 100000, 1, {"kind": "degenerate", "x": 2}, 1,
+        ["degree", "clustering", "alpha_k"], k_range=[2, 10],
+    ),
     # passive fixed size 4: compound Poisson degrees, alpha*[k] = 2/(k-1)
-    return {
-        "scenario": {
-            "model": {
-                "kind": "passive",
-                "n": 100000,
-                "m": 100000,
-                "s": 1,
-                "size_dist": {"kind": "degenerate", "x": 4},
-            },
-            "replicates": 1,
-            "outputs": ["degree", "clustering", "alpha_k", "regime"],
-            "k_range": [3, 12],
-        }
-    }
-
-
-PRESETS = {
-    "example1": _preset_example1,
-    "example2": _preset_example2,
-    "example3": _preset_example3,
-    "example4": _preset_example4,
-    "example5": _preset_example5,
+    "example5": _preset(
+        "passive", 100000, 100000, 1, {"kind": "degenerate", "x": 4}, 1,
+        ["degree", "clustering", "alpha_k", "regime"], k_range=[3, 12],
+    ),
 }
 
 
 def preset_config(name: str) -> ScenarioConfig:
     if name not in PRESETS:
         raise ConfigError("preset", f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    return parse_scenario(PRESETS[name]())
+    return parse_scenario(PRESETS[name])
 
 
 # ---------------------------------------------------------------- execution
@@ -644,34 +590,26 @@ def _write_csvs(report: Report, out_dir: str) -> None:
                 fh.write(f"{k},{emp},{th},{row['bucket_count']},{se}\n")
 
 
+# summary line of each output, formatted over its analyses entry (a
+# missing field reads None) plus ``status``: PASS or FAIL from its pass
+# flag, info when it has none
+_SUMMARY_FORMATS = {
+    "degree": "degree: tv={tv} [{status}]",
+    "clustering": "clustering: alpha_hat_hat={alpha_hat_hat} theory={theory_alpha} [{status}]",
+    "alpha_k": "alpha_k: buckets_compared={buckets_compared} [{status}]",
+    "regime": "regime: {case_label} (n_star={n_star}) [{status}]",
+    "theorem1_stats": "theorem1_stats: lambda={lambda_bar} kappa1={kappa1} kappa2={kappa2} [{status}]",
+    "example2": "example2: ratio_prime={ratio_prime} bound={bound} [{status}]",
+}
+
+
 def _summary_lines(report: Report) -> list[str]:
     lines = []
-    analyses = report.body["analyses"]
-    passes = report.body["passes"]
     for name in report.body["scenario"]["outputs"]:
-        entry = analyses.get(name, {})
-        flag = passes.get(name)
-        status = "PASS" if flag else ("FAIL" if flag is not None else "info")
-        if name == "degree":
-            lines.append(f"degree: tv={entry.get('tv')} [{status}]")
-        elif name == "clustering":
-            lines.append(
-                f"clustering: alpha_hat_hat={entry.get('alpha_hat_hat')} "
-                f"theory={entry.get('theory_alpha')} [{status}]"
-            )
-        elif name == "alpha_k":
-            lines.append(f"alpha_k: buckets_compared={entry.get('buckets_compared')} [{status}]")
-        elif name == "regime":
-            lines.append(f"regime: {entry.get('case_label')} (n_star={entry.get('n_star')}) [info]")
-        elif name == "theorem1_stats":
-            lines.append(
-                f"theorem1_stats: lambda={entry.get('lambda_bar')} kappa1={entry.get('kappa1')} "
-                f"kappa2={entry.get('kappa2')} [info]"
-            )
-        elif name == "example2":
-            lines.append(
-                f"example2: ratio_prime={entry.get('ratio_prime')} bound={entry.get('bound')} [{status}]"
-            )
+        flag = report.body["passes"].get(name)
+        status = "info" if flag is None else ("PASS" if flag else "FAIL")
+        entry = defaultdict(lambda: None, report.body["analyses"].get(name, {}), status=status)
+        lines.append(_SUMMARY_FORMATS[name].format_map(entry))
     return lines
 
 

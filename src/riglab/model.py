@@ -421,6 +421,8 @@ def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedPa
     C(m, s)/n stay finite for m up to 1e9 and any s <= m.  mu1 is the
     dot product of the support weights with z.
     """
+    if s > m:
+        raise ValueError("s must be <= m")
     log_m_choose_s = log_binomial(m, s)
     half_log = 0.5 * (math.log(n) - log_m_choose_s)
 

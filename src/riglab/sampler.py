@@ -182,8 +182,6 @@ def _batch_subsets(
     """
     if x == m:
         return np.tile(np.arange(m, dtype=np.int64), (count, 1))
-    if x == 1:
-        return gen.integers(0, m, size=(count, 1), dtype=np.int64)
     if x * (x - 1) <= m // 2:
         rows = np.sort(gen.integers(0, m, size=(count, x), dtype=np.int64), axis=1)
         bad = np.flatnonzero((np.diff(rows, axis=1) == 0).any(axis=1))

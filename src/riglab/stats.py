@@ -92,7 +92,6 @@ class ClusteringReport:
     replicates: int = 1
     se_alpha_hat_hat: float | None = None
     per_degree_se: dict[int, float] = field(default_factory=dict)
-    convention: str = ALPHA_HAT_CONVENTION
 
 
 def degree_histogram(graph: Graph) -> DiscretePmf:

@@ -129,8 +129,8 @@ def active_edge_prob_asymptotic(
     The raw value is clamped into [0, 1]; ``clamped`` is set when the
     parameters leave the sparse regime where the formula is meaningful.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    if not 1 <= s <= m:
+        raise ValueError("s must satisfy 1 <= s <= m")
     a1 = moments(dist, s).a1
     raw = a1 * a1 / binomial(m, s)
     clamped = not 0.0 <= raw <= 1.0
@@ -382,6 +382,8 @@ def poisson_approx_stats(sizes, m: int, s: int) -> PoissonApproxStats:
         raise ValueError("need at least 2 set sizes")
     if np.any(xs < 0) or np.any(xs > m):
         raise ValueError("sizes must lie in [0, m]")
+    if s > m:
+        raise ValueError("s must be <= m")
     big_m = binomial(m, s)
     support, where = np.unique(xs, return_inverse=True)
     cs = np.array([binomial(int(x), s) for x in support])[where]  # C(x_k, s)

@@ -1,5 +1,6 @@
 """Scenario configs, the runner contract and the command-line surface."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -12,8 +13,13 @@ from riglab.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     ORACLE_COMMANDS,
+    OUTPUTS,
     PRESETS,
     THEORY_COMMANDS,
+    Report,
+    _SUMMARY_FORMATS,
+    _summary_lines,
+    _write_csvs,
     main,
     parse_scenario,
     preset_config,
@@ -27,6 +33,13 @@ GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encodi
 # report bodies of every preset at seed 0, --jobs 1, byte for byte
 PRESET_GOLDEN = json.loads(
     (Path(__file__).parent / "preset_golden.json").read_text(encoding="utf-8")
+)
+
+# run summary lines and CSV files of fixed report bodies: the preset
+# bodies above, plus a failing-tolerance and a passive s = 2 body kept
+# in the file itself ("body" is null for the presets)
+SUMMARY_GOLDEN = json.loads(
+    (Path(__file__).parent / "summary_golden.json").read_text(encoding="utf-8")
 )
 
 
@@ -99,6 +112,21 @@ class TestConfigParsing:
             parse_scenario(small_scenario(k_range=[7, 3]))
         with pytest.raises(ConfigError, match="tolerances"):
             parse_scenario(small_scenario(tolerances={"tv_degree": 0}))
+        # numeric fields take JSON numbers only
+        for value in (None, "abc", "0.1", True, [0.1]):
+            with pytest.raises(ConfigError, match=r"scenario\.tolerances\.tv_degree: expected a number"):
+                parse_scenario(small_scenario(tolerances={"tv_degree": value}))
+            with pytest.raises(ConfigError, match=r"scenario\.epsilon: expected a number"):
+                parse_scenario(small_scenario(epsilon=value))
+            for size_dist, field_path in (
+                ({"kind": "table", "weights": [0, value, 0.5]}, r"weights\[1\]"),
+                ({"kind": "truncated_power_law", "gamma": value, "x_min": 1, "x_max": 9}, "gamma"),
+                ({"kind": "binomial", "trials": 6, "p": value}, "p"),
+            ):
+                doc = small_scenario()
+                doc["scenario"]["model"]["size_dist"] = size_dist
+                with pytest.raises(ConfigError, match=rf"size_dist\.{field_path}: expected a number"):
+                    parse_scenario(doc)
 
     def test_epsilon_required_for_overlap_diagnostics(self):
         doc = small_scenario(outputs=["example2"])
@@ -143,7 +171,9 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("name", sorted(PRESET_GOLDEN))
     def test_preset_body_is_pinned(self, name):
+        document = copy.deepcopy(PRESETS[name])
         assert run_scenario(preset_config(name), seed=0, jobs=1).json_body() == PRESET_GOLDEN[name]
+        assert PRESETS[name] == document  # shared module data stays untouched
 
     def test_preset_golden_covers_every_preset(self):
         assert set(PRESET_GOLDEN) == set(PRESETS)
@@ -364,6 +394,39 @@ class TestCommandLine:
     def test_degree_stats_requires_sizes(self, capsys):
         code = main(["theory", "degree-stats", "--m", "10", "--s", "1"])
         assert code == EXIT_USAGE
+
+    def test_threshold_above_m_is_usage_error(self, capsys):
+        code = main(["theory", "degree-stats", "--m", "5", "--s", "7", "--sizes", "5,5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("error: ")
+
+
+class TestRunSummary:
+    @pytest.mark.parametrize("name", sorted(SUMMARY_GOLDEN))
+    def test_summary_and_csvs_are_pinned(self, name, tmp_path):
+        case = SUMMARY_GOLDEN[name]
+        report = Report(body=json.loads(case["body"] or PRESET_GOLDEN[name]))
+        _write_csvs(report, str(tmp_path))
+        csvs = {path.name: path.read_text() for path in tmp_path.iterdir()}
+        assert (_summary_lines(report), csvs) == (case["summary"], case["csv"])
+
+    def test_golden_covers_presets_and_every_status(self):
+        assert set(PRESETS) <= set(SUMMARY_GOLDEN)
+        lines = [line for case in SUMMARY_GOLDEN.values() for line in case["summary"]]
+        for status in ("[PASS]", "[FAIL]", "[info]"):
+            assert any(line.endswith(status) for line in lines), status
+        assert any("=None " in line for line in lines)
+
+    def test_every_output_has_a_summary_format(self):
+        assert set(_SUMMARY_FORMATS) == set(OUTPUTS)
+
+    def test_missing_field_reads_none(self):
+        body = {"scenario": {"outputs": ["degree", "regime"]}, "analyses": {}, "passes": {}}
+        assert _summary_lines(Report(body=body)) == [
+            "degree: tv=None [info]",
+            "regime: None (n_star=None) [info]",
+        ]
 
 
 class TestReportReproducibility:

@@ -16,6 +16,7 @@ from riglab.model import (
     binomial,
     make_size_dist,
     moments,
+    scale_constants,
 )
 
 
@@ -498,6 +499,30 @@ class TestPoissonApproxStats:
             theory.poisson_approx_stats([5], 10, 1)
         with pytest.raises(ValueError):
             theory.poisson_approx_stats([5, 11], 10, 1)
+
+
+class TestThresholdAboveM:
+    """s > m leaves C(m, s) = 0: no two sets can share s attributes, and
+    every law below would divide by zero, so each rejects it."""
+
+    DIST = make_size_dist(Degenerate(5), 5)
+
+    def test_poisson_approx_stats(self):
+        with pytest.raises(ValueError, match="s must"):
+            theory.poisson_approx_stats([5, 5], 5, 7)
+        assert theory.poisson_approx_stats([5, 5], 5, 5).lambda_bar == 1.0
+
+    def test_edge_prob(self):
+        with pytest.raises(ValueError, match="s must"):
+            theory.active_edge_prob_asymptotic(self.DIST, 5, 7)
+        assert theory.active_edge_prob_asymptotic(self.DIST, 5, 5).raw == 1.0
+
+    def test_scale_constants_and_degree_pmf(self):
+        with pytest.raises(ValueError, match="s must"):
+            scale_constants(self.DIST, 10, 5, 7)
+        with pytest.raises(ValueError, match="s must"):
+            theory.mixed_poisson_degree_pmf(self.DIST, 10, 5, 7)
+        assert scale_constants(self.DIST, 10, 5, 5).beta_active == pytest.approx(0.1)
 
 
 class TestRegimeClassify:
