@@ -67,7 +67,8 @@ def log_binomial(n: int, k: int) -> float:
     if kk == 0:
         return 0.0
     if kk <= _EXACT_K_MAX:
-        return math.fsum(math.log(n - i) for i in range(kk)) - math.lgamma(kk + 1)
+        # fsum is correctly rounded, so the order of the terms is immaterial
+        return math.fsum(map(math.log, range(n - kk + 1, n + 1))) - math.lgamma(kk + 1)
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
@@ -110,7 +111,13 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _unhashable(self) -> int:
+    """``__hash__`` of the value types that hold arrays: they compare by
+    value, and an array has no hash to agree with that."""
+    raise TypeError(f"unhashable type: {type(self).__name__!r} (it holds arrays)")
+
+
+@dataclass(frozen=True, eq=False)
 class DiscretePmf:
     """Finitely truncated pmf on {0, 1, 2, ...}.
 
@@ -138,6 +145,13 @@ class DiscretePmf:
             raise ValueError(f"pmf mass {total!r} differs from 1 beyond {PMF_TOL}")
         object.__setattr__(self, "probs", _freeze(probs))
         object.__setattr__(self, "tail_mass", tail)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DiscretePmf):
+            return NotImplemented
+        return self.tail_mass == other.tail_mass and np.array_equal(self.probs, other.probs)
+
+    __hash__ = _unhashable
 
     @property
     def k_max(self) -> int:
@@ -179,7 +193,7 @@ def trim_tail(probs: np.ndarray, tol: float) -> np.ndarray:
     return probs[: (int(keep[-1]) + 1) if keep.size else 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SizeDistribution:
     """Pmf of attribute-set sizes on {0..support_max}.
 
@@ -211,6 +225,15 @@ class SizeDistribution:
                 f"weights sum to {total!r}, not 1 within {NORMALIZATION_TOL}"
             )
         object.__setattr__(self, "weights", _freeze(w))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SizeDistribution):
+            return NotImplemented
+        return self.support_max == other.support_max and np.array_equal(
+            self.weights, other.weights
+        )
+
+    __hash__ = _unhashable
 
     @property
     def support(self) -> np.ndarray:
@@ -403,11 +426,12 @@ def moments(dist: SizeDistribution, s: int) -> Moments:
         raise ValueError("s must be >= 0")
     xs = dist.support
     w = dist.weights[xs]
-    cs = np.array([binomial(int(x), s) for x in xs])
+    sizes = xs.tolist()
+    cs = np.array([binomial(x, s) for x in sizes])
     a1 = float(np.dot(w, cs))
     a2 = float(np.dot(w, cs * cs))
     fs = [
-        float(np.dot(w, np.array([falling_factorial(int(x), k) for x in xs], dtype=float)))
+        float(np.dot(w, np.array([falling_factorial(x, k) for x in sizes], dtype=float)))
         for k in (1, 2, 3)
     ]
     return Moments(a1=a1, a2=a2, f1=fs[0], f2=fs[1], f3=fs[2])
@@ -434,7 +458,7 @@ def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedPa
 
     xs = dist.support
     w = dist.weights[xs]
-    z = np.array([z_scale(x) for x in xs])
+    z = np.array([z_scale(x) for x in xs.tolist()])
     beta_active = binomial(m, s) / n
     if not math.isfinite(beta_active):
         beta_active = math.exp(log_m_choose_s - math.log(n))

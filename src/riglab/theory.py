@@ -7,6 +7,14 @@ a1/a2 and can equivalently be written in terms of the scale ratio beta
 or of the asymptotic degree moments.  Conditioned on degree k it decays
 like c/k for heavy-tailed sizes.
 
+The mixed Poisson pmf is evaluated as array passes over blocks of
+support rows, each row one size's weighted Poisson(z(x) mu1) pmf on
+[0, cap], in one buffer of at most ``_PMF_BLOCK_BYTES``.  Row 0 of the
+buffer carries the running sum, and a reduce over axis 0 adds the rows
+in support order, so the floats equal those of one pass per size.  Each
+row's log intensity comes from ``math.log``; a size with zero intensity
+puts its weight at k = 0.
+
 Attribute ("passive") side, threshold 1: the degree is asymptotically
 compound Poisson, with Poisson count mean (n/m) E[X] and jumps drawn
 from the size-biased-and-shifted size law.  Clustering again has a
@@ -62,6 +70,7 @@ __all__ = [
 
 TAIL_TOL = 1e-10  # auto-truncation target for returned pmfs
 _REGIME_RATIO = 0.01  # "<<" convention for regime classification
+_PMF_BLOCK_BYTES = 1 << 16  # row block of the mixed Poisson pmf, running-sum row included
 
 
 @dataclass(frozen=True)
@@ -149,22 +158,36 @@ def mixed_poisson_degree_pmf(
 
 
 def _mixed_poisson_pmf(scale: DerivedParams, k_max: int | None) -> DiscretePmf:
+    """Sum over the support of weight * Pois(lam) on [0, cap], one 2-D
+    block of support rows at a time (see the module docstring)."""
     lams = scale.z * scale.mu1
     if k_max is None:
-        cap = 5
-        for lam in lams:
-            cap = max(cap, int(lam + 12.0 * math.sqrt(lam + 1.0) + 30.0))
+        # the bound grows with lam, so the largest intensity sets it
+        top = float(lams.max())
+        cap = max(5, int(top + 12.0 * math.sqrt(top + 1.0) + 30.0))
     else:
         cap = k_max
-    ks = np.arange(cap + 1)
-    log_fact = np.array([math.lgamma(k + 1) for k in ks])
-    probs = np.zeros(cap + 1)
-    for weight, lam in zip(scale.weights, lams):
-        lam = float(lam)
-        if lam <= 0.0:
-            probs[0] += weight
-        else:
-            probs += weight * np.exp(ks * math.log(lam) - lam - log_fact)
+    # a one-column reduce would sum pairwise, not row by row
+    width = max(cap + 1, 2)
+    ks = np.arange(width, dtype=float)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(width)])
+    logs = np.array([math.log(lam) if lam > 0.0 else 0.0 for lam in lams.tolist()])
+    rows = max(1, _PMF_BLOCK_BYTES // (8 * width) - 1)
+    buf = np.zeros((min(rows, lams.size) + 1, width))
+    for lo in range(0, lams.size, rows):
+        hi = min(lo + rows, lams.size)
+        block = buf[1 : 1 + hi - lo]
+        np.multiply(logs[lo:hi, None], ks, out=block)
+        block -= lams[lo:hi, None]
+        block -= log_fact
+        np.exp(block, out=block)
+        block *= scale.weights[lo:hi, None]
+        zero = lams[lo:hi] <= 0.0
+        if zero.any():
+            block[zero] = 0.0
+            block[zero, 0] = scale.weights[lo:hi][zero]
+        buf[0] = np.add.reduce(buf[: 1 + hi - lo], axis=0)
+    probs = buf[0, : cap + 1].copy()
     if k_max is None:
         probs = trim_tail(probs, TAIL_TOL)
     tail = max(0.0, 1.0 - float(probs.sum()))

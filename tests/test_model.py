@@ -22,6 +22,20 @@ from riglab.model import (
     size_biased,
     trim_tail,
 )
+from riglab.theory import passive_compound_spec
+
+
+def generator_log_binomial(n, k):
+    """log C(n, k) with the exact branch as a generator of
+    log(n - i) terms: the reference for ``log_binomial``'s floats."""
+    if n < 0 or k < 0 or k > n:
+        return -math.inf
+    kk = min(k, n - k)
+    if kk == 0:
+        return 0.0
+    if kk <= 64:
+        return math.fsum(math.log(n - i) for i in range(kk)) - math.lgamma(kk + 1)
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def random_table_dist(rng, m=20, max_support=10):
@@ -52,6 +66,25 @@ class TestBinomialCoefficients:
             np.testing.assert_allclose(
                 log_binomial(n, k), math.log(math.comb(n, k)), rtol=1e-12
             )
+
+    def test_log_matches_generator_form_bitwise(self):
+        """Every n < 3000 at every k with min(k, n - k) <= 65 (the exact
+        branch and the first lgamma k on either side) and at every 97th
+        k between: the exact branch sums the same terms, and fsum is
+        correctly rounded, so the floats agree.  The lgamma branch is
+        the same expression on both sides; sampling it keeps the test
+        at a few seconds."""
+        for n in range(3000):
+            ks = {-1, n + 1, *range(min(n, 65) + 1), *range(max(0, n - 65), n + 1)}
+            ks.update(range(66, n - 65, 97))
+            for k in ks:
+                assert log_binomial(n, k) == generator_log_binomial(n, k), (n, k)
+
+    def test_log_matches_generator_form_near_1e9(self):
+        """Both sides of the min(k, n - k) = 64/65 switch at n ~ 1e9."""
+        for n in range(10**9 - 70, 10**9 + 70, 7):
+            for k in [*range(67), *range(n - 66, n + 1)]:
+                assert log_binomial(n, k) == generator_log_binomial(n, k), (n, k)
 
     def test_huge_arguments_do_not_overflow(self):
         # C(1e9, 5e8) has ~3e8 digits; the log path must stay finite
@@ -276,6 +309,40 @@ class TestConditionalGe2:
         d = make_size_dist(Table([0.5, 0.5]), 10)
         with pytest.raises(ValueError, match="no mass at or above 2"):
             conditional_ge2(d)
+
+
+class TestValueEquality:
+    """Size laws and pmfs compare by value; they hold arrays, so they
+    have no hash."""
+
+    def test_size_distribution(self):
+        a, b = (make_size_dist(Degenerate(3), 10) for _ in range(2))
+        assert a == b and not a != b
+        assert a != make_size_dist(Degenerate(3), 11)
+        assert a != make_size_dist(Degenerate(4), 10)
+        # the same law stored with a trailing zero is a different value
+        assert a != make_size_dist(Table([0, 0, 0, 1, 0]), 10)
+        assert a != a.as_pmf() and a != 3
+
+    def test_discrete_pmf(self):
+        p = DiscretePmf(np.array([0.5, 0.4]), 0.1)
+        assert p == DiscretePmf(np.array([0.5, 0.4]), 0.1)
+        assert p != DiscretePmf(np.array([0.5, 0.5]), 0.0)
+        assert p != DiscretePmf(np.array([0.5, 0.4, 0.0]), 0.1)
+        assert DiscretePmf.point_mass(2) == size_biased(DiscretePmf.point_mass(3))
+
+    def test_holders_compare_through_them(self):
+        a, b = (make_size_dist(Table([0.2, 0.3, 0.5]), 10) for _ in range(2))
+        assert passive_compound_spec(a, 30, 10) == passive_compound_spec(b, 30, 10)
+        assert passive_compound_spec(a, 30, 10) != passive_compound_spec(a, 40, 10)
+        assert ModelParams(n=5, m=10, s=1, size_dist=a) == ModelParams(n=5, m=10, s=1, size_dist=b)
+
+    def test_unhashable(self):
+        d = make_size_dist(Degenerate(3), 10)
+        values = [d, d.as_pmf(), passive_compound_spec(d, 10, 10), ModelParams(n=5, m=10, s=1, size_dist=d)]
+        for value in values:
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(value)
 
 
 class TestModelParamsValidation:

@@ -17,6 +17,7 @@ from riglab.model import (
     make_size_dist,
     moments,
     scale_constants,
+    trim_tail,
 )
 
 
@@ -96,6 +97,94 @@ class TestMixedPoissonDegreePmf:
         d = make_size_dist(Degenerate(2), 100)
         pmf = theory.mixed_poisson_degree_pmf(d, 100, 100, 1, k_max=3)
         assert pmf.k_max == 3 and pmf.tail_mass > 0
+
+
+def loop_cap(lams, k_max):
+    """Truncation point of the reference loop below."""
+    if k_max is not None:
+        return k_max
+    cap = 5
+    for lam in lams:
+        cap = max(cap, int(lam + 12.0 * math.sqrt(lam + 1.0) + 30.0))
+    return cap
+
+
+def loop_mixed_poisson_pmf(scale, k_max):
+    """The mixed Poisson pmf as one numpy pass per support size, summed
+    in support order: the reference the row-block evaluation must
+    reproduce bit for bit."""
+    lams = scale.z * scale.mu1
+    cap = loop_cap(lams, k_max)
+    ks = np.arange(cap + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in ks])
+    probs = np.zeros(cap + 1)
+    for weight, lam in zip(scale.weights, lams):
+        lam = float(lam)
+        if lam <= 0.0:
+            probs[0] += weight
+        else:
+            probs += weight * np.exp(ks * math.log(lam) - lam - log_fact)
+    if k_max is None:
+        probs = trim_tail(probs, theory.TAIL_TOL)
+    tail = max(0.0, 1.0 - float(probs.sum()))
+    return DiscretePmf(probs, tail)
+
+
+def loop_alpha_k_curve(scale, k_max):
+    p = loop_mixed_poisson_pmf(scale, k_max).probs
+    ratio = scale.mu1 / math.sqrt(scale.beta_active)
+    return {
+        k: (1.0 / k) * ratio * float(p[k - 1]) / float(p[k])
+        for k in range(2, k_max + 1)
+        if p[k] > 0.0
+    }
+
+
+def assert_same_pmf(got, want):
+    assert np.array_equal(got.probs, want.probs)
+    assert got.tail_mass == want.tail_mass
+
+
+class TestMixedPoissonRowBlocks:
+    """The row-block pmf against the per-support loop, float for float."""
+
+    @pytest.mark.parametrize("gamma", [2.5, 3.0, 3.5, 4.0, 4.5])
+    def test_wide_power_law_support(self, gamma):
+        """200 support sizes at n = m = 200 000 span many default blocks."""
+        n = m = 200_000
+        d = make_size_dist(TruncatedPowerLaw(gamma, 1, 200), m)
+        scale = scale_constants(d, n, m, 1)
+        for k_max in (None, 0, 1):  # k_max = 0 sums one column over 200 rows
+            got = theory.mixed_poisson_degree_pmf(d, n, m, 1, k_max=k_max)
+            assert_same_pmf(got, loop_mixed_poisson_pmf(scale, k_max))
+        assert theory.alpha_k_active_curve(d, n, m, 1, 60) == loop_alpha_k_curve(scale, 60)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        weights=st.lists(st.integers(0, 4), min_size=1, max_size=30).filter(any),
+        s=st.sampled_from([1, 2, 3]),
+        n=st.integers(1, 3_000),
+        extra_m=st.integers(0, 200),
+        k_max=st.none() | st.integers(0, 12),
+        rows=st.integers(1, 3),
+    )
+    @example(weights=[1], s=1, n=10, extra_m=0, k_max=0, rows=3)  # all at zero intensity
+    @example(weights=[0, 3, 1, 2, 0, 1], s=1, n=50, extra_m=5, k_max=0, rows=2)  # one column
+    @example(weights=[1, 1, 1, 1, 1], s=3, n=400, extra_m=35, k_max=None, rows=1)  # sizes below s
+    def test_matches_per_support_loop(self, weights, s, n, extra_m, k_max, rows):
+        """Tables whose supports span several blocks of 1-3 rows, with
+        sizes below s (zero intensity) and k_max both None and small."""
+        m = max(len(weights) - 1, s) + extra_m
+        d = make_size_dist(Table(weights), m)
+        scale = scale_constants(d, n, m, s)
+        width = max(loop_cap(scale.z * scale.mu1, k_max) + 1, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(theory, "_PMF_BLOCK_BYTES", 8 * width * (rows + 1))
+            got = theory.mixed_poisson_degree_pmf(d, n, m, s, k_max=k_max)
+            assert_same_pmf(got, loop_mixed_poisson_pmf(scale, k_max))
+            if k_max is not None and k_max >= 2:
+                curve = theory.alpha_k_active_curve(d, n, m, s, k_max)
+                assert curve == loop_alpha_k_curve(scale, k_max)
 
 
 class TestDegreeMoments:
