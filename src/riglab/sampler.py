@@ -16,6 +16,10 @@ distinct pairs, and it is taken when its signature count is the smaller.
 Each count of the chosen route is checked against a hard cap before the
 array it sizes is allocated, because dense regimes explode
 quadratically and are outside the sparse scope of this package.
+
+Every build ends with the sorted distinct edge keys u * V + v, u < v
+(V the vertex count), and a :class:`Graph` is that array.  The 2-subset
+keys of :func:`subset_keys` are also the wedge keys of stats.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _unhashable
 
 __all__ = [
     "PAIR_CAP_DEFAULT",
@@ -39,12 +44,15 @@ __all__ = [
     "build_active",
     "build_passive",
     "group_pair_indices",
+    "subset_keys",
     "write_edge_list",
 ]
 
 PAIR_CAP_DEFAULT = 200_000_000
 # bytes of draws per block of rows in the batched Floyd sampler
 _FLOYD_BLOCK_BYTES = 1 << 22
+# edges formatted per string by write_edge_list
+_EXPORT_BLOCK = 1 << 16
 
 
 class ResourceLimitError(RuntimeError):
@@ -223,53 +231,59 @@ def sample_incidence(
     return Incidence(m=m, sizes=sizes, offsets=offsets, attrs=attrs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph in CSR form with sorted neighbor lists."""
+    """Simple undirected graph as its sorted edge keys.
+
+    Edge {u, v}, u < v, is the int64 key u * V + v (V the vertex count);
+    ``keys`` holds each edge once, strictly increasing.  The CSR view
+    ``indptr``/``indices`` (both directions, neighbor lists sorted) is
+    derived on first read.  Graphs compare by value and are unhashable.
+    """
 
     vertex_count: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    keys: np.ndarray
 
-    @property
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and np.array_equal(self.keys, other.keys)
+
+    __hash__ = _unhashable
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        return np.bincount(np.concatenate(self.edges()), minlength=self.vertex_count)
 
     @property
     def edge_count(self) -> int:
-        return self.indices.size // 2
+        return self.keys.size
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge arrays (u, v) with u < v, lexicographically sorted."""
+        return np.divmod(self.keys, np.int64(self.vertex_count))
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self.degrees)])
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        u, v = self.edges()
+        width = np.int64(self.vertex_count)
+        return np.sort(np.concatenate([self.keys, v * width + u])) % width
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge arrays (u, v) with u < v, lexicographically sorted."""
-        rows = np.repeat(np.arange(self.vertex_count), self.degrees)
-        mask = rows < self.indices
-        return rows[mask], self.indices[mask]
-
     @staticmethod
     def from_edge_arrays(vertex_count: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        """Build from unique undirected edges u < v.
-
-        Both directions of every edge become one int64 key row * V + col
-        (V the vertex count); sorting the keys orders the rows and each
-        neighbor list at once.
-        """
-        width = np.int64(vertex_count)
-        keys = np.concatenate([u * width + v, v * width + u])
-        keys.sort()
-        counts = np.bincount(u, minlength=vertex_count) + np.bincount(v, minlength=vertex_count)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return Graph(vertex_count=vertex_count, indptr=indptr, indices=keys % width)
+        """Graph of the unique undirected edges u < v, in any order."""
+        return Graph(vertex_count, np.sort(u * np.int64(vertex_count) + v))
 
     @staticmethod
     def empty(vertex_count: int) -> "Graph":
-        return Graph(
-            vertex_count=vertex_count,
-            indptr=np.zeros(vertex_count + 1, dtype=np.int64),
-            indices=np.empty(0, dtype=np.int64),
-        )
+        return Graph(vertex_count, np.empty(0, dtype=np.int64))
 
 
 def group_pair_indices(group_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +347,7 @@ def _subset_table(length: int, t: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=math.comb(length, t) * t).reshape(-1, t)
 
 
-def _subset_keys(
+def subset_keys(
     lens: np.ndarray, groups: np.ndarray, t: int, group_count: int, vertex_count: int
 ) -> np.ndarray:
     """Sorted int64 keys signature * V + v over every t-subset of every
@@ -342,13 +356,14 @@ def _subset_keys(
     Vertex v's list is the v-th run of ``groups`` (runs of length
     ``lens``, ascending inside); a subset's signature is its groups read
     as t digits in base ``group_count``.  The caller checks that
-    group_count**t * V fits in int64.  Vertices are handled one list
-    length at a time, each length with one index table.
+    group_count**t * V fits in int64.  Vertices with t or more groups
+    are handled one list length at a time, each with one index table.
     """
     offsets = np.concatenate([[0], np.cumsum(lens)])
-    hist = np.bincount(lens)
+    listed = np.flatnonzero(lens >= t)
+    by_length = listed[np.argsort(lens[listed], kind="stable")]
+    hist = np.bincount(lens[listed])
     ends = np.cumsum(hist)
-    by_length = np.argsort(lens, kind="stable")
     parts = [np.empty(0, np.int64)]
     for length in np.flatnonzero(hist[t:]) + t:
         vertices = by_length[ends[length] - hist[length] : ends[length]]
@@ -387,8 +402,7 @@ def _edges_within(members: np.ndarray, runs: np.ndarray, vertex_count: int, thre
     keys *= np.int64(vertex_count)
     keys += members[right]
     del right
-    keys = _threshold_pairs(keys, threshold)
-    return Graph.from_edge_arrays(vertex_count, keys // vertex_count, keys % vertex_count)
+    return Graph(vertex_count, _threshold_pairs(keys, threshold))
 
 
 def _project(kind: str, inc: Incidence, s: int, pair_cap: int) -> Graph:
@@ -418,7 +432,7 @@ def _project(kind: str, inc: Incidence, s: int, pair_cap: int) -> Graph:
                 "this regime is too dense for subset keying"
             )
         groups = inc.attrs if active else _actors_by_attribute(inc)
-        sig, members = np.divmod(_subset_keys(lens, groups, s, G, V), V)
+        sig, members = np.divmod(subset_keys(lens, groups, s, G, V), V)
         runs = _run_lengths(sig)
         del sig
         within = _comb_total(runs, 2)
@@ -479,9 +493,9 @@ def write_edge_list(
     graph: Graph, path, *, kind: str, n: int, m: int, s: int, seed: int
 ) -> None:
     """Plain-text edge list: a metadata header line, then one sorted
-    ``u v`` pair per line with u < v."""
-    u, v = graph.edges()
+    ``u v`` pair per line with u < v, formatted ``_EXPORT_BLOCK`` at a time."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# rig-lab graph kind={kind} n={n} m={m} s={s} seed={seed}\n")
-        for a, b in zip(u.tolist(), v.tolist()):
-            fh.write(f"{a} {b}\n")
+        for lo in range(0, graph.edge_count, _EXPORT_BLOCK):
+            pairs = np.divmod(graph.keys[lo : lo + _EXPORT_BLOCK], np.int64(graph.vertex_count))
+            fh.write("%d %d\n" * pairs[0].size % tuple(np.stack(pairs, axis=1).ravel().tolist()))

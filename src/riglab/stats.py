@@ -1,20 +1,23 @@
 """Empirical estimators on realized graphs and comparison utilities.
 
-Triangle counting orients every edge from its lower- to its
-higher-ranked end, ranking vertices by (degree, id) as in Chiba and
-Nishizeki (1985) and Latapy (2008).  Each triangle is then one wedge
-(a, b) of out-neighbors around its lowest-ranked corner, so only the
-sum_v C(d+(v), 2) oriented wedges are probed against the edge set
-(d+ the out-degree, at most sqrt(2 * edges)), not all sum_v C(d(v), 2)
-wedges: 1.8 M instead of 8.4 M on the example5 graph.  A closed wedge
-credits all three corners, so triangle counts stay per vertex; the
-2-star counts C(d, 2) come from the degrees alone.
+Triangle counting orients every edge key u * V + v of the graph (V the
+vertex count) from its lower- to its higher-ranked end c as c * V + x,
+ranking vertices by (degree, id) as in Chiba and Nishizeki (1985) and
+Latapy (2008); one sort of these keys gives the out-lists.  Each
+triangle is then one wedge (a, b), a < b, of out-neighbors around its
+lowest-ranked corner, so only the sum_v C(d+(v), 2) oriented wedges are
+probed against the edge keys (d+ the out-degree, at most
+sqrt(2 * edges)), not all sum_v C(d(v), 2) wedges: 1.8 M instead of
+8.4 M on the example5 graph.  A closed wedge credits all three corners,
+so triangle counts stay per vertex; the 2-star counts C(d, 2) come from
+the degrees alone.
 
 The wedges of a block of centers are packed into one int64 key each,
-(a * V + b) * S + (c - lo) for a block [lo, lo + S), and sorted before
-the lookup, so the binary search over the sorted edge keys receives
-ascending needles and narrows each search from the last one.  S is
-bounded so the packed keys fit in int64.
+(a * V + b) * S + (c - lo) for a block [lo, lo + S): the sorted
+2-subset keys of the out-lists (:func:`riglab.sampler.subset_keys`).
+The binary search over the edge keys so receives ascending needles and
+narrows each search from the last one.  S is bounded so the packed keys
+fit in int64.
 
 The vertex-averaged clustering estimate skips vertices with no 2-star
 (degree < 2): the 0/0 terms are undefined and excluding them is the
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DiscretePmf
-from .sampler import Graph, group_pair_indices
+from .sampler import Graph, subset_keys
 
 __all__ = [
     "LocalCounts",
@@ -101,23 +104,15 @@ def degree_histogram(graph: Graph) -> DiscretePmf:
 
 
 def local_counts(graph: Graph) -> LocalCounts:
-    """Degrees, 2-star counts and per-vertex triangle counts.
+    """Degrees, 2-star counts and per-vertex triangle counts, by the
+    oriented wedge probe of the module docstring.
 
-    Each edge is kept in the out-list of its end of lower (degree, id)
-    rank; out-lists stay sorted by id.  A pair a < b of one out-list
-    closes a triangle iff a * V + b is among the sorted edge keys (V the
-    vertex count), and every triangle is found exactly once, from its
-    lowest-ranked corner; its closed pair then credits all three corners.
-
-    Pairs are formed for blocks of centers [lo, hi), each pair as one
-    packed key (a * V + b) * S + (c - lo) with c its center and
-    S = hi - lo.  The keys are sorted before they are split back into
-    a * V + b and c, so the edge-key search sees ascending needles.  A
-    block's sum of C(d+, 2) stays within ``WEDGE_CHUNK``, which bounds
-    the transient memory (a single center may exceed it, with at most
-    C(sqrt(2 * edges), 2) pairs), and S stays within
-    (``KEY_LIMIT`` - 1) // V**2, so packed keys fit in int64; every
-    block holds at least one center, which V**2 < 2**63 always allows.
+    Centers are taken in blocks [lo, hi) whose sum of C(d+, 2) stays
+    within ``WEDGE_CHUNK``, which bounds the transient memory (a single
+    center may exceed it, with at most C(sqrt(2 * edges), 2) pairs), and
+    whose span S = hi - lo stays within (``KEY_LIMIT`` - 1) // V**2, so
+    packed keys fit in int64; every block holds at least one center,
+    which V**2 < 2**63 always allows.
     """
     n = graph.vertex_count
     deg = graph.degrees.astype(np.int64)
@@ -125,16 +120,14 @@ def local_counts(graph: Graph) -> LocalCounts:
     n3 = np.zeros(n, dtype=np.int64)
     nn = np.int64(n)
     rank = deg * nn + np.arange(n, dtype=np.int64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), deg)
-    up = rank[graph.indices] > rank[rows]
-    out = graph.indices[up]
-    outdeg = np.bincount(rows[up], minlength=n)
-    del rank, up
-    forward = rows < graph.indices
-    ekeys = rows[forward] * nn + graph.indices[forward]  # CSR order: sorted
-    del rows, forward
-    pairs = outdeg * (outdeg - 1) // 2
-    ends = np.cumsum(pairs)
+    u, v = graph.edges()
+    oriented = np.where(rank[u] > rank[v], v * nn + u, graph.keys)
+    del rank, u, v
+    oriented.sort()
+    out = oriented % nn  # out-lists, each sorted by id
+    outdeg = np.bincount(oriented // nn, minlength=n)
+    del oriented
+    ends = np.cumsum(outdeg * (outdeg - 1) // 2)
     starts = np.concatenate([[0], np.cumsum(outdeg)])
     max_span = max((KEY_LIMIT - 1) // max(n * n, 1), 1)
     lo = 0
@@ -143,24 +136,17 @@ def local_counts(graph: Graph) -> LocalCounts:
         hi = max(int(np.searchsorted(ends, done + WEDGE_CHUNK, side="right")), lo + 1)
         hi = min(hi, lo + max_span)
         span = hi - lo
-        li, ri = group_pair_indices(outdeg[lo:hi])
-        li += starts[lo]
-        ri += starts[lo]
-        keys = out[li]
-        del li
-        keys *= nn
-        keys += out[ri]  # out-lists are sorted, so a < b
-        del ri
-        keys *= span
-        keys += np.repeat(np.arange(span, dtype=np.int64), pairs[lo:hi])
-        keys.sort()
-        ab, c = np.divmod(keys, span)
-        del keys
-        # "clip" maps a needle past the last edge key onto that key
-        closed = np.take(ekeys, np.searchsorted(ekeys, ab), mode="clip") == ab
-        if closed.any():
+        keys = subset_keys(outdeg[lo:hi], out[starts[lo] : starts[hi]], 2, n, span)
+        ab = keys // span
+        found = np.searchsorted(graph.keys, ab)
+        # "clip" maps a needle past the last edge key onto that key; the
+        # take may write in place, since slot i reads found[i] first
+        np.take(graph.keys, found, mode="clip", out=found)
+        closed = np.flatnonzero(found == ab)
+        del found
+        if closed.size:
             a, b = np.divmod(ab[closed], nn)
-            n3[lo:hi] += np.bincount(c[closed], minlength=hi - lo)
+            n3[lo:hi] += np.bincount(keys[closed] % span, minlength=span)
             n3 += np.bincount(a, minlength=n)
             n3 += np.bincount(b, minlength=n)
         lo = hi

@@ -62,8 +62,20 @@ def has_edge(graph, u, v):
     return bool(i < nb.size and nb[i] == v)
 
 
+def check_keys(graph):
+    """The key invariant: int64 keys u * V + v, strictly increasing, with
+    0 <= u < v < V."""
+    keys = graph.keys
+    assert keys.dtype == np.int64
+    assert np.all(np.diff(keys) > 0), "keys not strictly increasing"
+    u, v = np.divmod(keys, np.int64(graph.vertex_count))
+    assert np.all(u >= 0) and np.all(u < v) and np.all(v < graph.vertex_count)
+
+
 def validate(graph):
-    """Check simplicity, symmetry and sortedness of a CSR graph."""
+    """Check the key invariant, then simplicity, symmetry and sortedness
+    of the derived CSR."""
+    check_keys(graph)
     rows = np.repeat(np.arange(graph.vertex_count), graph.degrees)
     if np.any(rows == graph.indices):
         raise AssertionError("self-loop present")
@@ -98,9 +110,37 @@ def pair_count_reference(kind, inc, s):
 
 
 def assert_same_csr(got, want):
+    check_keys(got)
     assert got.vertex_count == want.vertex_count
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
+
+
+def write_edge_list_by_line(graph, path, *, kind, n, m, s, seed):
+    """Reference export: the header, then one formatted line per edge."""
+    u, v = graph.edges()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# rig-lab graph kind={kind} n={n} m={m} s={s} seed={seed}\n")
+        for a, b in zip(u.tolist(), v.tolist()):
+            fh.write(f"{a} {b}\n")
+
+
+def assert_same_export(graph, tmp_path, **meta):
+    """The export and the line-per-edge reference write the same bytes."""
+    write_edge_list(graph, tmp_path / "fast.txt", **meta)
+    write_edge_list_by_line(graph, tmp_path / "ref.txt", **meta)
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+@st.composite
+def edge_sets(draw):
+    """(V, u, v): a unique edge set u < v on V <= 12 vertices, in random
+    order."""
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = np.array(draw(st.permutations(chosen)), dtype=np.int64).reshape(-1, 2)
+    return n, edges[:, 0], edges[:, 1]
 
 
 def lexsort_csr(vertex_count, u, v):
@@ -421,7 +461,7 @@ def routes(monkeypatch):
     s-subsets, and the multiplicity its edges were thresholded at (1 on
     the s-subset route, s on the single-group route)."""
     seen = {"subset_keys": 0, "thresholds": []}
-    subset_keys, edges_within = sampler._subset_keys, sampler._edges_within
+    subset_keys, edges_within = sampler.subset_keys, sampler._edges_within
 
     def spy_subset_keys(*args):
         seen["subset_keys"] += 1
@@ -431,7 +471,7 @@ def routes(monkeypatch):
         seen["thresholds"].append(threshold)
         return edges_within(members, runs, vertex_count, threshold)
 
-    monkeypatch.setattr(sampler, "_subset_keys", spy_subset_keys)
+    monkeypatch.setattr(sampler, "subset_keys", spy_subset_keys)
     monkeypatch.setattr(sampler, "_edges_within", spy_edges_within)
     return seen
 
@@ -564,6 +604,43 @@ class TestGraph:
         assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
         validate(g)
 
+    @settings(deadline=None, max_examples=200)
+    @given(edges=edge_sets())
+    @example(edges=(0, np.empty(0, np.int64), np.empty(0, np.int64)))
+    @example(edges=(1, np.empty(0, np.int64), np.empty(0, np.int64)))
+    def test_derived_views_match_lexsort_reference(self, edges):
+        """Keys strictly increasing with u < v < V; indptr, indices,
+        neighbors, edges and degrees equal the lexsort CSR, dtypes too."""
+        n, u, v = edges
+        g = Graph.from_edge_arrays(n, u, v)
+        validate(g)
+        assert g.edge_count == u.size
+        indptr, indices = lexsort_csr(n, u, v)
+        order = np.lexsort((v, u))
+        pairs = zip(
+            (g.indptr, g.indices, g.degrees, *g.edges()),
+            (indptr, indices, np.diff(indptr), u[order], v[order]),
+        )
+        for got, want in pairs:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for x in range(n):
+            want = indices[indptr[x] : indptr[x + 1]]
+            assert g.neighbors(x).dtype == want.dtype and np.array_equal(g.neighbors(x), want)
+
+    def test_value_equality(self):
+        g = Graph.from_edge_arrays(4, np.array([0, 1]), np.array([2, 3]))
+        assert g == Graph.from_edge_arrays(4, np.array([1, 0]), np.array([3, 2]))
+        assert g != Graph.from_edge_arrays(4, np.array([0]), np.array([2]))
+        assert Graph.empty(4) != Graph.empty(5)
+        assert g != (4, g.keys)
+
+    def test_unhashable(self):
+        g = Graph.empty(3)
+        with pytest.raises(TypeError, match="unhashable type: 'Graph'"):
+            hash(g)
+        with pytest.raises(TypeError, match="unhashable type"):
+            {g}
+
     def test_empty(self):
         g = Graph.empty(5)
         assert g.edge_count == 0 and g.degrees.sum() == 0
@@ -585,3 +662,22 @@ class TestEdgeListExport:
         assert pairs == sorted(pairs)
         assert all(u < v for u, v in pairs)
         assert set(pairs) == {(0, 1), (0, 3), (2, 3)}
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph.empty(0),
+            Graph.empty(3),
+            Graph.from_edge_arrays(4, np.array([0, 0, 2]), np.array([3, 1, 3])),
+            Graph.from_edge_arrays(12, *np.triu_indices(12, 1)),
+        ],
+    )
+    def test_bytes_match_line_writer(self, graph, tmp_path):
+        assert_same_export(graph, tmp_path, kind="active", n=graph.vertex_count, m=9, s=2, seed=77)
+
+    def test_bytes_match_line_writer_on_example5(self, tmp_path):
+        """600 k edges, so the export spans several blocks."""
+        cfg = preset_config("example5")
+        graph = build_passive(sample_incidence(cfg.params(), RngStream(0, 0)), cfg.s)
+        assert graph.edge_count > 4 * sampler._EXPORT_BLOCK
+        assert_same_export(graph, tmp_path, kind=cfg.kind, n=cfg.n, m=cfg.m, s=cfg.s, seed=0)
