@@ -18,8 +18,9 @@ array it sizes is allocated, because dense regimes explode
 quadratically and are outside the sparse scope of this package.
 
 Every build ends with the sorted distinct edge keys u * V + v, u < v
-(V the vertex count), and a :class:`Graph` is that array.  The 2-subset
-keys of :func:`subset_keys` are also the wedge keys of stats.
+(V the vertex count), and a :class:`Graph` is that array, made by
+:meth:`Graph.from_edge_arrays` from its ends.  The 2-subset keys of
+:func:`subset_keys` are also the wedge keys of stats.
 """
 
 from __future__ import annotations
@@ -236,9 +237,9 @@ class Graph:
     """Simple undirected graph as its sorted edge keys.
 
     Edge {u, v}, u < v, is the int64 key u * V + v (V the vertex count);
-    ``keys`` holds each edge once, strictly increasing.  The CSR view
-    ``indptr``/``indices`` (both directions, neighbor lists sorted) is
-    derived on first read.  Graphs compare by value and are unhashable.
+    ``keys`` holds each edge once, strictly increasing.  ``degrees`` is
+    counted on first read unless :meth:`from_edge_arrays` counted it.
+    Graphs compare by value and are unhashable.
     """
 
     vertex_count: int
@@ -263,23 +264,16 @@ class Graph:
         """Edge arrays (u, v) with u < v, lexicographically sorted."""
         return np.divmod(self.keys, np.int64(self.vertex_count))
 
-    @cached_property
-    def indptr(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.degrees)])
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        u, v = self.edges()
-        width = np.int64(self.vertex_count)
-        return np.sort(np.concatenate([self.keys, v * width + u])) % width
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
     @staticmethod
     def from_edge_arrays(vertex_count: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        """Graph of the unique undirected edges u < v, in any order."""
-        return Graph(vertex_count, np.sort(u * np.int64(vertex_count) + v))
+        """Graph of the unique edges u < v, in any order, with its degrees."""
+        keys = u * np.int64(vertex_count) + v
+        if np.any(keys[1:] < keys[:-1]):
+            keys.sort()
+        graph = Graph(vertex_count, keys)
+        # seeds the cached_property, which reads the instance dict first
+        vars(graph)["degrees"] = np.bincount(u, minlength=vertex_count) + np.bincount(v, minlength=vertex_count)
+        return graph
 
     @staticmethod
     def empty(vertex_count: int) -> "Graph":
@@ -343,6 +337,8 @@ def _actors_by_attribute(inc: Incidence) -> np.ndarray:
 
 def _subset_table(length: int, t: int) -> np.ndarray:
     """The t-subsets of range(length), one per row, lexicographically."""
+    if t == 2:
+        return np.stack(np.triu_indices(length, 1), axis=1)
     flat = itertools.chain.from_iterable(itertools.combinations(range(length), t))
     return np.fromiter(flat, dtype=np.int64, count=math.comb(length, t) * t).reshape(-1, t)
 
@@ -363,6 +359,7 @@ def subset_keys(
     listed = np.flatnonzero(lens >= t)
     by_length = listed[np.argsort(lens[listed], kind="stable")]
     hist = np.bincount(lens[listed])
+    del listed
     ends = np.cumsum(hist)
     parts = [np.empty(0, np.int64)]
     for length in np.flatnonzero(hist[t:]) + t:
@@ -402,7 +399,10 @@ def _edges_within(members: np.ndarray, runs: np.ndarray, vertex_count: int, thre
     keys *= np.int64(vertex_count)
     keys += members[right]
     del right
-    return Graph(vertex_count, _threshold_pairs(keys, threshold))
+    u, v = np.divmod(_threshold_pairs(keys, threshold), np.int64(vertex_count))
+    # freed before the graph's arrays are made, which then reuse it
+    del keys
+    return Graph.from_edge_arrays(vertex_count, u, v)
 
 
 def _project(kind: str, inc: Incidence, s: int, pair_cap: int) -> Graph:

@@ -55,12 +55,20 @@ def dense_triangle_oracle(graph):
     return np.diag(a @ a @ a) // 2
 
 
+def csr(graph):
+    """(indptr, indices): both edge directions, neighbor lists sorted."""
+    u, v = graph.edges()
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    return np.concatenate([[0], np.cumsum(graph.degrees)]), cols[np.lexsort((cols, rows))]
+
+
 def triangle_total_by_edge_iteration(graph):
     """Global triangle count: sum of common-neighbor counts over edges / 3."""
+    indptr, indices = csr(graph)
     u, v = graph.edges()
     total = 0
     for a, b in zip(u.tolist(), v.tolist()):
-        total += np.intersect1d(graph.neighbors(a), graph.neighbors(b)).size
+        total += np.intersect1d(indices[indptr[a] : indptr[a + 1]], indices[indptr[b] : indptr[b + 1]]).size
     return total // 3
 
 
@@ -80,7 +88,8 @@ def wedge_probe_counts(graph):
     ekeys = u * np.int64(n) + v  # sorted: edges() lists u < v in CSR order
     centers = np.repeat(np.arange(n, dtype=np.int64), deg)
     li, ri = group_pair_indices(deg)
-    wkeys = graph.indices[li] * np.int64(n) + graph.indices[ri]
+    _, indices = csr(graph)
+    wkeys = indices[li] * np.int64(n) + indices[ri]
     slot = np.searchsorted(ekeys, wkeys)
     slot[slot == ekeys.size] = 0
     closed = ekeys[slot] == wkeys
