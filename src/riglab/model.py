@@ -111,12 +111,6 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _unhashable(self) -> int:
-    """``__hash__`` of the value types that hold arrays: they compare by
-    value, and an array has no hash to agree with that."""
-    raise TypeError(f"unhashable type: {type(self).__name__!r} (it holds arrays)")
-
-
 @dataclass(frozen=True, eq=False)
 class DiscretePmf:
     """Finitely truncated pmf on {0, 1, 2, ...}.
@@ -150,8 +144,6 @@ class DiscretePmf:
         if not isinstance(other, DiscretePmf):
             return NotImplemented
         return self.tail_mass == other.tail_mass and np.array_equal(self.probs, other.probs)
-
-    __hash__ = _unhashable
 
     @property
     def k_max(self) -> int:
@@ -232,8 +224,6 @@ class SizeDistribution:
         return self.support_max == other.support_max and np.array_equal(
             self.weights, other.weights
         )
-
-    __hash__ = _unhashable
 
     @property
     def support(self) -> np.ndarray:
@@ -366,6 +356,17 @@ class BinomialSizes:
 SizeSpec = Union[Degenerate, Table, TruncatedPowerLaw, BinomialSizes]
 
 
+def _binomial_term(t: int, k: int, p: float) -> float:
+    """C(t, k) p**k (1 - p)**(t - k), in log space where C(t, k) exceeds
+    a float (t > 1029); that needs 0 < k < t, so the term is 0 at p = 0 or 1."""
+    try:
+        return math.comb(t, k) * p**k * (1 - p) ** (t - k)
+    except OverflowError:
+        if not 0.0 < p < 1.0:
+            return 0.0
+        return math.exp(math.log(math.comb(t, k)) + k * math.log(p) + (t - k) * math.log1p(-p))
+
+
 def make_size_dist(spec: SizeSpec, m: int) -> SizeDistribution:
     """Build a validated :class:`SizeDistribution` on {0..m} from a spec.
 
@@ -409,9 +410,7 @@ def make_size_dist(spec: SizeSpec, m: int) -> SizeDistribution:
         if spec.trials < 0 or spec.trials > m:
             raise ValueError(f"binomial trials {spec.trials} outside [0, {m}]")
         t = spec.trials
-        w = np.array(
-            [math.comb(t, k) * spec.p**k * (1 - spec.p) ** (t - k) for k in range(t + 1)]
-        )
+        w = np.array([_binomial_term(t, k, spec.p) for k in range(t + 1)])
         return SizeDistribution(m, w / w.sum())
     raise TypeError(f"unknown size spec {type(spec).__name__}")
 
@@ -445,8 +444,10 @@ def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedPa
     C(m, s)/n stay finite for m up to 1e9 and any s <= m.  mu1 is the
     dot product of the support weights with z.
     """
-    if s > m:
-        raise ValueError("s must be <= m")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 1 <= s <= m:
+        raise ValueError("s must satisfy 1 <= s <= m")
     log_m_choose_s = log_binomial(m, s)
     half_log = 0.5 * (math.log(n) - log_m_choose_s)
 

@@ -199,8 +199,8 @@ def exact_passive_links_pmf(
     powering with trailing mass below ``CONV_TAIL_TOL`` tracked in
     ``tail_mass``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
     xs = dist.support
     vmax = max((int(x) - 1 for x in xs), default=0)
     base = np.zeros(max(vmax, 0) + 1)

@@ -17,22 +17,24 @@ Each count of the chosen route is checked against a hard cap before the
 array it sizes is allocated, because dense regimes explode
 quadratically and are outside the sparse scope of this package.
 
-Every build ends with the sorted distinct edge keys u * V + v, u < v
-(V the vertex count), and a :class:`Graph` is that array, made by
-:meth:`Graph.from_edge_arrays` from its ends.  The 2-subset keys of
-:func:`subset_keys` are also the wedge keys of stats.
+Every subset is listed by one enumerator: the lists of one length are
+read in one block against one colex-ordered table of index subsets.  It
+gives the s-subset signatures, the pairs within each signature or
+group, and, through :func:`subset_keys`, the wedge keys of stats.  Every
+build ends with the sorted distinct edge keys u * V + v, u < v (V the
+vertex count), and a :class:`Graph` is that array, made by
+:meth:`Graph.from_edge_arrays` from its ends.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .model import ModelParams, _unhashable
+from .model import ModelParams
 
 __all__ = [
     "PAIR_CAP_DEFAULT",
@@ -44,7 +46,6 @@ __all__ = [
     "sample_incidence",
     "build_active",
     "build_passive",
-    "group_pair_indices",
     "subset_keys",
     "write_edge_list",
 ]
@@ -250,8 +251,6 @@ class Graph:
             return NotImplemented
         return self.vertex_count == other.vertex_count and np.array_equal(self.keys, other.keys)
 
-    __hash__ = _unhashable
-
     @cached_property
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate(self.edges()), minlength=self.vertex_count)
@@ -278,31 +277,6 @@ class Graph:
     @staticmethod
     def empty(vertex_count: int) -> "Graph":
         return Graph(vertex_count, np.empty(0, dtype=np.int64))
-
-
-def group_pair_indices(group_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat-index pairs (i, j), i < j, within every contiguous group.
-
-    For each element the fan of pairs it starts is materialized with one
-    repeat/cumsum pass, so the cost is O(total pairs) with no Python
-    loop.  Pairs come out in group-then-position order.
-    """
-    total = int(group_sizes.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    sizes = group_sizes.astype(np.int64)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    pos = np.arange(total, dtype=np.int64) - np.repeat(starts, sizes)
-    fanout = np.repeat(sizes, sizes) - pos - 1
-    pair_total = int(fanout.sum())
-    if pair_total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    left = np.repeat(np.arange(total, dtype=np.int64), fanout)
-    fan_starts = np.concatenate([[0], np.cumsum(fanout)[:-1]])
-    right = np.arange(1, pair_total + 1, dtype=np.int64)
-    right -= np.repeat(fan_starts, fanout)
-    right += left
-    return left, right
 
 
 def _threshold_pairs(keys: np.ndarray, s: int) -> np.ndarray:
@@ -335,12 +309,44 @@ def _actors_by_attribute(inc: Incidence) -> np.ndarray:
     return keys % inc.n
 
 
-def _subset_table(length: int, t: int) -> np.ndarray:
-    """The t-subsets of range(length), one per row, lexicographically."""
-    if t == 2:
-        return np.stack(np.triu_indices(length, 1), axis=1)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(length), t))
-    return np.fromiter(flat, dtype=np.int64, count=math.comb(length, t) * t).reshape(-1, t)
+def _subset_table(size: int, t: int) -> np.ndarray:
+    """(t, C(size, t)) table of the t-subsets of range(size), one per
+    column, ascending down it, in colex order: for every l <= size the
+    first C(l, t) columns are the t-subsets of range(l).  Each row is one
+    contiguous index array for ``np.take``."""
+    table = np.arange(size, dtype=np.int64)[None, :]
+    for j in range(1, t):
+        # the (j + 1)-subsets topped by c: the first C(c, j) columns, then c
+        counts = [math.comb(c, j) for c in range(size)]
+        below = np.concatenate([table[:, :0]] + [table[:, :k] for k in counts], axis=1)
+        table = np.vstack([below, np.repeat(np.arange(size, dtype=np.int64), counts)])
+    return table
+
+
+def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int):
+    """For each list length l >= t: the vertices whose list has length l
+    and the (count, C(l, t)) array of their t-subsets, each read as t
+    digits in base ``base``, the first list entry the most significant.
+
+    Vertex v's list is the v-th run of ``values`` (runs of length
+    ``lens``).  One :func:`_subset_table` serves every length.
+    """
+    offsets = np.concatenate([[0], np.cumsum(lens)])
+    listed = np.flatnonzero(lens >= t)
+    by_length = listed[np.argsort(lens[listed], kind="stable")]
+    hist = np.bincount(lens[listed])
+    del listed
+    ends = np.cumsum(hist)
+    table = _subset_table(hist.size - 1, t)
+    for length in np.flatnonzero(hist[t:]) + t:
+        vertices = by_length[ends[length] - hist[length] : ends[length]]
+        rows = values[offsets[vertices][:, None] + np.arange(length)]
+        cols = table[:, : math.comb(int(length), t)]
+        sig = np.take(rows, cols[0], axis=1)
+        for j in range(1, t):
+            sig *= np.int64(base)
+            sig += np.take(rows, cols[j], axis=1)
+        yield vertices, sig
 
 
 def subset_keys(
@@ -351,29 +357,16 @@ def subset_keys(
 
     Vertex v's list is the v-th run of ``groups`` (runs of length
     ``lens``, ascending inside); a subset's signature is its groups read
-    as t digits in base ``group_count``.  The caller checks that
-    group_count**t * V fits in int64.  Vertices with t or more groups
-    are handled one list length at a time, each with one index table.
+    as t digits in base ``group_count`` (see :func:`_subset_rows`).  The
+    caller checks that group_count**t * V fits in int64.
     """
-    offsets = np.concatenate([[0], np.cumsum(lens)])
-    listed = np.flatnonzero(lens >= t)
-    by_length = listed[np.argsort(lens[listed], kind="stable")]
-    hist = np.bincount(lens[listed])
-    del listed
-    ends = np.cumsum(hist)
-    parts = [np.empty(0, np.int64)]
-    for length in np.flatnonzero(hist[t:]) + t:
-        vertices = by_length[ends[length] - hist[length] : ends[length]]
-        rows = groups[offsets[vertices][:, None] + np.arange(length)]
-        table = _subset_table(int(length), t)
-        sig = rows[:, table[:, 0]]
-        for j in range(1, t):
-            sig *= np.int64(group_count)
-            sig += rows[:, table[:, j]]
+    keys = np.empty(_comb_total(lens, t), dtype=np.int64)
+    at = 0
+    for vertices, sig in _subset_rows(lens, groups, t, group_count):
         sig *= np.int64(vertex_count)
         sig += vertices[:, None]
-        parts.append(sig.ravel())
-    keys = np.concatenate(parts)
+        keys[at : at + sig.size] = sig.ravel()
+        at += sig.size
     keys.sort()
     return keys
 
@@ -387,18 +380,12 @@ def _run_lengths(values: np.ndarray) -> np.ndarray:
 def _edges_within(members: np.ndarray, runs: np.ndarray, vertex_count: int, threshold: int) -> Graph:
     """Graph whose edges are the member pairs formed inside at least
     ``threshold`` runs (``members`` in runs of length ``runs``, ascending
-    inside each).  A run with a single member emits no pair, so it is
-    dropped first; with none to drop, ``members`` is not copied."""
-    shared = runs >= 2
-    if not shared.all():
-        members, runs = members[np.repeat(shared, runs)], runs[shared]
-    left, right = group_pair_indices(runs)
-    # key a * V + b with a < b; each index array is dropped once read
-    keys = members[left].astype(np.int64, copy=False)
-    del left
-    keys *= np.int64(vertex_count)
-    keys += members[right]
-    del right
+    inside each): the 2-subsets of the runs, read in base V, are the
+    edge keys a * V + b, a < b."""
+    # joined, not counted first as in subset_keys: on the t = s route most
+    # runs hold one member, and counting would add a pass over all of them
+    parts = (sig.ravel() for _, sig in _subset_rows(runs, members, 2, vertex_count))
+    keys = np.concatenate([np.empty(0, np.int64), *parts])
     u, v = np.divmod(_threshold_pairs(keys, threshold), np.int64(vertex_count))
     # freed before the graph's arrays are made, which then reuse it
     del keys

@@ -282,6 +282,8 @@ def passive_compound_spec(
     law (covering sets are seen size-biased; the covered vertex itself
     does not count).  E[X] = 0 degenerates to zero jumps at rate 0.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     lam = (n / m) * dist.mean()
     return CompoundPoissonSpec(lam=lam, jump_pmf=size_biased(dist.as_pmf()))
 
@@ -297,6 +299,8 @@ def compound_poisson_pmf(
     With ``k_max=None`` the truncation is extended until the tail mass
     drops below ``TAIL_TOL``.
     """
+    if k_max is not None and k_max < 0:
+        raise ValueError("k_max must be >= 0")
     f = np.asarray(spec.jump_pmf.probs, dtype=float)
     lam = spec.lam
     if lam == 0.0 or f.size == 1:

@@ -396,10 +396,23 @@ class TestCommandLine:
         assert code == EXIT_USAGE
 
     def test_threshold_above_m_is_usage_error(self, capsys):
-        code = main(["theory", "degree-stats", "--m", "5", "--s", "7", "--sizes", "5,5"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (EXIT_USAGE, "")
-        assert captured.err.startswith("error: ")
+        """Out-of-domain parameters exit with an ``error:`` line, not a
+        traceback or a result."""
+        empty, pair = '{"kind": "degenerate", "x": 0}', '{"kind": "degenerate", "x": 2}'
+        cases = [
+            ["theory", "degree-stats", "--m", "5", "--s", "7", "--sizes", "5,5"],
+            ["theory", "passive-spec", "--n", "10", "--m", "0", "--size-dist", empty],
+            ["theory", "alpha-k-passive", "--n", "10", "--m", "0", "--k", "3", "--size-dist", empty],
+            ["oracle", "links-pmf", "--n", "10", "--m", "0", "--size-dist", empty],
+            ["theory", "compound-pmf", "--lam", "1", "--jump-probs", "0.5,0.5", "--k-max", "-1"],
+            ["theory", "degree-pmf", "--n", "0", "--m", "10", "--s", "1", "--size-dist", pair],
+            ["theory", "degree-pmf", "--n", "10", "--m", "10", "--s", "0", "--size-dist", pair],
+        ]
+        for argv in cases:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_USAGE, ""), argv
+            assert captured.err.startswith("error: "), (argv, captured.err)
 
 
 class TestRunSummary:

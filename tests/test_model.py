@@ -154,6 +154,13 @@ class TestMakeSizeDist:
             d.weights, np.array([1, 4, 6, 4, 1]) / 16.0, atol=1e-15
         )
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_binomial_past_float_coefficients(self, p):
+        """C(2000, 1000) exceeds a float: the terms go through log space."""
+        d = make_size_dist(BinomialSizes(2000, p), 2000)
+        assert abs(d.weights.sum() - 1.0) < 1e-12
+        assert d.as_pmf().mean() == pytest.approx(2000 * p, rel=1e-12, abs=1e-12)
+
     def test_table_renormalizes(self):
         d = make_size_dist(Table([2.0, 2.0]), 5)
         np.testing.assert_allclose(d.weights, [0.5, 0.5])

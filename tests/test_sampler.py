@@ -1,6 +1,7 @@
 """Random set sampling and graph construction."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from riglab.sampler import (
     RngStream,
     build_active,
     build_passive,
-    group_pair_indices,
     sample_incidence,
     sample_subset,
     write_edge_list,
 )
+
+from fanout import group_pair_indices
 
 
 def brute_force_active(inc, s):
@@ -508,11 +510,16 @@ class TestSubsetProjection:
         assert routes == {"subset_keys": subset_keys, "thresholds": [threshold]}
 
     @pytest.mark.parametrize("t", [1, 2, 3])
-    def test_subset_table_is_lexicographic(self, t):
-        for length in range(8):
-            want = np.array(list(itertools.combinations(range(length), t)), dtype=np.int64).reshape(-1, t)
-            got = sampler._subset_table(length, t)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    def test_subset_table_is_colex_prefix(self, t):
+        """One table serves every list length: its first C(l, t) columns
+        are exactly the t-subsets of range(l), each once and ascending."""
+        size = 8
+        table = sampler._subset_table(size, t)
+        assert table.dtype == np.int64 and table.shape == (t, math.comb(size, t))
+        for length in range(size + 1):
+            got = table[:, : math.comb(length, t)].T
+            assert np.all(np.diff(got, axis=1) > 0)
+            assert sorted(map(tuple, got.tolist())) == list(itertools.combinations(range(length), t))
 
     def test_key_overflow_takes_single_groups(self, routes):
         """Subset keys would pay off here, but 3-subsets of m = 10**6

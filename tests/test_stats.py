@@ -16,7 +16,6 @@ from riglab.sampler import (
     RngStream,
     build_active,
     build_passive,
-    group_pair_indices,
     sample_incidence,
 )
 from riglab.stats import (
@@ -27,6 +26,8 @@ from riglab.stats import (
     pooled_estimates,
     tv_distance,
 )
+
+from fanout import group_pair_indices
 
 
 def k3():
