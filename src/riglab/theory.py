@@ -213,6 +213,8 @@ def alpha_active(dist: SizeDistribution, m: int, s: int) -> float:
     For a fixed set size x this is 1 / C(x, s); it degrades to 0 as the
     second combinatorial moment blows up.
     """
+    if s < 1:
+        raise ValueError("s must be >= 1")
     mom = moments(dist, s)
     if mom.a2 <= 0.0:
         raise ValueError("clustering undefined: no vertex can hold a joint")
@@ -273,6 +275,13 @@ def alpha_k_active(dist: SizeDistribution, n: int, m: int, s: int, k: int) -> fl
     return curve[k]
 
 
+def _check_n_m(n: int, m: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+
+
 def passive_compound_spec(
     dist: SizeDistribution, n: int, m: int
 ) -> CompoundPoissonSpec:
@@ -282,8 +291,7 @@ def passive_compound_spec(
     law (covering sets are seen size-biased; the covered vertex itself
     does not count).  E[X] = 0 degenerates to zero jumps at rate 0.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_n_m(n, m)
     lam = (n / m) * dist.mean()
     return CompoundPoissonSpec(lam=lam, jump_pmf=size_biased(dist.as_pmf()))
 
@@ -333,6 +341,7 @@ def alpha_passive_finite(dist: SizeDistribution, n: int, m: int) -> float:
 
     with f_k the falling-factorial size moments.
     """
+    _check_n_m(n, m)
     mom = moments(dist, 1)
     if mom.f2 <= 0.0:
         raise ValueError("clustering undefined: E[(X)_2] = 0")
@@ -409,8 +418,8 @@ def poisson_approx_stats(sizes, m: int, s: int) -> PoissonApproxStats:
         raise ValueError("need at least 2 set sizes")
     if np.any(xs < 0) or np.any(xs > m):
         raise ValueError("sizes must lie in [0, m]")
-    if s > m:
-        raise ValueError("s must be <= m")
+    if not 1 <= s <= m:
+        raise ValueError("s must satisfy 1 <= s <= m")
     big_m = binomial(m, s)
     support, where = np.unique(xs, return_inverse=True)
     cs = np.array([binomial(int(x), s) for x in support])[where]  # C(x_k, s)
@@ -438,8 +447,7 @@ def passive_regime_classify(n: int, m: int, dist: SizeDistribution) -> RegimeRep
     on >= 2).  The 0.01 thresholds are a reporting convention for the
     asymptotic orders.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    _check_n_m(n, m)
     n_star = n * dist.prob_ge(2)
     if n / m < _REGIME_RATIO:
         return RegimeReport(

@@ -415,6 +415,29 @@ class TestCommandLine:
             assert captured.err.startswith("error: "), (argv, captured.err)
 
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["theory", "alpha", "--m", "10", "--s", "0"], "s"),
+            (["theory", "degree-stats", "--m", "10", "--s", "0", "--sizes", "2,2"], "s"),
+            (["theory", "alpha-passive", "--n", "-5", "--m", "10"], "n"),
+            (["theory", "passive-spec", "--n", "-5", "--m", "10"], "n"),
+            (["theory", "alpha-passive-limit", "--n", "0", "--m", "10"], "n"),
+            (["theory", "alpha-k-passive", "--n", "0", "--m", "10", "--k", "3"], "n"),
+            (["theory", "regime", "--n", "0", "--m", "10"], "n"),
+        ],
+    )
+    def test_out_of_domain_error_names_the_parameter(self, argv, name, capsys):
+        """s < 1 and n < 1 lie outside the model: exit 1 with an
+        ``error:`` line naming the parameter, never a result."""
+        if "--sizes" not in argv:
+            argv = [*argv, "--size-dist", '{"kind": "degenerate", "x": 2}']
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), argv
+        assert captured.err.startswith(f"error: {name} must"), (argv, captured.err)
+
+
 class TestRunSummary:
     @pytest.mark.parametrize("name", sorted(SUMMARY_GOLDEN))
     def test_summary_and_csvs_are_pinned(self, name, tmp_path):

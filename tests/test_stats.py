@@ -1,6 +1,7 @@
 """Empirical estimators, checked against dense-matrix triangle oracles."""
 
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -168,26 +169,55 @@ class TestLocalCounts:
         graph=small_graphs(),
         chunk=st.sampled_from([1, 2, 5, stats.WEDGE_CHUNK]),
         span=st.sampled_from([0, 1, 2, 5, None]),
+        probe=st.sampled_from([1, 2, 5, stats.PROBE_CHUNK]),
     )
-    @example(graph=(0, []), chunk=stats.WEDGE_CHUNK, span=None)
-    @example(graph=(6, []), chunk=stats.WEDGE_CHUNK, span=None)
+    @example(graph=(0, []), chunk=stats.WEDGE_CHUNK, span=None, probe=stats.PROBE_CHUNK)
+    @example(graph=(6, []), chunk=stats.WEDGE_CHUNK, span=None, probe=stats.PROBE_CHUNK)
     @example(  # isolated vertices
-        graph=(9, [(0, 1), (0, 2), (1, 2), (4, 5)]), chunk=1, span=None
+        graph=(9, [(0, 1), (0, 2), (1, 2), (4, 5)]), chunk=1, span=None, probe=1
     )
     @example(  # octahedron: every degree tied, eight triangles
         graph=(6, [p for p in complete_pairs(6) if p not in ((0, 1), (2, 3), (4, 5))]),
         chunk=1,
         span=None,
+        probe=2,
     )
-    @example(graph=(8, complete_pairs(8)), chunk=1, span=None)
-    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=None)
-    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=0)
-    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=3)
-    def test_matches_networkx_triangles(self, graph, chunk, span):
+    @example(graph=(8, complete_pairs(8)), chunk=1, span=None, probe=1)
+    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=None, probe=2)
+    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=0, probe=5)
+    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=3, probe=stats.PROBE_CHUNK)
+    @example(  # open wedge (0, 1) around 2: needle 1 below the first edge key 2
+        graph=(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6)]),
+        chunk=stats.WEDGE_CHUNK,
+        span=None,
+        probe=1,
+    )
+    @example(  # open wedge (5, 6) around 0: needle 41 past the last edge key 34
+        graph=(7, [(0, 5), (0, 6), (1, 5), (2, 5), (3, 6), (4, 6)]),
+        chunk=stats.WEDGE_CHUNK,
+        span=None,
+        probe=1,
+    )
+    @example(  # 4-cycle: needle 7 between edge keys 6 and 11, so its slice is empty
+        graph=(4, [(0, 1), (0, 3), (1, 2), (2, 3)]), chunk=stats.WEDGE_CHUNK, span=None, probe=1
+    )
+    @example(  # one chunk: needle 1 below the first edge key 2, needle 4
+        # closed by triangle (0, 3, 4), needle 181 past the last edge key 167
+        graph=(
+            14,
+            [(0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (3, 4)]
+            + [(7, 12), (8, 12), (9, 13), (10, 13), (11, 12), (11, 13)],
+        ),
+        chunk=stats.WEDGE_CHUNK,
+        span=None,
+        probe=stats.PROBE_CHUNK,
+    )
+    def test_matches_networkx_triangles(self, graph, chunk, span, probe):
         """Per-vertex n3 equals networkx's triangle count, with the
-        oriented wedges probed in blocks of any size.  ``span`` lowers
-        ``KEY_LIMIT`` so that a block holds at most that many centers
-        (0 leaves only the one-center floor); None keeps 2**63."""
+        oriented wedges probed in blocks of any size and ``probe`` at a
+        time.  ``span`` lowers ``KEY_LIMIT`` so that a block holds at most
+        that many centers (0 leaves only the one-center floor); None keeps
+        2**63."""
         n, pairs = graph
         g = graph_from_pairs(n, pairs)
         nxg = nx.Graph()
@@ -196,12 +226,33 @@ class TestLocalCounts:
         expected = nx.triangles(nxg)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stats, "WEDGE_CHUNK", chunk)
+            mp.setattr(stats, "PROBE_CHUNK", probe)
             if span is not None:
                 mp.setattr(stats, "KEY_LIMIT", span * n * n + 1)
             lc = local_counts(g)
         assert lc.n3.tolist() == [expected[v] for v in range(n)]
         assert lc.degree.tolist() == [nxg.degree(v) for v in range(n)]
         np.testing.assert_array_equal(lc.n2, lc.degree * (lc.degree - 1) // 2)
+
+    def test_memory_stays_within_one_block_and_the_edges(self):
+        """The tracemalloc peak of counting the example5 graph (replicate 0
+        at seed 0: 100k vertices, 600k edges, 1.8 M oriented wedges) stays
+        within two blocks of packed keys (a block and its parts while
+        subset_keys assembles it), twice the edge keys (their oriented
+        copy, with room to spare) and eight vertex-sized arrays.  One
+        wedge-sized array (14.4 MB here) would exceed it."""
+        cfg = preset_config("example5")
+        g = build_passive(sample_incidence(cfg.params(), RngStream(0, 0)), cfg.s)
+        g.degrees  # counted by the build, outside the traced call
+        assert (g.vertex_count, g.edge_count) == (100_000, 599_967)
+        bound = 24_388_080  # 8 B * (2 * 2**19 + 2 * 599_967 + 8 * 100_000)
+        tracemalloc.start()
+        try:
+            local_counts(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_packed_key_fits_int64_at_largest_vertex_count(self):
         """At the largest V whose a * V + b keys fit (V**2 < 2**63) the
@@ -266,6 +317,22 @@ class TestClusteringReport:
         rep = clustering_report(g, min_bucket=3)
         assert rep.per_degree == {}
         assert rep.bucket_counts == {2: 2, 3: 2}
+
+
+    def test_counts_through_the_module_global(self, monkeypatch):
+        """clustering_report looks local_counts up in the module at call
+        time, so a wrapper installed there (as a tracer does) sees it."""
+        seen = []
+        real = stats.local_counts
+
+        def spy(graph):
+            seen.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(stats, "local_counts", spy)
+        g = k4_minus_edge()
+        assert clustering_report(g, min_bucket=1).n3_sum == 6
+        assert seen == [g]
 
 
 class TestTvDistance:

@@ -614,6 +614,39 @@ class TestThresholdAboveM:
         assert scale_constants(self.DIST, 10, 5, 5).beta_active == pytest.approx(0.1)
 
 
+class TestOutOfDomain:
+    """A threshold below 1 or a set count below 1 lies outside the model;
+    each law rejects it with an error that names the parameter."""
+
+    DIST = make_size_dist(Degenerate(2), 10)
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_threshold_below_one(self, s):
+        with pytest.raises(ValueError, match="^s must"):
+            theory.alpha_active(self.DIST, 10, s)
+        with pytest.raises(ValueError, match="^s must"):
+            theory.poisson_approx_stats([2, 2], 10, s)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_set_count_below_one(self, n):
+        with pytest.raises(ValueError, match="^n must"):
+            theory.alpha_passive_finite(self.DIST, n, 10)
+        with pytest.raises(ValueError, match="^n must"):
+            theory.passive_compound_spec(self.DIST, n, 10)
+
+    def test_attribute_count_below_one(self):
+        with pytest.raises(ValueError, match="^m must"):
+            theory.alpha_passive_finite(self.DIST, 10, 0)
+        with pytest.raises(ValueError, match="^m must"):
+            theory.passive_compound_spec(self.DIST, 10, 0)
+
+    def test_smallest_valid_values_pass(self):
+        assert theory.alpha_active(self.DIST, 10, 1) == 0.5  # 1 / C(2, 1)
+        assert theory.poisson_approx_stats([2, 2], 10, 1).lambda_bar == pytest.approx(0.4)
+        assert theory.passive_compound_spec(self.DIST, 1, 10).lam == pytest.approx(0.2)
+        assert theory.alpha_passive_finite(self.DIST, 1, 10) > 0
+
+
 class TestRegimeClassify:
     def test_labels(self):
         d3 = make_size_dist(Degenerate(3), 10**6)
