@@ -20,8 +20,6 @@ from .model import (
     Table,
     TruncatedPowerLaw,
     binomial,
-    conditional_ge2,
-    derive_params,
     falling_factorial,
     log_binomial,
     make_size_dist,

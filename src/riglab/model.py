@@ -3,8 +3,8 @@
 Attribute-set sizes are described by a finitely supported pmf on
 ``{0..m}``.  Everything downstream (sampling, closed-form degree and
 clustering laws, exact oracles) consumes the small set of transforms
-defined here: combinatorial moments, size-biasing, conditioning on a
-minimum size, and the scaling constants that govern the sparse regime.
+defined here: combinatorial moments, size-biasing, and the scaling
+constants that govern the sparse regime.
 
 All binomial coefficients go through :func:`binomial` /
 :func:`log_binomial`, which take an exact integer fast path when that is
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -40,9 +40,7 @@ __all__ = [
     "make_size_dist",
     "moments",
     "scale_constants",
-    "derive_params",
     "size_biased",
-    "conditional_ge2",
 ]
 
 NORMALIZATION_TOL = 1e-12  # size distributions must sum to 1 this tightly
@@ -162,12 +160,6 @@ class DiscretePmf:
         ks = np.arange(self.probs.size, dtype=float)
         return float(np.dot(ks * ks, self.probs))
 
-    def factorial_moment(self, order: int) -> float:
-        """E[(K)_order] over the truncated part."""
-        ks = np.arange(self.probs.size)
-        vals = np.array([falling_factorial(int(k), order) for k in ks], dtype=float)
-        return float(np.dot(vals, self.probs))
-
     @staticmethod
     def point_mass(k: int) -> "DiscretePmf":
         if k < 0:
@@ -175,6 +167,15 @@ class DiscretePmf:
         probs = np.zeros(k + 1)
         probs[k] = 1.0
         return DiscretePmf(probs, 0.0)
+
+    @staticmethod
+    def truncated(probs: np.ndarray, tol: float | None = None) -> "DiscretePmf":
+        """``probs`` with the mass they miss of 1 as ``tail_mass``; with a
+        ``tol``, first drop their trailing run of mass below it
+        (:func:`trim_tail`)."""
+        if tol is not None:
+            probs = trim_tail(probs, tol)
+        return DiscretePmf(probs, max(0.0, 1.0 - float(probs.sum())))
 
 
 def trim_tail(probs: np.ndarray, tol: float) -> np.ndarray:
@@ -287,22 +288,15 @@ class ModelParams:
 class DerivedParams:
     """Scale constants of the sparse regime.
 
-    ``z_scale(x)`` = C(x, s) * sqrt(n / C(m, s)) is the rescaled joint
-    count of an actor with set size x; ``z`` holds it at each size of
-    ``support``, whose probabilities are ``weights``, and ``mu1`` is its
-    mean under the size distribution.  ``beta_active`` = C(m, s)/n and
-    ``beta_passive`` = m/n set the clustering magnitude of the two graph
-    kinds; ``beta_star`` = n/m is the reciprocal passive ratio and
-    ``n_star`` = n * P(X >= 2) counts the sets that can actually create
-    passive edges.
+    ``z`` holds the rescaled joint count C(x, s) * sqrt(n / C(m, s)) of
+    an actor at each set size x of ``support``, whose probabilities are
+    ``weights``, and ``mu1`` is its mean under the size distribution.
+    ``beta_active`` = C(m, s)/n sets the clustering magnitude of the
+    actor graph.
     """
 
-    z_scale: Callable[[int], float]
     mu1: float
     beta_active: float
-    beta_passive: float
-    beta_star: float
-    n_star: float
     support: np.ndarray
     weights: np.ndarray
     z: np.ndarray
@@ -312,12 +306,11 @@ class DerivedParams:
 class Moments:
     """Combinatorial moments of a size distribution at threshold s.
 
-    a_k = E[C(X, s)^k] for k = 1, 2 and f_k = E[(X)_k] for k = 1, 2, 3.
+    a_k = E[C(X, s)^k] for k = 1, 2 and f_k = E[(X)_k] for k = 2, 3.
     """
 
     a1: float
     a2: float
-    f1: float
     f2: float
     f3: float
 
@@ -416,7 +409,7 @@ def make_size_dist(spec: SizeSpec, m: int) -> SizeDistribution:
 
 
 def moments(dist: SizeDistribution, s: int) -> Moments:
-    """Combinatorial moments a_1, a_2 and factorial moments f_1..f_3.
+    """Combinatorial moments a_1, a_2 and factorial moments f_2, f_3.
 
     a_k = sum_x P(x) C(x, s)^k, f_k = sum_x P(x) (x)_k.  A distribution
     degenerate at 0 yields all-zero moments.
@@ -431,9 +424,9 @@ def moments(dist: SizeDistribution, s: int) -> Moments:
     a2 = float(np.dot(w, cs * cs))
     fs = [
         float(np.dot(w, np.array([falling_factorial(x, k) for x in sizes], dtype=float)))
-        for k in (1, 2, 3)
+        for k in (2, 3)
     ]
-    return Moments(a1=a1, a2=a2, f1=fs[0], f2=fs[1], f3=fs[2])
+    return Moments(a1=a1, a2=a2, f2=fs[0], f3=fs[1])
 
 
 def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedParams:
@@ -450,35 +443,14 @@ def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedPa
         raise ValueError("s must satisfy 1 <= s <= m")
     log_m_choose_s = log_binomial(m, s)
     half_log = 0.5 * (math.log(n) - log_m_choose_s)
-
-    def z_scale(x: int) -> float:
-        lb = log_binomial(int(x), s)
-        if lb == -math.inf:
-            return 0.0
-        return math.exp(lb + half_log)
-
     xs = dist.support
     w = dist.weights[xs]
-    z = np.array([z_scale(x) for x in xs.tolist()])
+    logs = [log_binomial(x, s) for x in xs.tolist()]
+    z = np.array([0.0 if lb == -math.inf else math.exp(lb + half_log) for lb in logs])
     beta_active = binomial(m, s) / n
     if not math.isfinite(beta_active):
         beta_active = math.exp(log_m_choose_s - math.log(n))
-    return DerivedParams(
-        z_scale=z_scale,
-        mu1=float(np.dot(w, z)),
-        beta_active=beta_active,
-        beta_passive=m / n,
-        beta_star=n / m,
-        n_star=n * dist.prob_ge(2),
-        support=xs,
-        weights=w,
-        z=z,
-    )
-
-
-def derive_params(params: ModelParams) -> DerivedParams:
-    """Scale constants for ``params``; see :class:`DerivedParams`."""
-    return scale_constants(params.size_dist, params.n, params.m, params.s)
+    return DerivedParams(mu1=float(np.dot(w, z)), beta_active=beta_active, support=xs, weights=w, z=z)
 
 
 def size_biased(q: DiscretePmf) -> DiscretePmf:
@@ -494,15 +466,4 @@ def size_biased(q: DiscretePmf) -> DiscretePmf:
     new = js * q.probs[1:] / mean
     if new.size == 0:
         new = np.array([1.0])
-    tail = max(0.0, 1.0 - float(new.sum()))
-    return DiscretePmf(new, tail)
-
-
-def conditional_ge2(dist: SizeDistribution) -> SizeDistribution:
-    """Restriction of a size distribution to sizes >= 2, renormalized."""
-    mass = dist.prob_ge(2)
-    if mass <= 0.0:
-        raise ValueError("no mass at or above 2")
-    w = np.array(dist.weights)
-    w[: min(2, w.size)] = 0.0
-    return SizeDistribution(dist.support_max, w / w.sum())
+    return DiscretePmf.truncated(new)

@@ -80,6 +80,11 @@ class DenseOverlapDiagnostics:
     tail_within_10pct: bool
 
 
+def _check_set_sizes(m: int, d1: int, d2: int) -> None:
+    if not (0 <= d1 <= m and 0 <= d2 <= m):
+        raise ValueError("d1 and d2 must lie in [0, m]")
+
+
 def intersection_pmf(m: int, d1: int, d2: int) -> DiscretePmf:
     """Exact law of |D1 n D2| for independent uniform d1- and d2-subsets.
 
@@ -87,8 +92,7 @@ def intersection_pmf(m: int, d1: int, d2: int) -> DiscretePmf:
     max(0, d1 + d2 - m) <= r <= min(d1, d2).  Evaluated in log space and
     renormalized, so it sums to 1 at machine precision for any m.
     """
-    if not (0 <= d1 <= m and 0 <= d2 <= m):
-        raise ValueError("need 0 <= d1, d2 <= m")
+    _check_set_sizes(m, d1, d2)
     r_hi = min(d1, d2)
     r_lo = max(0, d1 + d2 - m)
     rs = np.arange(r_lo, r_hi + 1)
@@ -121,6 +125,7 @@ def intersection_tail_bounds(m: int, d1: int, d2: int, s: int) -> BoundsPair:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    _check_set_sizes(m, d1, d2)
     lo, hi = min(d1, d2), max(d1, d2)
     if s > lo:
         return BoundsPair(0.0, 0.0)
@@ -167,6 +172,8 @@ def exact_active_degree_pmf(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 1 <= s <= m:
+        raise ValueError("s must satisfy 1 <= s <= m")
     xs = dist.support
     qbars = {}
     for x1 in xs:
@@ -184,8 +191,7 @@ def exact_active_degree_pmf(
     probs = np.zeros(k_cap + 1)
     for x1 in xs:
         probs += dist.prob(int(x1)) * _binomial_pmf(trials, qbars[int(x1)], k_cap)
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    return DiscretePmf(probs, tail)
+    return DiscretePmf.truncated(probs)
 
 
 def exact_passive_links_pmf(
@@ -201,6 +207,8 @@ def exact_passive_links_pmf(
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
+    if k_max is not None and k_max < 0:
+        raise ValueError("k_max must be >= 0")
     xs = dist.support
     vmax = max((int(x) - 1 for x in xs), default=0)
     base = np.zeros(max(vmax, 0) + 1)
@@ -222,11 +230,8 @@ def exact_passive_links_pmf(
         if e:
             power = trim_tail(np.convolve(power, power), step_tol)
     if k_max is not None:
-        result = result[: k_max + 1]
-    else:
-        result = trim_tail(result, CONV_TAIL_TOL)
-    tail = max(0.0, 1.0 - float(result.sum()))
-    return DiscretePmf(result, tail)
+        return DiscretePmf.truncated(result[: k_max + 1])
+    return DiscretePmf.truncated(result, CONV_TAIL_TOL)
 
 
 def lecam_bound(probs) -> float:
@@ -234,8 +239,8 @@ def lecam_bound(probs) -> float:
     indicators with success probabilities p_i and the Poisson law with the
     same mean."""
     arr = np.asarray(list(probs), dtype=float)
-    if arr.size and (np.any(arr < 0) or np.any(arr > 1)):
-        raise ValueError("probabilities must lie in [0, 1]")
+    if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails both
+        raise ValueError("probs must be finite and lie in [0, 1]")
     return float(2.0 * np.dot(arr, arr))
 
 
@@ -294,17 +299,17 @@ def dense_overlap_diagnostics(m: int, epsilon: float) -> DenseOverlapDiagnostics
     """
     if m <= 0 or m % 2 != 0:
         raise ValueError("m must be positive and even")
+    if not 0 < epsilon < 0.5:
+        raise ValueError("epsilon must lie in (0, 0.5)")
     s = m // 2
     x_float = (epsilon + 0.5) * m
     x = round(x_float)
     if abs(x_float - x) > 1e-9:
         raise ValueError(f"x = (epsilon + 0.5) m = {x_float} is not integral")
-    if x > m:
-        raise ValueError(f"x = {x} exceeds m = {m}")
     p_star = math.exp(2.0 * log_binomial(x, s) - log_binomial(m, s))
     num = falling_factorial(m - x, x - s)
     den = falling_factorial(m - s, x - s)
-    ratio_prime = num / den if den else math.nan
+    ratio_prime = num / den
     bound = (1.0 - 2.0 * epsilon) ** (epsilon * m)
     p_prime = intersection_pmf(m, x, x).prob(s)
     p_tail = intersection_tail(m, x, x, s)

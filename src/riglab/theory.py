@@ -41,7 +41,6 @@ from .model import (
     moments,
     scale_constants,
     size_biased,
-    trim_tail,
 )
 
 __all__ = [
@@ -154,6 +153,8 @@ def mixed_poisson_degree_pmf(
     With ``k_max=None`` the truncation point is extended until the
     recorded tail mass drops below ``TAIL_TOL``.
     """
+    if k_max is not None and k_max < 0:
+        raise ValueError("k_max must be >= 0")
     return _mixed_poisson_pmf(scale_constants(dist, n, m, s), k_max)
 
 
@@ -187,11 +188,7 @@ def _mixed_poisson_pmf(scale: DerivedParams, k_max: int | None) -> DiscretePmf:
             block[zero] = 0.0
             block[zero, 0] = scale.weights[lo:hi][zero]
         buf[0] = np.add.reduce(buf[: 1 + hi - lo], axis=0)
-    probs = buf[0, : cap + 1].copy()
-    if k_max is None:
-        probs = trim_tail(probs, TAIL_TOL)
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    return DiscretePmf(probs, tail)
+    return DiscretePmf.truncated(buf[0, : cap + 1], TAIL_TOL if k_max is None else None)
 
 
 def asymptotic_degree_moments(
@@ -328,10 +325,7 @@ def compound_poisson_pmf(
         # sum_{j=1..jmax} j f_j g_{k-j}
         acc = float(np.dot(jf[1 : jmax + 1], g[k - 1 :: -1][:jmax]))
         g[k] = (lam / k) * acc
-    if k_max is None:
-        g = trim_tail(g, TAIL_TOL)
-    tail = max(0.0, 1.0 - float(g.sum()))
-    return DiscretePmf(g, tail)
+    return DiscretePmf.truncated(g, TAIL_TOL if k_max is None else None)
 
 
 def alpha_passive_finite(dist: SizeDistribution, n: int, m: int) -> float:

@@ -209,9 +209,10 @@ def test_a06_supplement_matches_conditional_law(power_law_pool):
     degree-conditional clustering law pointwise (within 25%), confirming
     the simulation is sound and A6's bands are the defect."""
     pooled, dist, replicates, _ = power_law_pool
+    curve = theory.alpha_k_active_curve(dist, 200_000, 200_000, 1, 15)
     worst = 0.0
     for k in range(4, 16):
-        th = theory.alpha_k_active(dist, 200_000, 200_000, 1, k)
+        th = curve[k]
         emp = pooled.per_degree[k]
         worst = max(worst, abs(emp - th) / th)
     ok = worst <= 0.25

@@ -43,6 +43,9 @@ SUMMARY_GOLDEN = json.loads(
 )
 
 
+PAIR = '{"kind": "degenerate", "x": 2}'
+
+
 def small_scenario(**overrides):
     doc = {
         "scenario": {
@@ -200,19 +203,23 @@ class TestRunScenario:
         assert body["passes"]["degree"] in (True, False)
 
     def test_config_seed_and_env_fallback(self, monkeypatch):
-        cfg = parse_scenario(small_scenario())
-        with_config_seed = run_scenario(cfg, jobs=1)
-        assert with_config_seed.body["scenario"]["seed"] == 5
-
-        doc = small_scenario()
+        """The seed is the flag, else the config's ``seed``, else
+        ``RIGLAB_SEED``, else 0; the variable is read only when needed."""
+        with_seed = parse_scenario(small_scenario(outputs=["theorem1_stats"]))
+        doc = small_scenario(outputs=["theorem1_stats"])
         del doc["scenario"]["seed"]
-        cfg2 = parse_scenario(doc)
-        monkeypatch.setenv("RIGLAB_SEED", "31")
-        rep = run_scenario(cfg2, jobs=1)
-        assert rep.body["scenario"]["seed"] == 31
+        without = parse_scenario(doc)
+        for flag, cfg, env, want in [
+            (7, with_seed, "31", 7),
+            (None, with_seed, "31", 5),
+            (None, without, "31", 31),
+            (7, without, "not-a-seed", 7),
+            (None, with_seed, "not-a-seed", 5),
+        ]:
+            monkeypatch.setenv("RIGLAB_SEED", env)
+            assert run_scenario(cfg, seed=flag, jobs=1).body["scenario"]["seed"] == want
         monkeypatch.delenv("RIGLAB_SEED")
-        rep = run_scenario(cfg2, jobs=1)
-        assert rep.body["scenario"]["seed"] == 0
+        assert run_scenario(without, jobs=1).body["scenario"]["seed"] == 0
 
     def test_passive_s2_has_no_theory(self):
         doc = small_scenario()
@@ -263,6 +270,20 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "scenario.surprise" in err
+
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_non_integer_env_seed_is_config_error(self, command, tmp_path, capsys, monkeypatch):
+        doc = small_scenario(outputs=["theorem1_stats"])
+        del doc["scenario"]["seed"]
+        argv = [command, "--config", self.write_config(tmp_path, doc)]
+        if command == "gen":
+            argv += ["--emit-graph", str(tmp_path / "graph.txt")]
+        monkeypatch.setenv("RIGLAB_SEED", "1.5")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("config error: RIGLAB_SEED: not an integer"), captured.err
+        assert not (tmp_path / "graph.txt").exists()
 
     def test_run_preset(self, tmp_path, capsys):
         code = main(
@@ -425,17 +446,41 @@ class TestCommandLine:
             (["theory", "alpha-passive-limit", "--n", "0", "--m", "10"], "n"),
             (["theory", "alpha-k-passive", "--n", "0", "--m", "10", "--k", "3"], "n"),
             (["theory", "regime", "--n", "0", "--m", "10"], "n"),
+            (["theory", "degree-pmf", "--n", "10", "--m", "10", "--s", "1", "--k-max", "-3"], "k_max"),
         ],
     )
     def test_out_of_domain_error_names_the_parameter(self, argv, name, capsys):
-        """s < 1 and n < 1 lie outside the model: exit 1 with an
-        ``error:`` line naming the parameter, never a result."""
+        """s < 1, n < 1 and k_max < 0 lie outside the model: exit 1 with
+        an ``error:`` line naming the parameter, never a result."""
         if "--sizes" not in argv:
-            argv = [*argv, "--size-dist", '{"kind": "degenerate", "x": 2}']
+            argv = [*argv, "--size-dist", PAIR]
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (EXIT_USAGE, ""), argv
         assert captured.err.startswith(f"error: {name} must"), (argv, captured.err)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["tail-bounds", "--m", "2", "--d1", "3", "--d2", "3", "--s", "1"], "d1"),
+            (["tail-bounds", "--m", "5", "--d1", "2", "--d2", "6", "--s", "1"], "d1"),
+            (["exact-degree-pmf", "--n", "4", "--m", "10", "--s", "0", "--size-dist", PAIR], "s"),
+            (["exact-degree-pmf", "--n", "4", "--m", "10", "--s", "11", "--size-dist", PAIR], "s"),
+            (["links-pmf", "--n", "4", "--m", "10", "--k-max", "-2", "--size-dist", PAIR], "k_max"),
+            (["lecam", "--probs", "0.5,nan"], "probs"),
+            (["lecam", "--probs", "0.5,inf"], "probs"),
+            (["dense-overlap", "--m", "40", "--epsilon", "0.5"], "epsilon"),
+            (["dense-overlap", "--m", "40", "--epsilon", "-0.25"], "epsilon"),
+        ],
+    )
+    def test_oracle_out_of_domain_error_names_the_parameter(self, argv, name, capsys):
+        """Oracle parameters outside their domain exit 1 with an
+        ``error:`` line naming the parameter, never a traceback or a
+        result (a NaN would not even be valid JSON)."""
+        code = main(["oracle", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), argv
+        assert captured.err.startswith(f"error: {name} "), (argv, captured.err)
 
 
 class TestRunSummary:

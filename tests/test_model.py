@@ -13,16 +13,15 @@ from riglab.model import (
     Table,
     TruncatedPowerLaw,
     binomial,
-    conditional_ge2,
-    derive_params,
     falling_factorial,
     log_binomial,
     make_size_dist,
     moments,
+    scale_constants,
     size_biased,
     trim_tail,
 )
-from riglab.theory import passive_compound_spec
+from riglab.theory import passive_compound_spec, passive_regime_classify
 
 
 def generator_log_binomial(n, k):
@@ -126,7 +125,6 @@ class TestDiscretePmf:
         p = DiscretePmf(np.array([0.25, 0.5, 0.25]))
         assert p.mean() == 1.0
         assert p.second_moment() == pytest.approx(1.5)
-        assert p.factorial_moment(2) == pytest.approx(0.5)
 
     def test_trim_tail_drops_light_trailing_run(self):
         probs = np.array([0.5, 0.3, 0.2 - 2e-9, 1e-9, 1e-9, 0.0])
@@ -134,6 +132,14 @@ class TestDiscretePmf:
         assert trim_tail(probs, 1e-9).tolist() == probs[:5].tolist()
         # a run of total mass below tol from the start keeps one entry
         assert trim_tail(np.array([1e-12, 1e-12]), 1e-10).tolist() == [1e-12]
+
+    def test_truncated_records_the_missing_mass(self):
+        p = DiscretePmf.truncated(np.array([0.5, 0.3, 0.2 - 2e-9, 1e-9]))
+        assert p.k_max == 3 and p.tail_mass == pytest.approx(1e-9, abs=1e-15)
+        trimmed = DiscretePmf.truncated(np.array([0.5, 0.3, 0.2 - 2e-9, 1e-9, 1e-9]), tol=1e-8)
+        assert trimmed.k_max == 2 and trimmed.tail_mass == pytest.approx(2e-9, abs=1e-15)
+        # rounding past 1 records no negative tail
+        assert DiscretePmf.truncated(np.array([0.5, 0.5 + 1e-13])).tail_mass == 0.0
 
 
 class TestMakeSizeDist:
@@ -201,11 +207,11 @@ class TestMoments:
     def test_point_mass_five(self):
         mom = moments(make_size_dist(Degenerate(5), 10), 2)
         assert (mom.a1, mom.a2) == (10.0, 100.0)
-        assert (mom.f1, mom.f2, mom.f3) == (5.0, 20.0, 60.0)
+        assert (mom.f2, mom.f3) == (20.0, 60.0)
 
     def test_empty_sets(self):
         mom = moments(make_size_dist(Degenerate(0), 10), 1)
-        assert mom.a1 == mom.a2 == mom.f1 == mom.f2 == mom.f3 == 0.0
+        assert mom.a1 == mom.a2 == mom.f2 == mom.f3 == 0.0
 
     def test_two_point_weighted_sum(self):
         mom = moments(make_size_dist(Table([0, 0, 0.5, 0, 0.5]), 10), 1)
@@ -226,45 +232,41 @@ class TestMoments:
 class TestDeriveParams:
     def test_uniform_two(self):
         d = make_size_dist(Degenerate(2), 10_000)
-        dp = derive_params(ModelParams(n=10_000, m=10_000, s=1, size_dist=d))
-        assert dp.z_scale(2) == pytest.approx(2.0, rel=1e-12)
+        dp = scale_constants(d, 10_000, 10_000, 1)
+        assert dp.support.tolist() == [2]
+        assert dp.z[0] == pytest.approx(2.0, rel=1e-12)
         assert dp.mu1 == pytest.approx(2.0, rel=1e-12)
         assert dp.beta_active == pytest.approx(1.0, rel=1e-12)
 
     def test_empty_sets_zero_mean(self):
         d = make_size_dist(Degenerate(0), 10)
-        dp = derive_params(ModelParams(n=100, m=10, s=1, size_dist=d))
+        dp = scale_constants(d, 100, 10, 1)
         assert dp.mu1 == 0.0
 
     def test_beta_exact_ratio(self):
         d = make_size_dist(Degenerate(5), 100)
-        dp = derive_params(ModelParams(n=101, m=100, s=2, size_dist=d))
+        dp = scale_constants(d, 101, 100, 2)
         assert dp.beta_active == pytest.approx(4950 / 101, rel=1e-12)
-
-    def test_beta_star_reciprocal(self):
-        d = make_size_dist(Degenerate(3), 50)
-        dp = derive_params(ModelParams(n=320, m=50, s=1, size_dist=d))
-        assert dp.beta_star * dp.beta_passive == pytest.approx(1.0, abs=1e-12)
-        assert dp.n_star == 320.0
 
     def test_n_star_counts_ge2(self):
         d = make_size_dist(Table([0.25, 0.25, 0.5]), 10)
-        dp = derive_params(ModelParams(n=1000, m=10, s=1, size_dist=d))
-        assert dp.n_star == pytest.approx(500.0)
+        assert passive_regime_classify(1000, 10, d).n_star == pytest.approx(500.0)
 
     def test_z_scale_nondecreasing(self):
-        d = make_size_dist(Degenerate(4), 30)
-        dp = derive_params(ModelParams(n=500, m=30, s=2, size_dist=d))
-        zs = [dp.z_scale(x) for x in range(31)]
-        assert all(b >= a for a, b in zip(zs, zs[1:]))
+        d = make_size_dist(Table([1.0] * 31), 30)
+        dp = scale_constants(d, 500, 30, 2)
+        assert dp.support.tolist() == list(range(31))
+        assert dp.z[:2].tolist() == [0.0, 0.0]  # C(x, 2) = 0 below x = 2
+        assert all(b >= a for a, b in zip(dp.z, dp.z[1:]))
 
     def test_mu1_two_evaluation_orders(self):
-        """Pushforward mean and the direct weighted sum must agree."""
+        """The pushforward mean of exact z(x) = C(x, s) sqrt(n / C(m, s))
+        over every size and the weighted sum over the support agree."""
         rng = np.random.default_rng(3)
         for _ in range(20):
             d = random_table_dist(rng, m=40)
-            dp = derive_params(ModelParams(n=777, m=40, s=2, size_dist=d))
-            zs = np.array([dp.z_scale(int(x)) for x in range(d.weights.size)])
+            dp = scale_constants(d, 777, 40, 2)
+            zs = np.array([math.comb(x, 2) * math.sqrt(777 / math.comb(40, 2)) for x in range(d.weights.size)])
             pushforward = float(np.dot(d.weights, zs))
             assert abs(pushforward - dp.mu1) <= 1e-12 * max(1.0, abs(dp.mu1))
 
@@ -293,29 +295,9 @@ class TestSizeBiased:
                 continue
             out = size_biased(q)
             assert abs(float(out.probs.sum()) + out.tail_mass - 1.0) <= 1e-12
-            expected = q.factorial_moment(2) / q.mean()
+            ks = np.arange(q.probs.size)
+            expected = float(np.dot(ks * (ks - 1), q.probs)) / q.mean()
             assert out.mean() == pytest.approx(expected, abs=1e-12)
-
-
-class TestConditionalGe2:
-    def test_examples(self):
-        d = make_size_dist(Table([0.2, 0.3, 0.5]), 10)
-        out = conditional_ge2(d)
-        assert out.prob(2) == pytest.approx(1.0)
-
-        d4 = make_size_dist(Degenerate(4), 10)
-        np.testing.assert_allclose(conditional_ge2(d4).weights, d4.weights)
-
-        quarter = make_size_dist(Table([0, 0.25, 0.25, 0.25, 0.25]), 10)
-        out = conditional_ge2(quarter)
-        np.testing.assert_allclose(
-            [out.prob(k) for k in (2, 3, 4)], [1 / 3, 1 / 3, 1 / 3], atol=1e-15
-        )
-
-    def test_no_mass_is_error(self):
-        d = make_size_dist(Table([0.5, 0.5]), 10)
-        with pytest.raises(ValueError, match="no mass at or above 2"):
-            conditional_ge2(d)
 
 
 class TestValueEquality:
