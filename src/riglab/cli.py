@@ -686,6 +686,16 @@ def _passive_spec_json(a: argparse.Namespace) -> dict:
     return {"lam": spec.lam, "jump": _pmf_json(spec.jump_pmf)}
 
 
+def _alpha_k_at(curve, k: int) -> float:
+    """alpha[k] read off ``curve(k)``, an alpha[k] curve built up to k."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    values = curve(k)
+    if k not in values:
+        raise ValueError(f"degree {k} has zero asymptotic mass")
+    return values[k]
+
+
 def _compound_pmf(a: argparse.Namespace) -> dict:
     probs = [float(p) for p in a.jump_probs.split(",")]
     spec = theory.CompoundPoissonSpec(a.lam, DiscretePmf(np.array(probs)))
@@ -725,7 +735,7 @@ THEORY_COMMANDS = {
     ),
     "alpha-k": (
         _ints("--n", "--m", "--s", "--k") + (_SIZE_DIST,),
-        lambda a: {"alpha_k": theory.alpha_k_active(a.dist, a.n, a.m, a.s, a.k)},
+        lambda a: {"alpha_k": _alpha_k_at(partial(theory.alpha_k_active_curve, a.dist, a.n, a.m, a.s), a.k)},
     ),
     "passive-spec": (
         _ints("--n", "--m") + (_SIZE_DIST,),
@@ -745,7 +755,7 @@ THEORY_COMMANDS = {
     ),
     "alpha-k-passive": (
         _ints("--n", "--m", "--k") + (_SIZE_DIST,),
-        lambda a: {"alpha_star_k": theory.alpha_k_passive(_passive_spec(a), a.k)},
+        lambda a: {"alpha_star_k": _alpha_k_at(partial(theory.alpha_k_passive_curve, _passive_spec(a)), a.k)},
     ),
     "regime": (
         _ints("--n", "--m") + (_SIZE_DIST,),

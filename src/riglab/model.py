@@ -1,10 +1,12 @@
 """Core distribution types for the intersection-graph laboratory.
 
-Attribute-set sizes are described by a finitely supported pmf on
-``{0..m}``.  Everything downstream (sampling, closed-form degree and
-clustering laws, exact oracles) consumes the small set of transforms
-defined here: combinatorial moments, size-biasing, and the scaling
-constants that govern the sparse regime.
+Attribute-set sizes follow a size law: a :class:`DiscretePmf` with no
+tail mass (``SizeDistribution`` names it in annotations).  The law does
+not store m; :class:`ModelParams` checks its largest size against m.
+Everything downstream (sampling, closed-form degree and clustering laws,
+exact oracles) consumes the small set of transforms defined here:
+combinatorial moments, size-biasing, and the scaling constants that
+govern the sparse regime.
 
 All binomial coefficients go through :func:`binomial` /
 :func:`log_binomial`, which take an exact integer fast path when that is
@@ -21,7 +23,6 @@ from typing import Sequence, Union
 import numpy as np
 
 __all__ = [
-    "NORMALIZATION_TOL",
     "PMF_TOL",
     "log_binomial",
     "binomial",
@@ -43,7 +44,6 @@ __all__ = [
     "size_biased",
 ]
 
-NORMALIZATION_TOL = 1e-12  # size distributions must sum to 1 this tightly
 PMF_TOL = 1e-10  # truncated pmfs: probs + tail_mass == 1 within this
 
 # Exact big-int evaluation is cheap only while min(k, n-k) stays small;
@@ -126,15 +126,16 @@ class DiscretePmf:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-d array")
-        if np.any(probs < -1e-12):
-            raise ValueError("probs must be nonnegative")
+        # each check is written so that NaN fails it
+        if not np.all(probs >= -1e-12):
+            raise ValueError("probs must be nonnegative numbers")
         probs = np.clip(probs, 0.0, None)
-        if self.tail_mass < -1e-12:
-            raise ValueError("tail_mass must be nonnegative")
+        if not self.tail_mass >= -1e-12:
+            raise ValueError("tail_mass must be a nonnegative number")
         tail = max(float(self.tail_mass), 0.0)
         total = float(probs.sum()) + tail
-        if abs(total - 1.0) > PMF_TOL:
-            raise ValueError(f"pmf mass {total!r} differs from 1 beyond {PMF_TOL}")
+        if not abs(total - 1.0) <= PMF_TOL:
+            raise ValueError(f"probs and tail_mass sum to {total!r}, not 1 within {PMF_TOL}")
         object.__setattr__(self, "probs", _freeze(probs))
         object.__setattr__(self, "tail_mass", tail)
 
@@ -147,10 +148,21 @@ class DiscretePmf:
     def k_max(self) -> int:
         return self.probs.size - 1
 
+    @property
+    def support(self) -> np.ndarray:
+        """Values carrying positive mass, ascending."""
+        return np.flatnonzero(self.probs > 0.0)
+
     def prob(self, k: int) -> float:
         if 0 <= k <= self.k_max:
             return float(self.probs[k])
         return 0.0
+
+    def prob_ge(self, k: int) -> float:
+        """P(X >= k); past k = 0 only the truncated part counts."""
+        if k <= 0:
+            return 1.0
+        return float(self.probs[k:].sum())
 
     def mean(self) -> float:
         """Mean of the truncated part (the tail contributes nothing)."""
@@ -186,68 +198,7 @@ def trim_tail(probs: np.ndarray, tol: float) -> np.ndarray:
     return probs[: (int(keep[-1]) + 1) if keep.size else 1]
 
 
-@dataclass(frozen=True, eq=False)
-class SizeDistribution:
-    """Pmf of attribute-set sizes on {0..support_max}.
-
-    ``weights[x]`` is the probability of size x.  The stored array may be
-    shorter than ``support_max + 1``: indices past the end carry zero
-    mass (so a point mass at 5 with support_max = 1e9 stays tiny).
-    """
-
-    support_max: int
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.support_max < 0:
-            raise ValueError("support_max must be >= 0")
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-d array")
-        if w.size > self.support_max + 1:
-            raise ValueError(
-                f"support exceeds m: weights define sizes up to {w.size - 1} "
-                f"but support_max is {self.support_max}"
-            )
-        if np.any(w < -1e-15):
-            raise ValueError("weights must be nonnegative")
-        w = np.clip(w, 0.0, None)
-        total = float(w.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"weights sum to {total!r}, not 1 within {NORMALIZATION_TOL}"
-            )
-        object.__setattr__(self, "weights", _freeze(w))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SizeDistribution):
-            return NotImplemented
-        return self.support_max == other.support_max and np.array_equal(
-            self.weights, other.weights
-        )
-
-    @property
-    def support(self) -> np.ndarray:
-        """Sizes carrying positive mass, ascending."""
-        return np.flatnonzero(self.weights > 0.0)
-
-    def prob(self, x: int) -> float:
-        if 0 <= x < self.weights.size:
-            return float(self.weights[x])
-        return 0.0
-
-    def prob_ge(self, x: int) -> float:
-        if x <= 0:
-            return 1.0
-        if x >= self.weights.size:
-            return 0.0
-        return float(self.weights[x:].sum())
-
-    def mean(self) -> float:
-        return float(np.dot(np.arange(self.weights.size), self.weights))
-
-    def as_pmf(self) -> DiscretePmf:
-        return DiscretePmf(np.array(self.weights), 0.0)
+SizeDistribution = DiscretePmf  # a size law: a pmf on {0..m} with no tail mass
 
 
 _KINDS = ("active", "passive")
@@ -276,10 +227,10 @@ class ModelParams:
             raise ValueError("m must be >= 1")
         if not 1 <= self.s <= self.m:
             raise ValueError("s must satisfy 1 <= s <= m")
-        if self.size_dist.support_max != self.m:
-            raise ValueError(
-                f"size_dist.support_max={self.size_dist.support_max} must equal m={self.m}"
-            )
+        if self.size_dist.k_max > self.m:
+            raise ValueError(f"size_dist has sizes up to {self.size_dist.k_max}, above m={self.m}")
+        if self.size_dist.tail_mass != 0.0:
+            raise ValueError("size_dist must have no tail mass")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
 
@@ -361,7 +312,8 @@ def _binomial_term(t: int, k: int, p: float) -> float:
 
 
 def make_size_dist(spec: SizeSpec, m: int) -> SizeDistribution:
-    """Build a validated :class:`SizeDistribution` on {0..m} from a spec.
+    """Build the size law on {0..m} of a spec: a :class:`DiscretePmf`
+    with no tail mass.
 
     Raises ``ValueError`` when the requested support exceeds m or the
     parameters cannot be normalized into a distribution.
@@ -373,7 +325,7 @@ def make_size_dist(spec: SizeSpec, m: int) -> SizeDistribution:
             raise ValueError(f"degenerate size {spec.x} outside [0, {m}]")
         w = np.zeros(spec.x + 1)
         w[spec.x] = 1.0
-        return SizeDistribution(m, w)
+        return DiscretePmf(w)
     if isinstance(spec, Table):
         w = np.asarray(list(spec.weights), dtype=float)
         if w.size == 0 or np.any(w < 0) or not np.all(np.isfinite(w)):
@@ -381,10 +333,13 @@ def make_size_dist(spec: SizeSpec, m: int) -> SizeDistribution:
         if w.size > m + 1 and np.any(w[m + 1 :] > 0):
             raise ValueError(f"table support exceeds m={m}")
         w = w[: m + 1]
-        total = w.sum()
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if not math.isfinite(total):
+            raise ValueError("table weights sum past the largest float; not normalizable")
         if total <= 0:
             raise ValueError("table weights sum to zero; not normalizable")
-        return SizeDistribution(m, w / total)
+        return DiscretePmf(w / total)
     if isinstance(spec, TruncatedPowerLaw):
         if spec.gamma <= 1:
             raise ValueError("power-law exponent gamma must exceed 1")
@@ -396,7 +351,7 @@ def make_size_dist(spec: SizeSpec, m: int) -> SizeDistribution:
         raw = xs ** (-spec.gamma)
         w = np.zeros(spec.x_max + 1)
         w[spec.x_min :] = raw / raw.sum()
-        return SizeDistribution(m, w)
+        return DiscretePmf(w)
     if isinstance(spec, BinomialSizes):
         if not 0.0 <= spec.p <= 1.0:
             raise ValueError("binomial p must lie in [0, 1]")
@@ -404,7 +359,7 @@ def make_size_dist(spec: SizeSpec, m: int) -> SizeDistribution:
             raise ValueError(f"binomial trials {spec.trials} outside [0, {m}]")
         t = spec.trials
         w = np.array([_binomial_term(t, k, spec.p) for k in range(t + 1)])
-        return SizeDistribution(m, w / w.sum())
+        return DiscretePmf(w / w.sum())
     raise TypeError(f"unknown size spec {type(spec).__name__}")
 
 
@@ -417,7 +372,7 @@ def moments(dist: SizeDistribution, s: int) -> Moments:
     if s < 0:
         raise ValueError("s must be >= 0")
     xs = dist.support
-    w = dist.weights[xs]
+    w = dist.probs[xs]
     sizes = xs.tolist()
     cs = np.array([binomial(x, s) for x in sizes])
     a1 = float(np.dot(w, cs))
@@ -444,7 +399,7 @@ def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedPa
     log_m_choose_s = log_binomial(m, s)
     half_log = 0.5 * (math.log(n) - log_m_choose_s)
     xs = dist.support
-    w = dist.weights[xs]
+    w = dist.probs[xs]
     logs = [log_binomial(x, s) for x in xs.tolist()]
     z = np.array([0.0 if lb == -math.inf else math.exp(lb + half_log) for lb in logs])
     beta_active = binomial(m, s) / n

@@ -215,7 +215,7 @@ def sample_incidence(
     support = dist.support
     if support.size == 0:
         raise ValueError("size distribution has empty support")
-    probs = dist.weights[support]
+    probs = dist.probs[support]
     probs = probs / probs.sum()
     sizes = gen.choice(support, size=n, p=probs).astype(np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])

@@ -61,7 +61,6 @@ __all__ = [
     "compound_poisson_pmf",
     "alpha_passive_finite",
     "alpha_passive_limit",
-    "alpha_k_passive",
     "alpha_k_passive_curve",
     "poisson_approx_stats",
     "passive_regime_classify",
@@ -290,7 +289,7 @@ def passive_compound_spec(
     """
     _check_n_m(n, m)
     lam = (n / m) * dist.mean()
-    return CompoundPoissonSpec(lam=lam, jump_pmf=size_biased(dist.as_pmf()))
+    return CompoundPoissonSpec(lam=lam, jump_pmf=size_biased(dist))
 
 
 def compound_poisson_pmf(
@@ -384,16 +383,6 @@ def alpha_k_passive_curve(
         for k in range(2, k_max + 1)
         if g[k] > 0.0
     }
-
-
-def alpha_k_passive(spec: CompoundPoissonSpec, k: int) -> float:
-    """alpha*[k] for a single degree; see :func:`alpha_k_passive_curve`."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    curve = alpha_k_passive_curve(spec, k)
-    if k not in curve:
-        raise ValueError(f"degree {k} has zero asymptotic mass")
-    return curve[k]
 
 
 def poisson_approx_stats(sizes, m: int, s: int) -> PoissonApproxStats:

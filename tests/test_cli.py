@@ -447,6 +447,8 @@ class TestCommandLine:
             (["theory", "alpha-k-passive", "--n", "0", "--m", "10", "--k", "3"], "n"),
             (["theory", "regime", "--n", "0", "--m", "10"], "n"),
             (["theory", "degree-pmf", "--n", "10", "--m", "10", "--s", "1", "--k-max", "-3"], "k_max"),
+            (["theory", "alpha-k", "--n", "10", "--m", "10", "--s", "1", "--k", "1"], "k"),
+            (["theory", "alpha-k-passive", "--n", "10", "--m", "10", "--k", "1"], "k"),
         ],
     )
     def test_out_of_domain_error_names_the_parameter(self, argv, name, capsys):
@@ -481,6 +483,40 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert (code, captured.out) == (EXIT_USAGE, ""), argv
         assert captured.err.startswith(f"error: {name} "), (argv, captured.err)
+
+
+    @pytest.mark.parametrize(
+        "argv, degree",
+        [
+            (["alpha-k", "--n", "10", "--m", "10", "--s", "1", "--k", "5", "--size-dist", '{"kind": "degenerate", "x": 0}'], 5),
+            # sets of 4 reach only degrees 3, 6, 9, ...
+            (["alpha-k-passive", "--n", "100", "--m", "100", "--k", "4", "--size-dist", '{"kind": "degenerate", "x": 4}'], 4),
+        ],
+    )
+    def test_alpha_k_at_a_degree_without_mass(self, argv, degree, capsys):
+        code = main(["theory", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err == f"error: degree {degree} has zero asymptotic mass\n"
+
+    def test_nan_jump_probs_error_names_probs(self, capsys):
+        code = main(["theory", "compound-pmf", "--lam", "1", "--jump-probs", "0.5,nan"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("error: probs must be nonnegative"), captured.err
+
+    def test_table_sum_overflow_is_a_config_error(self, capsys):
+        """Weights that are each finite but sum past the float range are
+        rejected on both paths, without a RuntimeWarning."""
+        table = {"kind": "table", "weights": [0.5, 1e308, 1e308]}
+        code = main(["theory", "alpha", "--m", "10", "--s", "1", "--size-dist", json.dumps(table)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("config error: --size-dist: table weights sum past"), captured.err
+        doc = small_scenario()
+        doc["scenario"]["model"]["size_dist"] = table
+        with pytest.raises(ConfigError, match=r"scenario\.model: table weights sum past"):
+            parse_scenario(doc)
 
 
 class TestRunSummary:

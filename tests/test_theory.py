@@ -476,33 +476,36 @@ class TestAlphaKPassive:
     def test_fixed_size_reference_points(self):
         d = make_size_dist(Degenerate(4), 1000)
         spec = theory.passive_compound_spec(d, 1000, 1000)
-        assert theory.alpha_k_passive(spec, 6) == pytest.approx(0.4, abs=1e-10)
-        assert theory.alpha_k_passive(spec, 3) == pytest.approx(1.0, abs=1e-10)
-        assert theory.alpha_k_passive(spec, 9) == pytest.approx(0.25, abs=1e-10)
+        curve = theory.alpha_k_passive_curve(spec, 9)
+        assert curve[6] == pytest.approx(0.4, abs=1e-10)
+        assert curve[3] == pytest.approx(1.0, abs=1e-10)
+        assert curve[9] == pytest.approx(0.25, abs=1e-10)
 
     def test_fixed_size_closed_form_everywhere(self):
         """alpha*[k] = (x-2)/(k-1) at every reachable k = t (x-1)."""
         for x in (3, 4, 6):
             d = make_size_dist(Degenerate(x), 500)
             spec = theory.passive_compound_spec(d, 500, 500)
+            curve = theory.alpha_k_passive_curve(spec, 7 * (x - 1))
             for t in range(1, 8):
                 k = t * (x - 1)
                 if k < 2:
                     continue
                 want = (x - 2) / (k - 1)
-                assert theory.alpha_k_passive(spec, k) == pytest.approx(want, abs=1e-10)
+                assert curve[k] == pytest.approx(want, abs=1e-10)
 
     def test_pair_sets_have_zero_triangles(self):
         d = make_size_dist(Degenerate(2), 300)
         spec = theory.passive_compound_spec(d, 300, 300)
+        curve = theory.alpha_k_passive_curve(spec, 5)
         for k in (2, 3, 5):
-            assert theory.alpha_k_passive(spec, k) == pytest.approx(0.0, abs=1e-12)
+            assert curve[k] == pytest.approx(0.0, abs=1e-12)
 
     def test_unreachable_degree_errors(self):
         d = make_size_dist(Degenerate(4), 100)
         spec = theory.passive_compound_spec(d, 100, 100)
-        with pytest.raises(ValueError, match="zero asymptotic mass"):
-            theory.alpha_k_passive(spec, 4)  # only multiples of 3 reachable
+        # only multiples of 3 are reachable: the curve omits the rest
+        assert sorted(theory.alpha_k_passive_curve(spec, 7)) == [3, 6]
 
     def test_against_palm_identity(self):
         """The Palm-formula curve equals the independent bivariate DP."""
