@@ -389,23 +389,46 @@ def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedPa
     :class:`DerivedParams`.
 
     Binomials are evaluated in log space so the map z(x) and the ratio
-    C(m, s)/n stay finite for m up to 1e9 and any s <= m.  mu1 is the
-    dot product of the support weights with z.
+    C(m, s)/n stay finite for m up to 1e9 and any s <= m; a ``ValueError``
+    names the one that still overflows a float.  mu1 is the dot product
+    of the support weights with z.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 1 <= s <= m:
         raise ValueError("s must satisfy 1 <= s <= m")
     log_m_choose_s = log_binomial(m, s)
+    try:
+        beta_active = binomial(m, s) / n
+    except OverflowError:  # C(m, s) or n alone past the float range
+        try:
+            beta_active = math.exp(log_m_choose_s - math.log(n))
+        except OverflowError:
+            raise ValueError(f"C(m, s)/n overflows a float at n={n}, m={m}, s={s}") from None
     half_log = 0.5 * (math.log(n) - log_m_choose_s)
     xs = dist.support
     w = dist.probs[xs]
-    logs = [log_binomial(x, s) for x in xs.tolist()]
-    z = np.array([0.0 if lb == -math.inf else math.exp(lb + half_log) for lb in logs])
-    beta_active = binomial(m, s) / n
-    if not math.isfinite(beta_active):
-        beta_active = math.exp(log_m_choose_s - math.log(n))
+    try:
+        z = np.fromiter(map(math.exp, (_log_binomials(xs, s) + half_log).tolist()), float, xs.size)
+    except OverflowError:
+        raise ValueError(f"z(x) overflows a float at n={n}, m={m}, s={s}") from None
     return DerivedParams(mu1=float(np.dot(w, z)), beta_active=beta_active, support=xs, weights=w, z=z)
+
+
+def _log_binomials(xs: np.ndarray, s: int) -> np.ndarray:
+    """:func:`log_binomial` of each size in ``xs`` at s, float for float.
+
+    Where min(s, x - s) <= 1 the value is -inf (x < s), 0 (x = s) or
+    log x: the fsum of one term is that term and lgamma(2) == 0.0.  Only
+    the other sizes take a Python call each.
+    """
+    kk = np.minimum(s, xs - s)
+    out = np.where(kk < 0, -math.inf, 0.0)
+    one = np.flatnonzero(kk == 1)
+    out[one] = np.fromiter(map(math.log, xs[one].tolist()), float, one.size)
+    many = np.flatnonzero(kk > 1)
+    out[many] = [log_binomial(x, s) for x in xs[many].tolist()]
+    return out
 
 
 def size_biased(q: DiscretePmf) -> DiscretePmf:

@@ -7,13 +7,16 @@ a1/a2 and can equivalently be written in terms of the scale ratio beta
 or of the asymptotic degree moments.  Conditioned on degree k it decays
 like c/k for heavy-tailed sizes.
 
-The mixed Poisson pmf is evaluated as array passes over blocks of
-support rows, each row one size's weighted Poisson(z(x) mu1) pmf on
-[0, cap], in one buffer of at most ``_PMF_BLOCK_BYTES``.  Row 0 of the
-buffer carries the running sum, and a reduce over axis 0 adds the rows
-in support order, so the floats equal those of one pass per size.  Each
-row's log intensity comes from ``math.log``; a size with zero intensity
-puts its weight at k = 0.
+The mixed Poisson pmf is evaluated over a range [lo, hi] of degree
+columns, as array passes over blocks of support rows, each row one
+size's weighted Poisson(z(x) mu1) pmf on those columns, in one buffer of
+at most ``_PMF_BLOCK_BYTES``.  Row 0 of the buffer carries the running
+sum, and a reduce over axis 0 adds the rows in support order, so the
+floats equal those of one pass per size, whatever the range.  The pmf
+reads [0, cap], the alpha^[k] curve [0, k_max] and a single alpha^[k]
+only [k-1, k], so one alpha^[k] costs O(|support|), not O(|support| k).
+Each row's log intensity comes from ``math.log``; a size with zero
+intensity puts its weight at k = 0.
 
 Attribute ("passive") side, threshold 1: the degree is asymptotically
 compound Poisson, with Poisson count mean (n/m) E[X] and jumps drawn
@@ -154,40 +157,44 @@ def mixed_poisson_degree_pmf(
     """
     if k_max is not None and k_max < 0:
         raise ValueError("k_max must be >= 0")
-    return _mixed_poisson_pmf(scale_constants(dist, n, m, s), k_max)
-
-
-def _mixed_poisson_pmf(scale: DerivedParams, k_max: int | None) -> DiscretePmf:
-    """Sum over the support of weight * Pois(lam) on [0, cap], one 2-D
-    block of support rows at a time (see the module docstring)."""
-    lams = scale.z * scale.mu1
+    scale = scale_constants(dist, n, m, s)
     if k_max is None:
         # the bound grows with lam, so the largest intensity sets it
-        top = float(lams.max())
+        top = float((scale.z * scale.mu1).max())
         cap = max(5, int(top + 12.0 * math.sqrt(top + 1.0) + 30.0))
     else:
         cap = k_max
+    probs = _mixed_poisson_columns(scale, 0, cap)
+    return DiscretePmf.truncated(probs, TAIL_TOL if k_max is None else None)
+
+
+def _mixed_poisson_columns(scale: DerivedParams, lo: int, hi: int) -> np.ndarray:
+    """p_k for k in [lo, hi]: the sum over the support of weight *
+    Pois_k(lam), one 2-D block of support rows at a time (see the module
+    docstring)."""
+    lams = scale.z * scale.mu1
     # a one-column reduce would sum pairwise, not row by row
-    width = max(cap + 1, 2)
-    ks = np.arange(width, dtype=float)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(width)])
-    logs = np.array([math.log(lam) if lam > 0.0 else 0.0 for lam in lams.tolist()])
+    width = max(hi - lo + 1, 2)
+    ks = np.arange(lo, lo + width, dtype=float)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(lo, lo + width)])
+    logs = np.fromiter(map(math.log, np.where(lams > 0.0, lams, 1.0).tolist()), float, lams.size)
     rows = max(1, _PMF_BLOCK_BYTES // (8 * width) - 1)
     buf = np.zeros((min(rows, lams.size) + 1, width))
-    for lo in range(0, lams.size, rows):
-        hi = min(lo + rows, lams.size)
-        block = buf[1 : 1 + hi - lo]
-        np.multiply(logs[lo:hi, None], ks, out=block)
-        block -= lams[lo:hi, None]
+    for first in range(0, lams.size, rows):
+        last = min(first + rows, lams.size)
+        block = buf[1 : 1 + last - first]
+        np.multiply(logs[first:last, None], ks, out=block)
+        block -= lams[first:last, None]
         block -= log_fact
         np.exp(block, out=block)
-        block *= scale.weights[lo:hi, None]
-        zero = lams[lo:hi] <= 0.0
+        block *= scale.weights[first:last, None]
+        zero = lams[first:last] <= 0.0
         if zero.any():
             block[zero] = 0.0
-            block[zero, 0] = scale.weights[lo:hi][zero]
-        buf[0] = np.add.reduce(buf[: 1 + hi - lo], axis=0)
-    return DiscretePmf.truncated(buf[0, : cap + 1], TAIL_TOL if k_max is None else None)
+            if lo == 0:
+                block[zero, 0] = scale.weights[first:last][zero]
+        buf[0] = np.add.reduce(buf[: 1 + last - first], axis=0)
+    return buf[0, : hi - lo + 1]
 
 
 def asymptotic_degree_moments(
@@ -252,23 +259,22 @@ def alpha_k_active_curve(
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     scale = scale_constants(dist, n, m, s)
-    p = _mixed_poisson_pmf(scale, k_max).probs
+    p = _mixed_poisson_columns(scale, 0, k_max).tolist()
     ratio = scale.mu1 / math.sqrt(scale.beta_active)
-    return {
-        k: (1.0 / k) * ratio * float(p[k - 1]) / float(p[k])
-        for k in range(2, k_max + 1)
-        if p[k] > 0.0
-    }
+    return {k: (1.0 / k) * ratio * p[k - 1] / p[k] for k in range(2, k_max + 1) if p[k] > 0.0}
 
 
 def alpha_k_active(dist: SizeDistribution, n: int, m: int, s: int, k: int) -> float:
-    """alpha^[k] for a single degree; see :func:`alpha_k_active_curve`."""
+    """alpha^[k] for a single degree, from the pmf columns k-1 and k
+    alone; equal, float for float, to ``alpha_k_active_curve(..., k)[k]``."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    curve = alpha_k_active_curve(dist, n, m, s, k)
-    if k not in curve:
+    scale = scale_constants(dist, n, m, s)
+    p_prev, p_k = _mixed_poisson_columns(scale, k - 1, k).tolist()
+    if not p_k > 0.0:
         raise ValueError(f"degree {k} has zero asymptotic mass")
-    return curve[k]
+    ratio = scale.mu1 / math.sqrt(scale.beta_active)
+    return (1.0 / k) * ratio * p_prev / p_k
 
 
 def _check_n_m(n: int, m: int) -> None:

@@ -499,6 +499,15 @@ class TestCommandLine:
         assert (code, captured.out) == (EXIT_USAGE, "")
         assert captured.err == f"error: degree {degree} has zero asymptotic mass\n"
 
+    def test_scale_overflow_is_an_error_line(self, capsys):
+        """C(3000, 1500)/1000 ~ e^2068 is past the float range: exit 1
+        with an ``error:`` line naming it, never a traceback."""
+        size = json.dumps({"kind": "degenerate", "x": 1500})
+        code = main(["theory", "degree-pmf", "--n", "1000", "--m", "3000", "--s", "1500", "--size-dist", size])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("error: C(m, s)/n overflows a float"), captured.err
+
     def test_nan_jump_probs_error_names_probs(self, capsys):
         code = main(["theory", "compound-pmf", "--lam", "1", "--jump-probs", "0.5,nan"])
         captured = capsys.readouterr()

@@ -290,6 +290,45 @@ class TestDeriveParams:
             pushforward = float(np.dot(d.probs, zs))
             assert abs(pushforward - dp.mu1) <= 1e-12 * max(1.0, abs(dp.mu1))
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 65])
+    def test_z_and_mu1_match_per_size_log_binomials(self, s):
+        """z and mu1 equal, float for float, the per-size formula
+        exp(log C(x, s) + half_log) over log_binomial; s = 65 passes the
+        exact branch's 64, so the larger sizes take the lgamma one."""
+        rng = np.random.default_rng(s)
+        for n, m in ((1, 400), (777, 400), (10**6, 10**4)):
+            w = rng.random(300)
+            w[rng.random(300) < 0.3] = 0.0
+            w[[0, s - 1, s, s + 1, 299]] = 1.0  # sizes below s, x = s and x - s = 1
+            d = make_size_dist(Table(w.tolist()), m)
+            dp = scale_constants(d, n, m, s)
+            half_log = 0.5 * (math.log(n) - log_binomial(m, s))
+            ref = []
+            for x in dp.support.tolist():
+                lb = log_binomial(x, s)
+                ref.append(0.0 if lb == -math.inf else math.exp(lb + half_log))
+            assert dp.z.tolist() == ref
+            assert dp.mu1 == float(np.dot(dp.weights, np.array(ref)))
+
+    def test_beta_from_the_log_form_past_float_coefficients(self):
+        """C(1030, 515) ~ e^710 overflows a float, C(1030, 515)/1e6 does
+        not: beta comes from the log form and the law stays usable."""
+        d = make_size_dist(Degenerate(515), 1030)
+        dp = scale_constants(d, 10**6, 1030, 515)
+        log_beta = log_binomial(1030, 515) - math.log(10**6)
+        assert 695 < log_beta < 697
+        assert dp.beta_active == math.exp(log_beta)
+        assert dp.z.tolist() == [math.exp(0.5 * -log_beta)]
+
+    def test_overflow_names_the_quantity(self):
+        d = make_size_dist(Degenerate(1500), 3000)
+        with pytest.raises(ValueError, match=r"^C\(m, s\)/n overflows a float"):
+            scale_constants(d, 10**6, 3000, 1500)
+        # n = 1e620 brings C(m, s)/n back to ~e^648, but z(3000) = sqrt(n C(m, s)) ~ e^1752
+        d = make_size_dist(Degenerate(3000), 3000)
+        with pytest.raises(ValueError, match=r"^z\(x\) overflows a float"):
+            scale_constants(d, 10**620, 3000, 1500)
+
 
 class TestSizeBiased:
     def test_point_mass_shifts_down(self):

@@ -157,7 +157,11 @@ class TestMixedPoissonRowBlocks:
         for k_max in (None, 0, 1):  # k_max = 0 sums one column over 200 rows
             got = theory.mixed_poisson_degree_pmf(d, n, m, 1, k_max=k_max)
             assert_same_pmf(got, loop_mixed_poisson_pmf(scale, k_max))
-        assert theory.alpha_k_active_curve(d, n, m, 1, 60) == loop_alpha_k_curve(scale, 60)
+        curve = theory.alpha_k_active_curve(d, n, m, 1, 60)
+        assert curve == loop_alpha_k_curve(scale, 60)
+        # width 61 takes two row blocks, the two columns of one alpha^[k] one
+        assert sorted(curve) == list(range(2, 61))
+        assert all(theory.alpha_k_active(d, n, m, 1, k) == value for k, value in curve.items())
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -169,11 +173,15 @@ class TestMixedPoissonRowBlocks:
         rows=st.integers(1, 3),
     )
     @example(weights=[1], s=1, n=10, extra_m=0, k_max=0, rows=3)  # all at zero intensity
+    @example(weights=[1], s=1, n=10, extra_m=0, k_max=6, rows=2)  # no mass past degree 0
+    @example(weights=[2, 1, 0, 3], s=2, n=40, extra_m=3, k_max=12, rows=1)  # sizes below s, k_max >= 2
     @example(weights=[0, 3, 1, 2, 0, 1], s=1, n=50, extra_m=5, k_max=0, rows=2)  # one column
     @example(weights=[1, 1, 1, 1, 1], s=3, n=400, extra_m=35, k_max=None, rows=1)  # sizes below s
     def test_matches_per_support_loop(self, weights, s, n, extra_m, k_max, rows):
         """Tables whose supports span several blocks of 1-3 rows, with
-        sizes below s (zero intensity) and k_max both None and small."""
+        sizes below s (zero intensity) and k_max both None and small.  A
+        single alpha^[k], from the pmf columns k-1 and k alone, equals the
+        curve's value, or raises the zero-mass error where it has none."""
         m = max(len(weights) - 1, s) + extra_m
         d = make_size_dist(Table(weights), m)
         scale = scale_constants(d, n, m, s)
@@ -185,6 +193,12 @@ class TestMixedPoissonRowBlocks:
             if k_max is not None and k_max >= 2:
                 curve = theory.alpha_k_active_curve(d, n, m, s, k_max)
                 assert curve == loop_alpha_k_curve(scale, k_max)
+                for k in range(2, k_max + 1):
+                    if k in curve:
+                        assert theory.alpha_k_active(d, n, m, s, k) == curve[k], k
+                    else:
+                        with pytest.raises(ValueError, match=f"^degree {k} has zero asymptotic mass$"):
+                            theory.alpha_k_active(d, n, m, s, k)
 
 
 class TestDegreeMoments:
