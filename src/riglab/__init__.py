@@ -9,33 +9,4 @@ exact finite-size ground truth, ``sampler``/``stats`` the simulation
 side, and ``cli`` the scenario runner that compares them.
 """
 
-from .model import (
-    BinomialSizes,
-    Degenerate,
-    DerivedParams,
-    DiscretePmf,
-    ModelParams,
-    Moments,
-    SizeDistribution,
-    Table,
-    TruncatedPowerLaw,
-    binomial,
-    falling_factorial,
-    log_binomial,
-    make_size_dist,
-    moments,
-    size_biased,
-)
-from .sampler import (
-    Graph,
-    Incidence,
-    ResourceLimitError,
-    RngStream,
-    build_active,
-    build_passive,
-    sample_incidence,
-    sample_subset,
-    write_edge_list,
-)
-
 __version__ = "0.1.0"

@@ -15,12 +15,14 @@ offending field path.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
 import sys
 import time
 from collections import defaultdict
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from dataclasses import asdict, dataclass, field, fields
@@ -79,7 +81,7 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> None:
+def _check_keys(obj: dict, path: str, required: tuple, optional: Iterable[str] = ()) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
     allowed = set(required) | set(optional)
@@ -115,8 +117,11 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _float_field(obj: dict, key: str, path: str) -> float:
-    return _number(obj[key], f"{path}.{key}")
+def _float_field(obj: dict, key: str, path: str, inside: tuple[float, float] | None = None) -> float:
+    value = _number(obj[key], f"{path}.{key}")
+    if inside is not None and not inside[0] < value < inside[1]:
+        raise ConfigError(f"{path}.{key}", f"must lie in ({inside[0]}, {inside[1]})")
+    return value
 
 
 def _list_field(obj: dict, key: str, path: str) -> list[float]:
@@ -138,7 +143,7 @@ _SIZE_FIELDS = {
 
 
 def parse_size_spec(obj: dict, path: str) -> SizeSpec:
-    _check_keys(obj, path, required=("kind",), optional=tuple(_SIZE_FIELDS))
+    _check_keys(obj, path, required=("kind",), optional=_SIZE_FIELDS)
     kind = obj["kind"]
     cls = SIZE_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
@@ -151,6 +156,40 @@ def parse_size_spec(obj: dict, path: str) -> SizeSpec:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
+
+
+def _tolerances_field(obj: dict, key: str, path: str) -> dict[str, float]:
+    tol, path = obj[key], f"{path}.{key}"
+    _check_keys(tol, path, required=(), optional=DEFAULT_TOLERANCES)
+    tolerances = dict(DEFAULT_TOLERANCES)
+    for name in tol:
+        value = _float_field(tol, name, path)
+        if not value > 0:
+            raise ConfigError(f"{path}.{name}", "must be > 0")
+        tolerances[name] = value
+    return tolerances
+
+
+def _k_range_field(obj: dict, key: str, path: str) -> tuple[int, int]:
+    kr = obj[key]
+    if not (isinstance(kr, list) and len(kr) == 2 and all(isinstance(k, int) for k in kr)):
+        raise ConfigError(f"{path}.{key}", "expected [k_min, k_max] integers")
+    if not 2 <= kr[0] <= kr[1]:
+        raise ConfigError(f"{path}.{key}", "need 2 <= k_min <= k_max")
+    return (kr[0], kr[1])
+
+
+# reader and default of each optional scenario key, in parse order, each
+# a ScenarioConfig field; the reader is called as reader(obj, key, path),
+# and each config gets its own copy of the default
+_SCENARIO_OPTIONS = {
+    "seed": (partial(_int_field, minimum=0), None),
+    "tolerances": (_tolerances_field, DEFAULT_TOLERANCES),
+    "k_range": (_k_range_field, (2, 20)),
+    "k_max": (lambda obj, key, path: None if obj[key] is None else _int_field(obj, key, path, 1), None),
+    "min_bucket": (partial(_int_field, minimum=1), stats.DEFAULT_MIN_BUCKET),
+    "epsilon": (partial(_float_field, inside=(0, 0.5)), None),
+}
 
 
 @dataclass
@@ -176,18 +215,17 @@ class ScenarioConfig:
         return ModelParams(n=self.n, m=self.m, s=self.s, size_dist=self.size_dist, kind=self.kind)
 
     def echo(self, seed: int) -> dict:
+        """The scenario as a config document body: every key, ``None``
+        where unset, and ``seed`` the resolved one."""
         kind = next(name for name, cls in SIZE_KINDS.items() if isinstance(self.size_spec, cls))
         sd = {"kind": kind, **asdict(self.size_spec)}
+        options = {key: copy.copy(getattr(self, key)) for key in _SCENARIO_OPTIONS}
         return {
             "model": {"kind": self.kind, "n": self.n, "m": self.m, "s": self.s, "size_dist": sd},
             "replicates": self.replicates,
-            "seed": seed,
             "outputs": list(self.outputs),
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "k_range": list(self.k_range),
-            "k_max": self.k_max,
-            "min_bucket": self.min_bucket,
-            "epsilon": self.epsilon,
+            **{key: list(v) if isinstance(v, tuple) else v for key, v in options.items()},
+            "seed": seed,
         }
 
 
@@ -195,12 +233,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     """Validate a config document (fail-closed) into a ScenarioConfig."""
     _check_keys(doc, "$", required=("scenario",))
     sc = doc["scenario"]
-    _check_keys(
-        sc,
-        "scenario",
-        required=("model", "replicates", "outputs"),
-        optional=("seed", "tolerances", "k_range", "k_max", "min_bucket", "epsilon"),
-    )
+    _check_keys(sc, "scenario", required=("model", "replicates", "outputs"), optional=_SCENARIO_OPTIONS)
     model = sc["model"]
     _check_keys(model, "scenario.model", required=("kind", "n", "m", "s", "size_dist"))
     kind = model["kind"]
@@ -222,38 +255,11 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     for i, out in enumerate(outputs):
         if out not in OUTPUTS:
             raise ConfigError(f"scenario.outputs[{i}]", f"unknown analysis {out!r}; known: {OUTPUTS}")
-    seed = None
-    if "seed" in sc:
-        seed = _int_field(sc, "seed", "scenario", 0)
-    tolerances = dict(DEFAULT_TOLERANCES)
-    if "tolerances" in sc:
-        tol = sc["tolerances"]
-        _check_keys(tol, "scenario.tolerances", required=(), optional=tuple(DEFAULT_TOLERANCES))
-        for key in tol:
-            value = _float_field(tol, key, "scenario.tolerances")
-            if not value > 0:
-                raise ConfigError(f"scenario.tolerances.{key}", "must be > 0")
-            tolerances[key] = value
-    k_range = (2, 20)
-    if "k_range" in sc:
-        kr = sc["k_range"]
-        if not (isinstance(kr, list) and len(kr) == 2 and all(isinstance(k, int) for k in kr)):
-            raise ConfigError("scenario.k_range", "expected [k_min, k_max] integers")
-        if not 2 <= kr[0] <= kr[1]:
-            raise ConfigError("scenario.k_range", "need 2 <= k_min <= k_max")
-        k_range = (kr[0], kr[1])
-    k_max = None
-    if "k_max" in sc and sc["k_max"] is not None:
-        k_max = _int_field(sc, "k_max", "scenario", 1)
-    min_bucket = stats.DEFAULT_MIN_BUCKET
-    if "min_bucket" in sc:
-        min_bucket = _int_field(sc, "min_bucket", "scenario", 1)
-    epsilon = None
-    if "epsilon" in sc:
-        epsilon = _float_field(sc, "epsilon", "scenario")
-        if not 0 < epsilon < 0.5:
-            raise ConfigError("scenario.epsilon", "must lie in (0, 0.5)")
-    if "example2" in outputs and epsilon is None:
+    options = {
+        key: reader(sc, key, "scenario") if key in sc else copy.copy(default)
+        for key, (reader, default) in _SCENARIO_OPTIONS.items()
+    }
+    if "example2" in outputs and options["epsilon"] is None:
         raise ConfigError("scenario.epsilon", "required when outputs include 'example2'")
     return ScenarioConfig(
         kind=kind,
@@ -263,13 +269,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         size_spec=spec,
         size_dist=dist,
         replicates=replicates,
-        seed=seed,
         outputs=tuple(outputs),
-        tolerances=tolerances,
-        k_range=k_range,
-        k_max=k_max,
-        min_bucket=min_bucket,
-        epsilon=epsilon,
+        **options,
     )
 
 
@@ -328,6 +329,16 @@ def preset_config(name: str) -> ScenarioConfig:
 
 # ---------------------------------------------------------------- execution
 
+def _build_graph(cfg: ScenarioConfig, inc, r: int):
+    """Replicate r's graph, built by the builder bound to this module's
+    global at call time (so a patched one is used); an abort names r."""
+    build = build_active if cfg.kind == "active" else build_passive
+    try:
+        return build(inc, cfg.s)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"replicate {r}: {exc}") from exc
+
+
 def _replicate_worker(cfg: ScenarioConfig, seed: int, r: int) -> tuple:
     """Run one replicate on its own stream; returns plain picklable data.
 
@@ -339,10 +350,7 @@ def _replicate_worker(cfg: ScenarioConfig, seed: int, r: int) -> tuple:
     inc = sample_incidence(cfg.params(), RngStream(seed, r))
     degree_counts = report = None
     if any(o in cfg.outputs for o in _GRAPH_OUTPUTS):
-        try:
-            graph = build_active(inc, cfg.s) if cfg.kind == "active" else build_passive(inc, cfg.s)
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(f"replicate {r}: {exc}") from exc
+        graph = _build_graph(cfg, inc, r)
         if "degree" in cfg.outputs:
             degree_counts = np.bincount(graph.degrees, minlength=1)
         if any(o in cfg.outputs for o in _TRIANGLE_OUTPUTS):
@@ -397,33 +405,27 @@ class Report:
         return all(flags)
 
 
-def _theory_degree_pmf(cfg: ScenarioConfig) -> DiscretePmf | None:
+def _theory_degree_pmf(cfg: ScenarioConfig) -> DiscretePmf:
     if cfg.kind == "active":
         return theory.mixed_poisson_degree_pmf(cfg.size_dist, cfg.n, cfg.m, cfg.s, k_max=cfg.k_max)
-    if cfg.s == 1:
-        spec = theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m)
-        return theory.compound_poisson_pmf(spec, k_max=cfg.k_max)
-    return None  # passive s >= 2: construction only, no limit law
+    spec = theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m)
+    return theory.compound_poisson_pmf(spec, k_max=cfg.k_max)
 
 
 def _theory_alpha(cfg: ScenarioConfig) -> float | None:
     try:
         if cfg.kind == "active":
             return theory.alpha_active(cfg.size_dist, cfg.m, cfg.s)
-        if cfg.s == 1:
-            return theory.alpha_passive_finite(cfg.size_dist, cfg.n, cfg.m)
+        return theory.alpha_passive_finite(cfg.size_dist, cfg.n, cfg.m)
     except ValueError:
         return None
-    return None
 
 
 def _theory_alpha_k(cfg: ScenarioConfig) -> dict[int, float]:
     if cfg.kind == "active":
         return theory.alpha_k_active_curve(cfg.size_dist, cfg.n, cfg.m, cfg.s, cfg.k_range[1])
-    if cfg.s == 1:
-        spec = theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m)
-        return theory.alpha_k_passive_curve(spec, cfg.k_range[1])
-    return {}  # passive s >= 2: construction only, no limit law
+    spec = theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m)
+    return theory.alpha_k_passive_curve(spec, cfg.k_range[1])
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None = None) -> Report:
@@ -441,13 +443,15 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
         replicates = 1 if "theorem1_stats" in cfg.outputs else 0
     results = _run_replicates(cfg, resolved_seed, jobs, replicates)
     vertices_per_rep = cfg.n if cfg.kind == "active" else cfg.m
+    # passive s >= 2 is construction only; the _theory_* helpers pick a law by kind
+    no_limit_law = cfg.kind == "passive" and cfg.s >= 2
 
     analyses: dict[str, dict] = {}
     passes: dict[str, bool | None] = {}
     metadata = {
         "asymptotic_prediction": True,
         "clamped_probability": False,
-        "passive_s_ge2_no_theory": cfg.kind == "passive" and cfg.s >= 2,
+        "passive_s_ge2_no_theory": no_limit_law,
         "alpha_hat_convention": stats.ALPHA_HAT_CONVENTION,
     }
     if cfg.kind == "active":
@@ -463,42 +467,35 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
         for counts, _, _ in results:
             total[: counts.size] += counts
         empirical = DiscretePmf(total / (vertices_per_rep * cfg.replicates), 0.0)
-        theory_pmf = _theory_degree_pmf(cfg)
-        entry: dict = {"empirical": _pmf_json(empirical)}
-        if theory_pmf is None:
-            entry["theory"] = None
-            entry["tv"] = None
-            passes["degree"] = None
-        else:
+        theory_pmf = None if no_limit_law else _theory_degree_pmf(cfg)
+        entry: dict = {"empirical": _pmf_json(empirical), "theory": None, "tv": None}
+        passes["degree"] = None
+        if theory_pmf is not None:
             tv = stats.tv_distance(empirical, theory_pmf)
-            entry["theory"] = _pmf_json(theory_pmf)
-            entry["tv"] = tv
-            entry["tolerance"] = cfg.tolerances["tv_degree"]
+            entry.update(theory=_pmf_json(theory_pmf), tv=tv, tolerance=cfg.tolerances["tv_degree"])
             passes["degree"] = bool(tv < cfg.tolerances["tv_degree"])
         analyses["degree"] = entry
 
     if "clustering" in cfg.outputs:
         rep = pooled_report
-        theory_alpha = _theory_alpha(cfg)
+        theory_alpha = None if no_limit_law else _theory_alpha(cfg)
         entry = {
             "alpha_hat": _json_float(rep.alpha_hat),
             "alpha_hat_hat": _json_float(rep.alpha_hat_hat),
             "se_alpha_hat_hat": _json_float(rep.se_alpha_hat_hat),
             "theory_alpha": _json_float(theory_alpha),
+            "abs_diff": None,
         }
-        if theory_alpha is None or rep.alpha_hat_hat is None:
-            entry["abs_diff"] = None
-            passes["clustering"] = None if theory_alpha is None else False
-        else:
+        passes["clustering"] = None if theory_alpha is None else False
+        if theory_alpha is not None and rep.alpha_hat_hat is not None:
             diff = abs(rep.alpha_hat_hat - theory_alpha)
-            entry["abs_diff"] = diff
-            entry["tolerance"] = cfg.tolerances["alpha_abs"]
+            entry.update(abs_diff=diff, tolerance=cfg.tolerances["alpha_abs"])
             passes["clustering"] = bool(diff <= cfg.tolerances["alpha_abs"])
         analyses["clustering"] = entry
 
     if "alpha_k" in cfg.outputs:
         ks = list(range(cfg.k_range[0], cfg.k_range[1] + 1))
-        theory_curve = _theory_alpha_k(cfg)
+        theory_curve = {} if no_limit_law else _theory_alpha_k(cfg)
         per_k = {}
         checked, ok = 0, True
         for k in ks:
@@ -524,10 +521,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
         if len(emp_points) >= 3:
             fit = stats.loglog_slope(emp_points)
             entry["loglog"] = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
-        if cfg.kind == "passive" and cfg.s >= 2:
-            passes["alpha_k"] = None
-        else:
-            passes["alpha_k"] = bool(ok and checked > 0)
+        passes["alpha_k"] = None if no_limit_law else bool(ok and checked > 0)
         analyses["alpha_k"] = entry
 
     if "regime" in cfg.outputs:
@@ -631,9 +625,15 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _load_scenario(args: argparse.Namespace) -> tuple[ScenarioConfig, int]:
+    """The scenario named by --config or --preset, and its resolved seed."""
     cfg = preset_config(args.preset) if args.preset else load_config(args.config)
-    report = run_scenario(cfg, seed=args.seed, jobs=args.jobs)
+    return cfg, _resolve_seed(args.seed, cfg.seed)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg, seed = _load_scenario(args)
+    report = run_scenario(cfg, seed=seed, jobs=args.jobs)
     for line in _summary_lines(report):
         print(line)
     if args.out:
@@ -648,11 +648,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    cfg = preset_config(args.preset) if args.preset else load_config(args.config)
-    seed = _resolve_seed(args.seed, cfg.seed)
-    rng = RngStream(seed, 0)
-    inc = sample_incidence(cfg.params(), rng)
-    graph = build_active(inc, cfg.s) if cfg.kind == "active" else build_passive(inc, cfg.s)
+    cfg, seed = _load_scenario(args)
+    graph = _build_graph(cfg, sample_incidence(cfg.params(), RngStream(seed, 0)), 0)
     write_edge_list(graph, args.emit_graph, kind=cfg.kind, n=cfg.n, m=cfg.m, s=cfg.s, seed=seed)
     print(f"{cfg.kind} graph with {graph.vertex_count} vertices, {graph.edge_count} edges -> {args.emit_graph}")
     return EXIT_PASS
@@ -828,21 +825,16 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     run_p = subs.add_parser("run", help="run a scenario and emit a report")
-    src = run_p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--config", help="path to a scenario JSON file")
-    src.add_argument("--preset", choices=sorted(PRESETS), help="built-in scenario")
-    run_p.add_argument("--seed", type=int, default=None)
+    gen_p = subs.add_parser("gen", help="generate one graph and write its edge list")
+    for p, func in ((run_p, _cmd_run), (gen_p, _cmd_gen)):
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--config", help="path to a scenario JSON file")
+        src.add_argument("--preset", choices=sorted(PRESETS), help="built-in scenario")
+        p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(func=func)
     run_p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
     run_p.add_argument("--out", default=None, help="directory for report.json and CSV tables")
-    run_p.set_defaults(func=_cmd_run)
-
-    gen_p = subs.add_parser("gen", help="generate one graph and write its edge list")
-    src = gen_p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--config", help="path to a scenario JSON file")
-    src.add_argument("--preset", choices=sorted(PRESETS))
-    gen_p.add_argument("--seed", type=int, default=None)
     gen_p.add_argument("--emit-graph", required=True, help="output path for the edge list")
-    gen_p.set_defaults(func=_cmd_gen)
 
     for group, commands, help_text in (
         ("theory", THEORY_COMMANDS, "evaluate closed-form laws"),

@@ -75,7 +75,8 @@ def binomial(n: int, k: int) -> float:
 
     Uses exact integer arithmetic when ``min(k, n-k)`` is small and the
     result fits a double; falls back to ``exp(log_binomial)`` otherwise
-    (relative error ~1e-13 even for C(1e9, 5e8)-scale arguments).
+    (relative error ~1e-13 even for C(1e9, 5e8)-scale arguments).  A
+    ``ValueError`` names a coefficient past the float range.
     """
     if n < 0 or k < 0 or k > n:
         return 0.0
@@ -84,7 +85,10 @@ def binomial(n: int, k: int) -> float:
         value = math.comb(n, kk)
         if value.bit_length() <= 1000:
             return float(value)
-    return math.exp(log_binomial(n, k))
+    try:
+        return math.exp(log_binomial(n, k))
+    except OverflowError:
+        raise ValueError(f"C({n}, {k}) overflows a float") from None
 
 
 def falling_factorial(x: int, k: int) -> int:
@@ -400,7 +404,7 @@ def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedPa
     log_m_choose_s = log_binomial(m, s)
     try:
         beta_active = binomial(m, s) / n
-    except OverflowError:  # C(m, s) or n alone past the float range
+    except (OverflowError, ValueError):  # C(m, s) or n alone past the float range
         try:
             beta_active = math.exp(log_m_choose_s - math.log(n))
         except OverflowError:

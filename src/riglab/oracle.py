@@ -129,11 +129,14 @@ def intersection_tail_bounds(m: int, d1: int, d2: int, s: int) -> BoundsPair:
     lo, hi = min(d1, d2), max(d1, d2)
     if s > lo:
         return BoundsPair(0.0, 0.0)
-    p_star = binomial(lo, s) * binomial(hi, s) / binomial(m, s)
+    try:
+        p_star = binomial(lo, s) * binomial(hi, s) / binomial(m, s)
+    except ValueError:  # a coefficient past the float range
+        p_star = math.nan
     if not math.isfinite(p_star):
-        p_star = math.exp(
-            log_binomial(lo, s) + log_binomial(hi, s) - log_binomial(m, s)
-        )
+        log_p = log_binomial(lo, s) + log_binomial(hi, s) - log_binomial(m, s)
+        # capped inside the float range: past e^700 the bounds read 0 or 1 all the same
+        p_star = math.exp(min(log_p, 700.0))
     upper = min(1.0, p_star)
     slack = 1.0 - (lo - s) * (hi - s) / (m + 1 - lo)
     lower = min(max(0.0, slack * p_star), upper)

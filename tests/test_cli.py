@@ -79,6 +79,9 @@ class TestConfigParsing:
         del doc["scenario"]["tolerances"]
         cfg = parse_scenario(doc)
         assert cfg.tolerances == {"tv_degree": 0.01, "alpha_abs": 0.02, "alpha_k_rel": 0.25}
+        # each config holds its own copy of the defaults
+        cfg.tolerances["tv_degree"] = 1.0
+        assert parse_scenario(doc).tolerances["tv_degree"] == 0.01
 
     def test_unknown_keys_rejected_with_path(self):
         doc = small_scenario()
@@ -156,6 +159,28 @@ class TestConfigParsing:
         doc["scenario"]["model"]["size_dist"] = size_dist
         cfg = parse_scenario(doc)
         assert cfg.echo(0)["model"]["size_dist"] == size_dist
+
+    def test_echo_round_trips(self):
+        """A scenario setting every optional key off its default echoes
+        to a document that parses back to the same config (the echo
+        writes an unset key as null, which a document leaves out)."""
+        doc = small_scenario(
+            outputs=["degree", "example2"],
+            seed=11,
+            tolerances={"tv_degree": 0.03, "alpha_abs": 0.04, "alpha_k_rel": 0.3},
+            k_range=[3, 9],
+            k_max=40,
+            min_bucket=7,
+            epsilon=0.2,
+        )
+        cfg = parse_scenario(doc)
+        assert cfg.k_max == 40 and cfg.epsilon == 0.2 and cfg.seed == 11
+        echo = cfg.echo(cfg.seed)
+        assert parse_scenario({"scenario": {k: v for k, v in echo.items() if v is not None}}) == cfg
+        bare = parse_scenario(small_scenario(seed=0, k_max=None))
+        echo = bare.echo(0)
+        assert (echo["k_max"], echo["epsilon"]) == (None, None)
+        assert parse_scenario({"scenario": {k: v for k, v in echo.items() if v is not None}}) == bare
 
     def test_presets_all_parse(self):
         for name in PRESETS:
@@ -503,10 +528,28 @@ class TestCommandLine:
         """C(3000, 1500)/1000 ~ e^2068 is past the float range: exit 1
         with an ``error:`` line naming it, never a traceback."""
         size = json.dumps({"kind": "degenerate", "x": 1500})
-        code = main(["theory", "degree-pmf", "--n", "1000", "--m", "3000", "--s", "1500", "--size-dist", size])
+        full = json.dumps({"kind": "degenerate", "x": 3000})
+        cases = [
+            (["theory", "degree-pmf", "--n", "1000", "--m", "3000", "--s", "1500", "--size-dist", size],
+             "error: C(m, s)/n overflows a float"),
+            (["theory", "edge-prob", "--m", "3000", "--s", "1500", "--size-dist", full],
+             "error: C(3000, 1500) overflows a float"),
+            (["theory", "alpha", "--m", "3000", "--s", "1500", "--size-dist", full],
+             "error: C(3000, 1500) overflows a float"),
+            (["theory", "degree-stats", "--m", "3000", "--s", "1500", "--sizes", "3000,3000"],
+             "error: C(3000, 1500) overflows a float"),
+        ]
+        for argv, message in cases:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_USAGE, ""), argv
+            assert captured.err.startswith(message), (argv, captured.err)
+        # the tail bounds fall back to log space: p* ~ 2^640 reads upper 1,
+        # and the negative slack lower 0
+        code = main(["oracle", "tail-bounds", "--m", "3000", "--d1", "1500", "--d2", "1500", "--s", "700"])
         captured = capsys.readouterr()
-        assert (code, captured.out) == (EXIT_USAGE, "")
-        assert captured.err.startswith("error: C(m, s)/n overflows a float"), captured.err
+        assert (code, captured.err) == (EXIT_PASS, "")
+        assert json.loads(captured.out) == {"lower": 0.0, "upper": 1.0}
 
     def test_nan_jump_probs_error_names_probs(self, capsys):
         code = main(["theory", "compound-pmf", "--lam", "1", "--jump-probs", "0.5,nan"])
@@ -588,6 +631,25 @@ class TestReportReproducibility:
         cfg = parse_scenario(small_scenario())
         with pytest.raises(ResourceLimitError, match="replicate 0"):
             run_scenario(cfg, seed=1, jobs=1)
+
+    def test_gen_resource_abort_names_replicate(self, monkeypatch, tmp_path, capsys):
+        """``gen`` builds through the same graph step as ``run``: a
+        resource abort is an ``error:`` line naming replicate 0."""
+        import riglab.cli as cli_mod
+        from riglab.sampler import ResourceLimitError
+
+        def exploding_build(inc, s):
+            raise ResourceLimitError("projected pairs exceed cap")
+
+        monkeypatch.setattr(cli_mod, "build_active", exploding_build)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(small_scenario()))
+        target = tmp_path / "graph.txt"
+        code = main(["gen", "--config", str(path), "--emit-graph", str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err == "error: replicate 0: projected pairs exceed cap\n"
+        assert not target.exists()
 
     def test_sizes_only_outputs_build_no_graph(self, monkeypatch):
         """Outputs that read only the sampled sizes build no graph, so
