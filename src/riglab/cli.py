@@ -43,9 +43,9 @@ from .model import (
 )
 from .sampler import (
     ResourceLimitError,
-    RngStream,
     build_active,
     build_passive,
+    rng_stream,
     sample_incidence,
     write_edge_list,
 )
@@ -347,7 +347,7 @@ def _replicate_worker(cfg: ScenarioConfig, seed: int, r: int) -> tuple:
     computed comes back as None, so a scenario that builds nothing can
     never trip the pair cap.
     """
-    inc = sample_incidence(cfg.params(), RngStream(seed, r))
+    inc = sample_incidence(cfg.params(), rng_stream(seed, r))
     degree_counts = report = None
     if any(o in cfg.outputs for o in _GRAPH_OUTPUTS):
         graph = _build_graph(cfg, inc, r)
@@ -496,16 +496,17 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
     if "alpha_k" in cfg.outputs:
         ks = list(range(cfg.k_range[0], cfg.k_range[1] + 1))
         theory_curve = {} if no_limit_law else _theory_alpha_k(cfg)
+        per_degree, per_degree_se = pooled_report.per_degree, pooled_report.per_degree_se
         per_k = {}
         checked, ok = 0, True
         for k in ks:
-            emp = pooled_report.per_degree.get(k)
+            emp = per_degree.get(k)
             th = theory_curve.get(k)
             row = {
                 "empirical": _json_float(emp),
                 "theory": _json_float(th),
                 "bucket_count": pooled_report.bucket_counts.get(k, 0),
-                "se": _json_float(pooled_report.per_degree_se.get(k)),
+                "se": _json_float(per_degree_se.get(k)),
             }
             per_k[str(k)] = row
             if emp is not None and th is not None and th > 0:
@@ -513,11 +514,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
                 if abs(emp - th) / th > cfg.tolerances["alpha_k_rel"]:
                     ok = False
         entry = {"per_k": per_k, "buckets_compared": checked}
-        emp_points = {
-            int(k): row["empirical"]
-            for k, row in per_k.items()
-            if row["empirical"] is not None and row["empirical"] > 0
-        }
+        emp_points = {k: per_degree[k] for k in ks if per_degree.get(k, 0.0) > 0}
         if len(emp_points) >= 3:
             fit = stats.loglog_slope(emp_points)
             entry["loglog"] = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
@@ -649,7 +646,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     cfg, seed = _load_scenario(args)
-    graph = _build_graph(cfg, sample_incidence(cfg.params(), RngStream(seed, 0)), 0)
+    graph = _build_graph(cfg, sample_incidence(cfg.params(), rng_stream(seed, 0)), 0)
     write_edge_list(graph, args.emit_graph, kind=cfg.kind, n=cfg.n, m=cfg.m, s=cfg.s, seed=seed)
     print(f"{cfg.kind} graph with {graph.vertex_count} vertices, {graph.edge_count} edges -> {args.emit_graph}")
     return EXIT_PASS

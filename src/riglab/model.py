@@ -371,7 +371,8 @@ def moments(dist: SizeDistribution, s: int) -> Moments:
     """Combinatorial moments a_1, a_2 and factorial moments f_2, f_3.
 
     a_k = sum_x P(x) C(x, s)^k, f_k = sum_x P(x) (x)_k.  A distribution
-    degenerate at 0 yields all-zero moments.
+    degenerate at 0 yields all-zero moments.  a_2 reads inf past the
+    float range; :func:`riglab.theory.alpha_active` then does without it.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -380,7 +381,8 @@ def moments(dist: SizeDistribution, s: int) -> Moments:
     sizes = xs.tolist()
     cs = np.array([binomial(x, s) for x in sizes])
     a1 = float(np.dot(w, cs))
-    a2 = float(np.dot(w, cs * cs))
+    with np.errstate(over="ignore"):
+        a2 = float(np.dot(w, cs * cs))
     fs = [
         float(np.dot(w, np.array([falling_factorial(x, k) for x in sizes], dtype=float)))
         for k in (2, 3)
@@ -445,7 +447,4 @@ def size_biased(q: DiscretePmf) -> DiscretePmf:
     if mean <= 0.0:
         return DiscretePmf.point_mass(0)
     js = np.arange(1, q.probs.size, dtype=float)
-    new = js * q.probs[1:] / mean
-    if new.size == 0:
-        new = np.array([1.0])
-    return DiscretePmf.truncated(new)
+    return DiscretePmf.truncated(js * q.probs[1:] / mean)

@@ -1,8 +1,9 @@
 """Random attribute sets and the graphs they induce.
 
-Sampling is driven by counter-based (Philox) streams addressed by a
-(seed, stream_id) pair, so replicates are reproducible bit for bit and
-independent streams can run concurrently in any order.
+Sampling draws from a counter-based (Philox) generator addressed by a
+(seed, stream_id) pair, :func:`rng_stream`, so replicates are
+reproducible bit for bit and independent streams can run concurrently
+in any order.
 
 Both graph constructions funnel through one routine.  Every vertex has
 a group list: an actor's attributes for the actor ("active") graph, the
@@ -29,7 +30,7 @@ vertex count), and a :class:`Graph` is that array, made by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +40,7 @@ from .model import ModelParams
 __all__ = [
     "PAIR_CAP_DEFAULT",
     "ResourceLimitError",
-    "RngStream",
+    "rng_stream",
     "Incidence",
     "Graph",
     "sample_subset",
@@ -61,41 +62,19 @@ class ResourceLimitError(RuntimeError):
     """A graph build would exceed its configured resource cap."""
 
 
-@dataclass
-class RngStream:
-    """Addressable random stream: (seed, stream_id) -> Philox generator.
+def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """Philox generator of stream ``stream_id`` of ``seed``.
 
-    Streams with equal addresses reproduce identical draws from a fresh
-    object; distinct stream_ids are statistically independent.  The
-    underlying generator is created lazily and advances as it is used.
+    Equal addresses reproduce identical draws; distinct stream ids are
+    statistically independent.
     """
-
-    seed: int
-    stream_id: int = 0
-    _gen: np.random.Generator | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.seed < 0 or self.stream_id < 0:
-            raise ValueError("seed and stream_id must be >= 0")
-
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            ss = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(self.stream_id,)
-            )
-            self._gen = np.random.Generator(np.random.Philox(ss))
-        return self._gen
+    if seed < 0 or stream_id < 0:
+        raise ValueError("seed and stream_id must be >= 0")
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.Philox(ss))
 
 
-def _as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return rng.generator()
-
-
-def sample_subset(m: int, x: int, rng: "RngStream | np.random.Generator") -> np.ndarray:
+def sample_subset(m: int, x: int, gen: np.random.Generator) -> np.ndarray:
     """Uniform x-subset of {0..m-1}, sorted ascending.
 
     Floyd's partial selection: exactly x draws however close x is to m
@@ -105,7 +84,6 @@ def sample_subset(m: int, x: int, rng: "RngStream | np.random.Generator") -> np.
     """
     if not 0 <= x <= m:
         raise ValueError(f"need 0 <= x <= m, got x={x}, m={m}")
-    gen = _as_generator(rng)
     if x == 0:
         return np.empty(0, dtype=np.int64)
     if x == m:
@@ -205,12 +183,9 @@ def _batch_subsets(
     return _floyd_rows(gen, m, x, count)
 
 
-def sample_incidence(
-    params: ModelParams, rng: "RngStream | np.random.Generator"
-) -> Incidence:
+def sample_incidence(params: ModelParams, gen: np.random.Generator) -> Incidence:
     """Draw n independent attribute sets: a size from the size law, then
     a uniform subset of that size."""
-    gen = _as_generator(rng)
     n, m, dist = params.n, params.m, params.size_dist
     support = dist.support
     if support.size == 0:
@@ -392,6 +367,15 @@ def _edges_within(members: np.ndarray, runs: np.ndarray, vertex_count: int, thre
     return Graph.from_edge_arrays(vertex_count, u, v)
 
 
+def _check_cap(kind: str, count: int, what: str, pair_cap: int, method: str) -> None:
+    """Abort a build whose ``count`` of ``what`` exceeds ``pair_cap``."""
+    if count > pair_cap:
+        raise ResourceLimitError(
+            f"{kind} build needs {count} {what} (cap {pair_cap}); "
+            f"this regime is too dense for {method}"
+        )
+
+
 def _project(kind: str, inc: Incidence, s: int, pair_cap: int) -> Graph:
     """Graph with an edge {a, b} iff the group lists of a and b share at
     least s groups, by the t-subset keying of the module docstring.
@@ -413,28 +397,16 @@ def _project(kind: str, inc: Incidence, s: int, pair_cap: int) -> Graph:
     pair_count = _comb_total(group_sizes, 2)
     # max key G**s * V - 1 must fit in int64
     if s > 1 and G**s * V <= 2**63 and (signatures := _comb_total(lens, s)) <= pair_count:
-        if signatures > pair_cap:
-            raise ResourceLimitError(
-                f"{kind} build needs {signatures} {s}-subset signatures (cap {pair_cap}); "
-                "this regime is too dense for subset keying"
-            )
+        _check_cap(kind, signatures, f"{s}-subset signatures", pair_cap, "subset keying")
         groups = inc.attrs if active else _actors_by_attribute(inc)
         sig, members = np.divmod(subset_keys(lens, groups, s, G, V), V)
         runs = _run_lengths(sig)
         del sig
         within = _comb_total(runs, 2)
         if within <= pair_count:
-            if within > pair_cap:
-                raise ResourceLimitError(
-                    f"{kind} build needs {within} within-signature pairs (cap {pair_cap}); "
-                    "this regime is too dense for pair counting"
-                )
+            _check_cap(kind, within, "within-signature pairs", pair_cap, "pair counting")
             return _edges_within(members, runs, V, 1)
-    if pair_count > pair_cap:
-        raise ResourceLimitError(
-            f"{kind} build needs {pair_count} within-group pairs (cap {pair_cap}); "
-            "this regime is too dense for pair counting"
-        )
+    _check_cap(kind, pair_count, "within-group pairs", pair_cap, "pair counting")
     # t = 1: the signatures are the groups themselves; the passive groups
     # (actors) are the incidence as stored
     members = _actors_by_attribute(inc) if active else inc.attrs

@@ -34,7 +34,8 @@ standard convention, recorded in report metadata.  The global estimate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,30 +79,61 @@ class SlopeFit:
     r2: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusteringReport:
-    """Clustering estimates of one graph (or a pool of replicates).
+    """Clustering sums of one graph, or of a pool of replicate reports.
 
-    ``alpha_hat`` averages n3/n2 over vertices that have a 2-star;
-    ``alpha_hat_hat`` is the ratio of sums.  ``per_degree[k]`` estimates
-    the clustering of degree-k vertices and is only reported for buckets
-    holding at least ``min_bucket`` vertices; the raw sums behind every
-    bucket are kept so replicates can be pooled exactly.  Standard
-    errors appear only on pooled reports (from replicate spread).
+    A report stores the per-degree sums of its vertices with degree
+    k >= 2: ``bucket_counts[k]`` vertices, whose triangle counts sum to
+    ``n3_by_degree[k]``; ``alpha_hat`` averages n3/n2 over the
+    ``alpha_hat_count`` vertices that have a 2-star.  A pool also keeps
+    its ``parts``, the reports it sums.  Every other estimate is read off
+    these fields: ``alpha_hat_hat`` is the ratio of sums, and
+    ``per_degree[k]`` estimates the clustering of degree-k vertices for
+    the buckets holding at least ``min_bucket`` vertices.  Standard
+    errors come from the spread of the parts, so only a pool has them.
     """
 
-    alpha_hat: float | None
-    alpha_hat_hat: float | None
-    per_degree: dict[int, float]
     bucket_counts: dict[int, int]
-    min_bucket: int
-    n2_sum: int
-    n3_sum: int
     n3_by_degree: dict[int, int]
+    alpha_hat: float | None
     alpha_hat_count: int
-    replicates: int = 1
-    se_alpha_hat_hat: float | None = None
-    per_degree_se: dict[int, float] = field(default_factory=dict)
+    min_bucket: int
+    parts: tuple[ClusteringReport, ...] = ()
+
+    @property
+    def n2_sum(self) -> int:
+        return sum(math.comb(k, 2) * cnt for k, cnt in self.bucket_counts.items())
+
+    @property
+    def n3_sum(self) -> int:
+        return sum(self.n3_by_degree.values())
+
+    @property
+    def alpha_hat_hat(self) -> float | None:
+        n2_sum = self.n2_sum
+        return self.n3_sum / n2_sum if n2_sum > 0 else None
+
+    @property
+    def replicates(self) -> int:
+        return sum(p.replicates for p in self.parts) if self.parts else 1
+
+    def _bucket_alpha(self, k: int) -> float:
+        """Clustering of this report's degree-k vertices."""
+        return self.n3_by_degree[k] / (math.comb(k, 2) * self.bucket_counts[k])
+
+    @property
+    def per_degree(self) -> dict[int, float]:
+        return {k: self._bucket_alpha(k) for k, cnt in self.bucket_counts.items() if cnt >= self.min_bucket}
+
+    @property
+    def se_alpha_hat_hat(self) -> float | None:
+        return _se([p.alpha_hat_hat for p in self.parts if p.alpha_hat_hat is not None])
+
+    @property
+    def per_degree_se(self) -> dict[int, float]:
+        ses = {k: _se([p._bucket_alpha(k) for p in self.parts if k in p.bucket_counts]) for k in self.per_degree}
+        return {k: se for k, se in ses.items() if se is not None}
 
 
 def degree_histogram(graph: Graph) -> DiscretePmf:
@@ -211,39 +243,16 @@ def clustering_report(graph: Graph, min_bucket: int = DEFAULT_MIN_BUCKET) -> Clu
     alpha_hat = (
         float(np.mean(lc.n3[has_wedge] / lc.n2[has_wedge])) if count_w else None
     )
-    n2_sum = int(lc.n2.sum())
-    n3_sum = int(lc.n3.sum())
-    alpha_hat_hat = n3_sum / n2_sum if n2_sum > 0 else None
     counts = np.bincount(lc.degree)
     n3_by_deg = np.bincount(lc.degree, weights=lc.n3.astype(float))
-    bucket_counts: dict[int, int] = {}
-    n3_by_degree: dict[int, int] = {}
-    for k in range(2, counts.size):
-        if counts[k] > 0:
-            bucket_counts[k] = int(counts[k])
-            n3_by_degree[k] = int(round(n3_by_deg[k]))
-    per_degree = _per_degree(n3_by_degree, bucket_counts, min_bucket)
+    ks = np.flatnonzero(counts[2:]) + 2
     return ClusteringReport(
+        bucket_counts={int(k): int(counts[k]) for k in ks},
+        n3_by_degree={int(k): int(round(n3_by_deg[k])) for k in ks},
         alpha_hat=alpha_hat,
-        alpha_hat_hat=alpha_hat_hat,
-        per_degree=per_degree,
-        bucket_counts=bucket_counts,
-        min_bucket=min_bucket,
-        n2_sum=n2_sum,
-        n3_sum=n3_sum,
-        n3_by_degree=n3_by_degree,
         alpha_hat_count=count_w,
+        min_bucket=min_bucket,
     )
-
-
-def _per_degree(
-    n3_by_degree: dict[int, int], bucket_counts: dict[int, int], min_bucket: int
-) -> dict[int, float]:
-    out = {}
-    for k, cnt in sorted(bucket_counts.items()):
-        if cnt >= min_bucket and k >= 2:
-            out[k] = n3_by_degree.get(k, 0) / (math.comb(k, 2) * cnt)
-    return out
 
 
 def tv_distance(p: DiscretePmf, q: DiscretePmf) -> float:
@@ -288,53 +297,23 @@ def _se(values: list[float]) -> float | None:
 
 
 def pooled_estimates(reports: list[ClusteringReport]) -> ClusteringReport:
-    """Pool replicate reports: count-weighted sums for the point
-    estimates, between-replicate spread for the standard errors."""
+    """Pool replicate reports: their sums added, and ``alpha_hat`` the
+    count-weighted mean of theirs; one report is its own pool."""
     if not reports:
         raise ValueError("need at least one report")
     if len(reports) == 1:
         return reports[0]
-    min_bucket = reports[0].min_bucket
-    n2_sum = sum(r.n2_sum for r in reports)
-    n3_sum = sum(r.n3_sum for r in reports)
-    alpha_hat_hat = n3_sum / n2_sum if n2_sum > 0 else None
-    wsum = sum(r.alpha_hat_count for r in reports)
-    alpha_hat = (
-        sum(r.alpha_hat * r.alpha_hat_count for r in reports if r.alpha_hat is not None)
-        / wsum
-        if wsum
-        else None
-    )
-    bucket_counts: dict[int, int] = {}
-    n3_by_degree: dict[int, int] = {}
+    bucket_counts, n3_by_degree = Counter(), Counter()
     for r in reports:
-        for k, cnt in r.bucket_counts.items():
-            bucket_counts[k] = bucket_counts.get(k, 0) + cnt
-            n3_by_degree[k] = n3_by_degree.get(k, 0) + r.n3_by_degree.get(k, 0)
-    per_degree = _per_degree(n3_by_degree, bucket_counts, min_bucket)
-    per_degree_se: dict[int, float] = {}
-    for k in per_degree:
-        vals = [
-            r.n3_by_degree[k] / (math.comb(k, 2) * r.bucket_counts[k])
-            for r in reports
-            if r.bucket_counts.get(k, 0) > 0
-        ]
-        se = _se(vals)
-        if se is not None:
-            per_degree_se[k] = se
+        bucket_counts.update(r.bucket_counts)
+        n3_by_degree.update(r.n3_by_degree)
+    wsum = sum(r.alpha_hat_count for r in reports)
+    weighted = sum(r.alpha_hat * r.alpha_hat_count for r in reports if r.alpha_hat is not None)
     return ClusteringReport(
-        alpha_hat=alpha_hat,
-        alpha_hat_hat=alpha_hat_hat,
-        per_degree=per_degree,
         bucket_counts=dict(sorted(bucket_counts.items())),
-        min_bucket=min_bucket,
-        n2_sum=n2_sum,
-        n3_sum=n3_sum,
         n3_by_degree=dict(sorted(n3_by_degree.items())),
+        alpha_hat=weighted / wsum if wsum else None,
         alpha_hat_count=wsum,
-        replicates=sum(r.replicates for r in reports),
-        se_alpha_hat_hat=_se(
-            [r.alpha_hat_hat for r in reports if r.alpha_hat_hat is not None]
-        ),
-        per_degree_se=per_degree_se,
+        min_bucket=reports[0].min_bucket,
+        parts=tuple(reports),
     )

@@ -142,7 +142,9 @@ def active_edge_prob_asymptotic(
     if not 1 <= s <= m:
         raise ValueError("s must satisfy 1 <= s <= m")
     a1 = moments(dist, s).a1
-    raw = a1 * a1 / binomial(m, s)
+    big_m = binomial(m, s)
+    # where a1 * a1 overflows, a1 / C(m, s) <= 1 comes first and keeps raw finite
+    raw = a1 * a1 / big_m if a1 * a1 < math.inf else a1 * (a1 / big_m)
     clamped = not 0.0 <= raw <= 1.0
     return ClampedProbability(value=min(max(raw, 0.0), 1.0), raw=raw, clamped=clamped)
 
@@ -214,14 +216,21 @@ def alpha_active(dist: SizeDistribution, m: int, s: int) -> float:
     """Clustering coefficient of the actor graph: a1 / a2.
 
     For a fixed set size x this is 1 / C(x, s); it degrades to 0 as the
-    second combinatorial moment blows up.
+    second combinatorial moment blows up.  Where a2 passes the float
+    range, both moments are taken relative to the largest C(x, s).
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     mom = moments(dist, s)
     if mom.a2 <= 0.0:
         raise ValueError("clustering undefined: no vertex can hold a joint")
-    return mom.a1 / mom.a2
+    if mom.a2 < math.inf:
+        return mom.a1 / mom.a2
+    w = dist.probs[dist.support]
+    cs = np.array([binomial(x, s) for x in dist.support.tolist()])
+    top = cs.max()
+    cs /= top
+    return float(np.dot(w, cs)) / float(np.dot(w, cs * cs)) / top
 
 
 def alpha_active_beta_form(dist: SizeDistribution, n: int, m: int, s: int) -> float:
@@ -401,6 +410,8 @@ def poisson_approx_stats(sizes, m: int, s: int) -> PoissonApproxStats:
         kappa2     = (x1+/(m - x1)) C(m,s)^{-1} sum_{k>=2} u_k xk+
 
     kappa2 is +inf when x1 = m with s < m (the guard term divides by 0).
+    Where u_k or the squares pass the float range, each u_k is divided by
+    C(m, s) first; a statistic that still overflows is a ``ValueError``.
     """
     xs = np.asarray(sizes if isinstance(sizes, np.ndarray) else list(sizes), dtype=np.int64)
     if xs.size < 2:
@@ -412,17 +423,26 @@ def poisson_approx_stats(sizes, m: int, s: int) -> PoissonApproxStats:
     big_m = binomial(m, s)
     support, where = np.unique(xs, return_inverse=True)
     cs = np.array([binomial(int(x), s) for x in support])[where]  # C(x_k, s)
-    u = cs[0] * cs[1:]
-    lam = float(u.sum() / big_m)
-    kappa1 = float(np.dot(u, u) / (big_m * big_m))
-    x1p = max(0, int(xs[0]) - s)
+    x1 = int(xs[0])
+    x1p = max(0, x1 - s)
     xkp = np.maximum(0, xs[1:] - s).astype(float)
-    if x1p == 0:
-        kappa2 = 0.0
-    elif int(xs[0]) == m:
-        kappa2 = math.inf
-    else:
-        kappa2 = float(x1p / (m - int(xs[0])) * np.dot(u, xkp) / big_m)
+    with np.errstate(over="ignore"):
+        u = cs[0] * cs[1:]
+        if not (np.dot(u, u) < math.inf and big_m * big_m < math.inf):
+            # u_k / C(m, s) first, at most C(x_1, s); the sums then divide by 1
+            u, big_m = cs[0] * (cs[1:] / big_m), 1.0
+        lam = float(u.sum() / big_m)
+        kappa1 = float(np.dot(u, u) / (big_m * big_m))
+        if x1p == 0:
+            kappa2 = 0.0
+        elif x1 == m:
+            kappa2 = math.inf
+        else:
+            kappa2 = float(x1p / (m - x1) * np.dot(u, xkp) / big_m)
+    # kappa2 = inf at x1 = m is the law's own value, not an overflow
+    for name, value in (("lambda_bar", lam), ("kappa1", kappa1), ("kappa2", kappa2)):
+        if value == math.inf and (name != "kappa2" or x1 < m):
+            raise ValueError(f"{name} overflows a float at m={m}, s={s}")
     return PoissonApproxStats(lambda_bar=lam, kappa1=kappa1, kappa2=kappa2)
 
 
@@ -439,35 +459,25 @@ def passive_regime_classify(n: int, m: int, dist: SizeDistribution) -> RegimeRep
     _check_n_m(n, m)
     n_star = n * dist.prob_ge(2)
     if n / m < _REGIME_RATIO:
-        return RegimeReport(
-            case_label="m_dominates",
-            n_star=n_star,
-            advice=(
-                "far more attributes than sets: conditioned on having any "
-                "neighbor, degrees grow like m/n; no nondegenerate limit"
-            ),
+        label = "m_dominates"
+        advice = (
+            "far more attributes than sets: conditioned on having any "
+            "neighbor, degrees grow like m/n; no nondegenerate limit"
         )
-    if n_star / m < _REGIME_RATIO:
-        return RegimeReport(
-            case_label="n_star_small",
-            n_star=n_star,
-            advice=(
-                "few sets of size >= 2: conditioned on having any neighbor, "
-                "degrees grow like m/max(1, n_star); no nondegenerate limit"
-            ),
+    elif n_star / m < _REGIME_RATIO:
+        label = "n_star_small"
+        advice = (
+            "few sets of size >= 2: conditioned on having any neighbor, "
+            "degrees grow like m/max(1, n_star); no nondegenerate limit"
         )
-    if m / n_star < _REGIME_RATIO:
-        return RegimeReport(
-            case_label="n_star_dominates",
-            n_star=n_star,
-            advice="edge-creating sets dominate: degrees diverge to infinity",
-        )
-    return RegimeReport(
-        case_label="balanced",
-        n_star=n_star,
-        advice=(
+    elif m / n_star < _REGIME_RATIO:
+        label = "n_star_dominates"
+        advice = "edge-creating sets dominate: degrees diverge to infinity"
+    else:
+        label = "balanced"
+        advice = (
             "compound Poisson limit applies; when sizes 0/1 carry mass use "
             f"effective parameters n={math.floor(n_star)} with the size law "
             "conditioned on X >= 2"
-        ),
-    )
+        )
+    return RegimeReport(case_label=label, n_star=n_star, advice=advice)

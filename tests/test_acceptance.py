@@ -22,7 +22,7 @@ from riglab.model import (
     binomial,
     make_size_dist,
 )
-from riglab.sampler import RngStream, build_active, build_passive, sample_incidence
+from riglab.sampler import build_active, build_passive, rng_stream, sample_incidence
 
 
 def check(criterion: str, ok: bool, detail: str) -> bool:
@@ -90,7 +90,7 @@ def test_a03_active_degree_law():
     n = m = 100_000
     dist = make_size_dist(Degenerate(2), m)
     params = ModelParams(n=n, m=m, s=1, size_dist=dist)
-    graph = build_active(sample_incidence(params, RngStream(303, 0)), 1)
+    graph = build_active(sample_incidence(params, rng_stream(303, 0)), 1)
     empirical = stats.degree_histogram(graph)
     tv_sim = stats.tv_distance(empirical, poisson_pmf(4.0, max(40, empirical.k_max)))
 
@@ -111,7 +111,7 @@ def test_a04_active_clustering():
     params = ModelParams(n=25_000, m=1000, s=2, size_dist=make_size_dist(Degenerate(5), 1000))
     reports = []
     for r in range(50):
-        graph = build_active(sample_incidence(params, RngStream(404, r)), 2)
+        graph = build_active(sample_incidence(params, rng_stream(404, r)), 2)
         reports.append(stats.clustering_report(graph))
     pooled = stats.pooled_estimates(reports)
     elapsed = time.perf_counter() - t0
@@ -164,7 +164,7 @@ def power_law_pool():
     pooled = None
     while r < 2500:
         for _ in range(50):
-            graph = build_active(sample_incidence(params, RngStream(606, r)), 1)
+            graph = build_active(sample_incidence(params, rng_stream(606, r)), 1)
             reports.append(stats.clustering_report(graph, min_bucket=1))
             r += 1
         pooled = stats.pooled_estimates(reports)
@@ -227,7 +227,7 @@ def test_a07_passive_degree_law():
     n = m = 100_000
     dist = make_size_dist(Degenerate(4), m)
     params = ModelParams(n=n, m=m, s=1, size_dist=dist, kind="passive")
-    graph = build_passive(sample_incidence(params, RngStream(707, 0)), 1)
+    graph = build_passive(sample_incidence(params, rng_stream(707, 0)), 1)
     empirical = stats.degree_histogram(graph)
     spec = theory.CompoundPoissonSpec(4.0, DiscretePmf.point_mass(3))
     panjer = theory.compound_poisson_pmf(spec)
@@ -254,7 +254,7 @@ def test_a08_passive_alpha_k():
     reports = []
     r = 0
     while True:
-        graph = build_passive(sample_incidence(params, RngStream(808, r)), 1)
+        graph = build_passive(sample_incidence(params, rng_stream(808, r)), 1)
         reports.append(stats.clustering_report(graph))
         r += 1
         pooled = stats.pooled_estimates(reports)
@@ -281,7 +281,7 @@ def test_a09_passive_alpha():
     params = ModelParams(n=n, m=m, s=1, size_dist=dist, kind="passive")
     reports = []
     for r in range(20):
-        graph = build_passive(sample_incidence(params, RngStream(909, r)), 1)
+        graph = build_passive(sample_incidence(params, rng_stream(909, r)), 1)
         reports.append(stats.clustering_report(graph))
     pooled = stats.pooled_estimates(reports)
     finite = theory.alpha_passive_finite(dist, n, m)
@@ -342,7 +342,7 @@ def test_a11_compound_poisson_engine():
     draws = 1_000_000
     tvs = {}
     for i, (label, spec) in enumerate(specs):
-        gen = RngStream(1111, i).generator()
+        gen = rng_stream(1111, i)
         counts = gen.poisson(spec.lam, draws)
         jump_probs = np.asarray(spec.jump_pmf.probs)
         jump_probs = jump_probs / jump_probs.sum()  # fold tiny tail back in

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,11 @@ SUMMARY_GOLDEN = json.loads(
 
 
 PAIR = '{"kind": "degenerate", "x": 2}'
+
+
+def reject_constant(name):
+    """``parse_constant`` hook: NaN and Infinity are not JSON."""
+    raise ValueError(f"{name} is not JSON")
 
 
 def small_scenario(**overrides):
@@ -246,6 +253,15 @@ class TestRunScenario:
         monkeypatch.delenv("RIGLAB_SEED")
         assert run_scenario(without, jobs=1).body["scenario"]["seed"] == 0
 
+    def test_undefined_clustering_law_is_null(self):
+        """Passive sets of size 1 make no 2-stars: the clustering law is
+        undefined, so it reads null and its pass flag is null."""
+        doc = small_scenario(outputs=["clustering"])
+        doc["scenario"]["model"].update(kind="passive", size_dist={"kind": "degenerate", "x": 1})
+        rep = run_scenario(parse_scenario(doc), seed=1, jobs=1)
+        assert rep.body["analyses"]["clustering"]["theory_alpha"] is None
+        assert rep.body["passes"]["clustering"] is None
+
     def test_passive_s2_has_no_theory(self):
         doc = small_scenario()
         doc["scenario"]["model"]["kind"] = "passive"
@@ -281,11 +297,20 @@ class TestCommandLine:
         assert header == "k,empirical,theory,bucket_count,se"
 
     def test_run_comparison_failure_exit_two(self, tmp_path, capsys):
-        doc = small_scenario(tolerances={"tv_degree": 1e-9})
-        path = self.write_config(tmp_path, doc)
-        code = main(["run", "--config", path, "--seed", "4"])
-        capsys.readouterr()
-        assert code == EXIT_COMPARISON
+        """A tolerance too tight for its comparison fails that output's
+        pass flag, and the run exits 2."""
+        for tolerances, flag in [
+            ({"tv_degree": 1e-9}, "degree"),
+            ({"alpha_abs": 1e-9}, "clustering"),
+            ({"alpha_k_rel": 1e-9}, "alpha_k"),
+        ]:
+            path = self.write_config(tmp_path, small_scenario(tolerances=tolerances))
+            out_dir = tmp_path / flag
+            code = main(["run", "--config", path, "--seed", "4", "--out", str(out_dir)])
+            capsys.readouterr()
+            assert code == EXIT_COMPARISON, tolerances
+            report = json.loads((out_dir / "report.json").read_text())
+            assert report["passes"][flag] is False, tolerances
 
     def test_usage_error_exit_one(self, tmp_path, capsys):
         doc = small_scenario()
@@ -428,9 +453,46 @@ class TestCommandLine:
     )
     def test_every_subcommand_emits_json(self, case, capsys):
         """Every recorded invocation reproduces its exit code and stdout
-        byte for byte (usage errors exit 1 with nothing on stdout)."""
+        byte for byte (usage errors exit 1 with nothing on stdout), and
+        the stdout is strict JSON: no NaN or Infinity."""
         code = main(case["argv"])
-        assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+        out = capsys.readouterr().out
+        assert (code, out) == (case["exit"], case["stdout"])
+        if out:
+            json.loads(out, parse_constant=reject_constant)
+
+    @pytest.mark.parametrize(
+        "argv, exact",
+        [
+            (
+                ["alpha", "--m", "1000", "--s", "300", "--size-dist", '{"kind": "degenerate", "x": 700}'],
+                {"alpha": Fraction(1, math.comb(700, 300))},
+            ),
+            (
+                ["edge-prob", "--m", "1000", "--s", "300", "--size-dist", '{"kind": "degenerate", "x": 700}'],
+                {"raw": Fraction(math.comb(700, 300) ** 2, math.comb(1000, 300))},
+            ),
+            (
+                ["degree-stats", "--m", "1000", "--s", "300", "--sizes", "700,700"],
+                {
+                    "lambda_bar": Fraction(math.comb(700, 300) ** 2, math.comb(1000, 300)),
+                    "kappa1": Fraction(math.comb(700, 300) ** 2, math.comb(1000, 300)) ** 2,
+                    "kappa2": Fraction(400, 300)
+                    * Fraction(math.comb(700, 300) ** 2 * 400, math.comb(1000, 300)),
+                },
+            ),
+        ],
+        ids=["alpha", "edge-prob", "degree-stats"],
+    )
+    def test_wide_binomials_match_exact_values(self, argv, exact, capsys):
+        """C(700, 300) ~ 1.2e206 squares past the float range; the laws
+        built on it still match exact rational values."""
+        code = main(["theory", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_PASS, "")
+        out = json.loads(captured.out, parse_constant=reject_constant)
+        for key, value in exact.items():
+            assert out[key] == pytest.approx(float(value), rel=1e-9), key
 
     def test_golden_covers_every_subcommand(self):
         declared = {("theory", name) for name in THEORY_COMMANDS}
@@ -538,6 +600,9 @@ class TestCommandLine:
              "error: C(3000, 1500) overflows a float"),
             (["theory", "degree-stats", "--m", "3000", "--s", "1500", "--sizes", "3000,3000"],
              "error: C(3000, 1500) overflows a float"),
+            # lambda_bar ~ 3.4e296 is a float, its square is not
+            (["theory", "degree-stats", "--m", "1000", "--s", "500", "--sizes", "990,990"],
+             "error: kappa1 overflows a float"),
         ]
         for argv, message in cases:
             code = main(argv)
@@ -677,7 +742,7 @@ class TestReportReproducibility:
         streams = []
 
         def counting_sample(params, rng):
-            streams.append(rng.stream_id)
+            streams.append(rng.bit_generator.seed_seq.spawn_key[0])
             return inner(params, rng)
 
         monkeypatch.setattr(cli_mod, "sample_incidence", counting_sample)

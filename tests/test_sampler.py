@@ -15,9 +15,9 @@ from riglab.sampler import (
     Graph,
     Incidence,
     ResourceLimitError,
-    RngStream,
     build_active,
     build_passive,
+    rng_stream,
     sample_incidence,
     sample_subset,
     write_edge_list,
@@ -148,30 +148,38 @@ def lexsort_csr(vertex_count, u, v):
 
 class TestRngStream:
     def test_identical_addresses_reproduce(self):
-        a = RngStream(99, 4).generator().integers(0, 1 << 30, 64)
-        b = RngStream(99, 4).generator().integers(0, 1 << 30, 64)
+        a = rng_stream(99, 4).integers(0, 1 << 30, 64)
+        b = rng_stream(99, 4).integers(0, 1 << 30, 64)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = RngStream(99, 0).generator().integers(0, 1 << 30, 64)
-        b = RngStream(99, 1).generator().integers(0, 1 << 30, 64)
+        a = rng_stream(99, 0).integers(0, 1 << 30, 64)
+        b = rng_stream(99, 1).integers(0, 1 << 30, 64)
         assert not np.array_equal(a, b)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            RngStream(-1, 0)
+            rng_stream(-1, 0)
+        with pytest.raises(ValueError):
+            rng_stream(0, -1)
+
+    def test_is_a_philox_generator_at_its_address(self):
+        gen = rng_stream(99, 4)
+        assert isinstance(gen.bit_generator, np.random.Philox)
+        assert gen.bit_generator.seed_seq.entropy == 99
+        assert gen.bit_generator.seed_seq.spawn_key == (4,)
 
 
 class TestSampleSubset:
     def test_edges_of_domain(self):
-        rng = RngStream(0)
+        rng = rng_stream(0)
         assert sample_subset(5, 0, rng).size == 0
         assert np.array_equal(sample_subset(5, 5, rng), np.arange(5))
         with pytest.raises(ValueError):
             sample_subset(5, 6, rng)
 
     def test_sorted_distinct(self):
-        rng = RngStream(1)
+        rng = rng_stream(1)
         for _ in range(200):
             out = sample_subset(20, 7, rng)
             assert out.size == 7
@@ -180,7 +188,7 @@ class TestSampleSubset:
 
     def test_all_subsets_equally_likely(self):
         """Chi-square on the 10 possible 2-subsets of {0..4}."""
-        rng = RngStream(7)
+        rng = rng_stream(7)
         counts = {}
         draws = 20_000
         for _ in range(draws):
@@ -192,10 +200,9 @@ class TestSampleSubset:
         assert chi2 < 27.9  # 99.9% quantile, 9 dof
 
     def test_inclusion_frequency_direct(self):
-        rng = RngStream(3)
+        gen = rng_stream(3)
         draws = 100_000
         hits = np.zeros(100)
-        gen = rng.generator()
         for _ in range(draws):
             hits[sample_subset(100, 10, gen)] += 1
         freq = hits / draws
@@ -214,7 +221,7 @@ def dense_shapes(draw):
 def assert_matches_scalar(batch, m, x, count, block_rows, seed):
     """``batch`` draws, row for row, the stacked :func:`sample_subset`
     rows of a twin generator, and leaves it where they leave the twin."""
-    gen, twin = RngStream(seed).generator(), RngStream(seed).generator()
+    gen, twin = rng_stream(seed), rng_stream(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "_FLOYD_BLOCK_BYTES", 8 * x * block_rows)
         rows = batch(gen, m, x, count)
@@ -259,15 +266,15 @@ class TestSampleIncidence:
 
     def test_empty_and_full(self):
         p = ModelParams(n=3, m=5, s=1, size_dist=make_size_dist(Degenerate(0), 5))
-        inc = sample_incidence(p, RngStream(0))
+        inc = sample_incidence(p, rng_stream(0))
         assert all(members(inc, i).size == 0 for i in range(3))
         p = ModelParams(n=1, m=5, s=1, size_dist=make_size_dist(Degenerate(5), 5))
-        inc = sample_incidence(p, RngStream(0))
+        inc = sample_incidence(p, rng_stream(0))
         assert np.array_equal(members(inc, 0), np.arange(5))
 
     def test_sets_sorted_distinct_in_range(self):
         p = self.make_params(n=500, weights=(0.1, 0.2, 0.3, 0.2, 0.2))
-        inc = sample_incidence(p, RngStream(5))
+        inc = sample_incidence(p, rng_stream(5))
         for i in range(inc.n):
             row = members(inc, i)
             assert np.all(np.diff(row) > 0) if row.size > 1 else True
@@ -277,7 +284,7 @@ class TestSampleIncidence:
     def test_size_histogram_chi_square(self):
         """Observed sizes against P at the 99% chi-square level."""
         p = self.make_params(n=10_000, weights=(0, 0.5, 0, 0.5))
-        inc = sample_incidence(p, RngStream(11))
+        inc = sample_incidence(p, rng_stream(11))
         n1 = int((inc.sizes == 1).sum())
         n3 = int((inc.sizes == 3).sum())
         assert n1 + n3 == 10_000
@@ -289,14 +296,14 @@ class TestSampleIncidence:
         p = ModelParams(
             n=1_000_000, m=100, s=1, size_dist=make_size_dist(Degenerate(10), 100)
         )
-        inc = sample_incidence(p, RngStream(13))
+        inc = sample_incidence(p, rng_stream(13))
         freq = np.bincount(inc.attrs, minlength=100) / 1_000_000
         np.testing.assert_allclose(freq, 0.10, atol=0.003)
 
     def test_deterministic(self):
         p = self.make_params(n=300)
-        a = sample_incidence(p, RngStream(17, 2))
-        b = sample_incidence(p, RngStream(17, 2))
+        a = sample_incidence(p, rng_stream(17, 2))
+        b = sample_incidence(p, rng_stream(17, 2))
         assert np.array_equal(a.attrs, b.attrs) and np.array_equal(a.sizes, b.sizes)
 
     def test_large_sizes_take_partial_selection_path(self, monkeypatch):
@@ -312,7 +319,7 @@ class TestSampleIncidence:
         p = ModelParams(
             n=40, m=30, s=1, size_dist=make_size_dist(Degenerate(25), 30)
         )
-        inc = sample_incidence(p, RngStream(23))
+        inc = sample_incidence(p, rng_stream(23))
         assert calls == [(30, 25, 40)]
         for i in range(inc.n):
             row = members(inc, i)
@@ -326,16 +333,16 @@ class TestBuildActive:
         assert edge_set(build_active(inc, 2)) == set()
 
     def test_matches_brute_force(self):
-        rng = RngStream(31)
+        rng = rng_stream(31)
         for trial in range(8):
-            n = int(rng.generator().integers(5, 120))
+            n = int(rng.integers(5, 120))
             p = ModelParams(
                 n=n,
                 m=25,
                 s=1,
                 size_dist=make_size_dist(Table([0.1, 0.3, 0.3, 0.2, 0.1]), 25),
             )
-            inc = sample_incidence(p, RngStream(31, trial + 1))
+            inc = sample_incidence(p, rng_stream(31, trial + 1))
             for s in (1, 2, 3):
                 got = edge_set(build_active(inc, s))
                 assert got == brute_force_active(inc, s)
@@ -344,7 +351,7 @@ class TestBuildActive:
         p = ModelParams(
             n=80, m=20, s=1, size_dist=make_size_dist(Table([0, 0, 0.5, 0, 0.5]), 20)
         )
-        inc = sample_incidence(p, RngStream(37))
+        inc = sample_incidence(p, rng_stream(37))
         prev = edge_set(build_active(inc, 1))
         for s in (2, 3, 4):
             cur = edge_set(build_active(inc, s))
@@ -355,13 +362,13 @@ class TestBuildActive:
         p = ModelParams(
             n=200, m=40, s=2, size_dist=make_size_dist(Degenerate(4), 40)
         )
-        g = build_active(sample_incidence(p, RngStream(41)), 2)
+        g = build_active(sample_incidence(p, rng_stream(41)), 2)
         validate(g)
 
     def test_determinism_bit_identical(self):
         p = ModelParams(n=150, m=30, s=1, size_dist=make_size_dist(Degenerate(3), 30))
-        g1 = build_active(sample_incidence(p, RngStream(43, 9)), 1)
-        g2 = build_active(sample_incidence(p, RngStream(43, 9)), 1)
+        g1 = build_active(sample_incidence(p, rng_stream(43, 9)), 1)
+        g2 = build_active(sample_incidence(p, rng_stream(43, 9)), 1)
         assert g1 == g2
 
     def test_pair_cap_aborts(self):
@@ -377,7 +384,7 @@ class TestBuildActive:
         params = ModelParams(n=2, m=m, s=s, size_dist=make_size_dist(Degenerate(x), m))
         hits = 0
         for r in range(reps):
-            g = build_active(sample_incidence(params, RngStream(47, r)), s)
+            g = build_active(sample_incidence(params, rng_stream(47, r)), s)
             hits += g.edge_count
         freq = hits / reps
         sigma = (p_exact * (1 - p_exact) / reps) ** 0.5
@@ -395,9 +402,9 @@ class TestBuildPassive:
         assert edge_set(build_passive(inc, 2)) == {(0, 1)}
 
     def test_matches_brute_force(self):
-        rng = RngStream(53)
+        rng = rng_stream(53)
         for trial in range(6):
-            n = int(rng.generator().integers(3, 50))
+            n = int(rng.integers(3, 50))
             p = ModelParams(
                 n=n,
                 m=30,
@@ -405,7 +412,7 @@ class TestBuildPassive:
                 size_dist=make_size_dist(Table([0.1, 0.2, 0.3, 0.3, 0.1]), 30),
                 kind="passive",
             )
-            inc = sample_incidence(p, RngStream(53, trial + 1))
+            inc = sample_incidence(p, rng_stream(53, trial + 1))
             for s in (1, 2):
                 got = edge_set(build_passive(inc, s))
                 assert got == brute_force_passive(inc, s)
@@ -414,7 +421,7 @@ class TestBuildPassive:
         p = ModelParams(
             n=60, m=25, s=1, size_dist=make_size_dist(Degenerate(4), 25), kind="passive"
         )
-        inc = sample_incidence(p, RngStream(59))
+        inc = sample_incidence(p, rng_stream(59))
         prev = None
         for s in (1, 2, 3):
             g = build_passive(inc, s)
@@ -560,7 +567,7 @@ class TestSubsetProjection:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_matches_pair_count_reference(self, name):
         """Replicate 0 of every preset at seed 0, both graph kinds, s = 1, 2, 3."""
-        inc = sample_incidence(preset_config(name).params(), RngStream(0, 0))
+        inc = sample_incidence(preset_config(name).params(), rng_stream(0, 0))
         for kind, build in (("active", build_active), ("passive", build_passive)):
             for s in (1, 2, 3):
                 assert_same_graph(build(inc, s), pair_count_reference(kind, inc, s))
@@ -679,6 +686,6 @@ class TestEdgeListExport:
     def test_bytes_match_line_writer_on_example5(self, tmp_path):
         """600 k edges, so the export spans several blocks."""
         cfg = preset_config("example5")
-        graph = build_passive(sample_incidence(cfg.params(), RngStream(0, 0)), cfg.s)
+        graph = build_passive(sample_incidence(cfg.params(), rng_stream(0, 0)), cfg.s)
         assert graph.edge_count > 4 * sampler._EXPORT_BLOCK
         assert_same_export(graph, tmp_path, kind=cfg.kind, n=cfg.n, m=cfg.m, s=cfg.s, seed=0)

@@ -14,9 +14,9 @@ from riglab.cli import PRESETS, preset_config
 from riglab.model import DiscretePmf, ModelParams, Table, make_size_dist
 from riglab.sampler import (
     Graph,
-    RngStream,
     build_active,
     build_passive,
+    rng_stream,
     sample_incidence,
 )
 from riglab.stats import (
@@ -78,7 +78,7 @@ def random_graph(seed, n=60):
     p = ModelParams(
         n=n, m=20, s=1, size_dist=make_size_dist(Table([0, 0.3, 0.4, 0.3]), 20)
     )
-    return build_active(sample_incidence(p, RngStream(seed)), 1)
+    return build_active(sample_incidence(p, rng_stream(seed)), 1)
 
 
 def wedge_probe_counts(graph):
@@ -242,7 +242,7 @@ class TestLocalCounts:
         copy, with room to spare) and eight vertex-sized arrays.  One
         wedge-sized array (14.4 MB here) would exceed it."""
         cfg = preset_config("example5")
-        g = build_passive(sample_incidence(cfg.params(), RngStream(0, 0)), cfg.s)
+        g = build_passive(sample_incidence(cfg.params(), rng_stream(0, 0)), cfg.s)
         g.degrees  # counted by the build, outside the traced call
         assert (g.vertex_count, g.edge_count) == (100_000, 599_967)
         bound = 24_388_080  # 8 B * (2 * 2**19 + 2 * 599_967 + 8 * 100_000)
@@ -273,7 +273,7 @@ class TestLocalCounts:
     def test_preset_matches_all_wedge_reference(self, name):
         """Replicate 0 of every preset at seed 0."""
         cfg = preset_config(name)
-        inc = sample_incidence(cfg.params(), RngStream(0, 0))
+        inc = sample_incidence(cfg.params(), rng_stream(0, 0))
         g = build_active(inc, cfg.s) if cfg.kind == "active" else build_passive(inc, cfg.s)
         np.testing.assert_array_equal(local_counts(g).n3, wedge_probe_counts(g))
 
@@ -311,6 +311,17 @@ class TestClusteringReport:
             sel = lc.degree == k
             want = lc.n3[sel].sum() / (math.comb(k, 2) * sel.sum())
             assert value == pytest.approx(want, abs=1e-12)
+
+    def test_sums_match_local_counts(self):
+        """The 2-star and triangle sums a report derives from its buckets
+        are those of the vertices."""
+        g = random_graph(34, n=120)
+        lc = local_counts(g)
+        rep = clustering_report(g, min_bucket=1)
+        assert rep.n2_sum == int(lc.n2.sum())
+        assert rep.n3_sum == int(lc.n3.sum())
+        assert sum(rep.bucket_counts.values()) == int((lc.degree >= 2).sum())
+        assert rep.parts == () and rep.replicates == 1 and rep.per_degree_se == {}
 
     def test_min_bucket_filters(self):
         g = k4_minus_edge()
@@ -418,19 +429,27 @@ class TestPooledEstimates:
             assert value == pytest.approx(n3 / (math.comb(k, 2) * cnt), abs=1e-12)
         assert pooled.n3_sum == sum(r.n3_sum for r in reps)
 
+    def test_pool_keeps_its_parts(self):
+        """A pool sums its parts, and a pool of pools counts the leaf
+        replicates."""
+        reps = [clustering_report(random_graph(s, n=80), min_bucket=1) for s in (4, 5, 6)]
+        pooled = pooled_estimates(reps[:2])
+        assert pooled.parts == tuple(reps[:2])
+        assert pooled.n2_sum == reps[0].n2_sum + reps[1].n2_sum
+        nested = pooled_estimates([pooled, reps[2]])
+        assert nested.replicates == 3
+        assert nested.bucket_counts == pooled_estimates(reps).bucket_counts
+
 
 def clustering_report_like(n3, n2):
-    """Minimal synthetic report for pooling arithmetic tests."""
+    """Minimal synthetic report for pooling arithmetic tests: n2 vertices
+    of degree 2, n3 of them closed."""
     from riglab.stats import ClusteringReport
 
     return ClusteringReport(
+        bucket_counts={2: n2},
+        n3_by_degree={2: n3},
         alpha_hat=n3 / n2,
-        alpha_hat_hat=n3 / n2,
-        per_degree={},
-        bucket_counts={},
+        alpha_hat_count=n2,
         min_bucket=30,
-        n2_sum=n2,
-        n3_sum=n3,
-        n3_by_degree={},
-        alpha_hat_count=1,
     )
