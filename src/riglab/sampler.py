@@ -18,6 +18,14 @@ Each count of the chosen route is checked against a hard cap before the
 array it sizes is allocated, because dense regimes explode
 quadratically and are outside the sparse scope of this package.
 
+Memory of the t = s route: the subset keys are written in place into
+one sorted array, 8 B per signature, while the lists are read as rows
+beside it; their signatures are then decoded once to find the repeats,
+and only the keys whose signature repeats go on.  At the scaled
+example1 shape (60k sets of 6, s = 2: 900,000 signatures, of which
+43,869 repeat) the build's tracemalloc peak is 17.1 B per signature
+(39.5 B when every key's signature and member were decoded and kept).
+
 Every subset is listed by one enumerator: the lists of one length are
 read in one block against one colex-ordered table of index subsets.  It
 gives the s-subset signatures, the pairs within each signature or
@@ -298,13 +306,17 @@ def _subset_table(size: int, t: int) -> np.ndarray:
     return table
 
 
-def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int):
+def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int, out: np.ndarray | None = None):
     """For each list length l >= t: the vertices whose list has length l
     and the (count, C(l, t)) array of their t-subsets, each read as t
     digits in base ``base``, the first list entry the most significant.
 
     Vertex v's list is the v-th run of ``values`` (runs of length
-    ``lens``).  One :func:`_subset_table` serves every length.
+    ``lens``).  One :func:`_subset_table` serves every length.  Given
+    ``out``, of size sum C(len, t), each length's array is a view of its
+    next slice, written in place.  The first digit is taken into the
+    array and the last added by broadcasting, so only a middle digit
+    (t >= 3) needs a temporary of the array's size.
     """
     offsets = np.concatenate([[0], np.cumsum(lens)])
     listed = np.flatnonzero(lens >= t)
@@ -313,14 +325,26 @@ def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int):
     del listed
     ends = np.cumsum(hist)
     table = _subset_table(hist.size - 1, t)
+    at = 0
     for length in np.flatnonzero(hist[t:]) + t:
         vertices = by_length[ends[length] - hist[length] : ends[length]]
         rows = values[offsets[vertices][:, None] + np.arange(length)]
         cols = table[:, : math.comb(int(length), t)]
-        sig = np.take(rows, cols[0], axis=1)
+        size = vertices.size * cols.shape[1]
+        view = None if out is None else out[at : at + size].reshape(vertices.size, -1)
+        at += size
+        # mode "raise" would buffer ``out``; the table's indices are in range
+        sig = np.take(rows, cols[0], axis=1, out=view, mode="clip")
         for j in range(1, t):
             sig *= np.int64(base)
-            sig += np.take(rows, cols[j], axis=1)
+            if j < t - 1:
+                sig += np.take(rows, cols[j], axis=1)
+                continue
+            # the last digit: entry c tops the columns C(c, t) to
+            # C(c + 1, t) (colex), so one broadcast add per c needs no
+            # temporary
+            for c in range(t - 1, int(length)):
+                sig[:, math.comb(c, t) : math.comb(c + 1, t)] += rows[:, c : c + 1]
         yield vertices, sig
 
 
@@ -334,14 +358,18 @@ def subset_keys(
     ``lens``, ascending inside); a subset's signature is its groups read
     as t digits in base ``group_count`` (see :func:`_subset_rows`).  The
     caller checks that group_count**t * V fits in int64.
+
+    Each list length's keys are written straight into the result (8 B
+    per key).  Beside it the transients are one length class's lists as
+    rows (with their index, 16 B per list entry) and, at t >= 3, 8 B per
+    key of the class for each middle digit (see :func:`_subset_rows`).
+    For 60k lists of 6 at t = 2 (900,000 keys) the tracemalloc peak is
+    14.0 MB, 15.5 B per key.
     """
     keys = np.empty(_comb_total(lens, t), dtype=np.int64)
-    at = 0
-    for vertices, sig in _subset_rows(lens, groups, t, group_count):
+    for vertices, sig in _subset_rows(lens, groups, t, group_count, out=keys):
         sig *= np.int64(vertex_count)
         sig += vertices[:, None]
-        keys[at : at + sig.size] = sig.ravel()
-        at += sig.size
     keys.sort()
     return keys
 
@@ -352,13 +380,25 @@ def _run_lengths(values: np.ndarray) -> np.ndarray:
     return np.diff(np.append(starts, values.size))
 
 
+def _shared_signatures(keys: np.ndarray, vertex_count: int) -> np.ndarray:
+    """The sorted keys signature * V + v whose signature another key
+    shares, in order."""
+    sig = keys // np.int64(vertex_count)
+    same = sig[1:] == sig[:-1]
+    del sig
+    shared = np.zeros(keys.size, dtype=bool)
+    shared[1:] = same
+    shared[:-1] |= same
+    return keys[shared]
+
+
 def _edges_within(members: np.ndarray, runs: np.ndarray, vertex_count: int, threshold: int) -> Graph:
     """Graph whose edges are the member pairs formed inside at least
     ``threshold`` runs (``members`` in runs of length ``runs``, ascending
     inside each): the 2-subsets of the runs, read in base V, are the
     edge keys a * V + b, a < b."""
-    # joined, not counted first as in subset_keys: on the t = s route most
-    # runs hold one member, and counting would add a pass over all of them
+    # joined, not written into one array as in subset_keys: that raised
+    # the passive-wedge benchmark's peak RSS by about 6 % (heap layout)
     parts = (sig.ravel() for _, sig in _subset_rows(runs, members, 2, vertex_count))
     keys = np.concatenate([np.empty(0, np.int64), *parts])
     u, v = np.divmod(_threshold_pairs(keys, threshold), np.int64(vertex_count))
@@ -389,6 +429,13 @@ def _project(kind: str, inc: Incidence, s: int, pair_cap: int) -> Graph:
     Identical lists can still give it more within-signature pairs than
     t = 1 emits; the build then falls back to t = 1.  Every count is
     checked against ``pair_cap`` before the array it sizes is allocated.
+
+    At t = s the transients are those of :func:`subset_keys`, then the
+    sorted key and its decoded signature, 16 B per signature, and 1 B
+    more in :func:`_shared_signatures`; the members, runs and pairs are
+    sized by the repeated signatures alone.  The peak, 17.1 B per
+    signature at the scaled example1 shape, falls in
+    :func:`_shared_signatures`.
     """
     active = kind == "active"
     attr_deg = np.bincount(inc.attrs, minlength=inc.m)
@@ -399,9 +446,11 @@ def _project(kind: str, inc: Incidence, s: int, pair_cap: int) -> Graph:
     if s > 1 and G**s * V <= 2**63 and (signatures := _comb_total(lens, s)) <= pair_count:
         _check_cap(kind, signatures, f"{s}-subset signatures", pair_cap, "subset keying")
         groups = inc.attrs if active else _actors_by_attribute(inc)
-        sig, members = np.divmod(subset_keys(lens, groups, s, G, V), V)
+        keys = subset_keys(lens, groups, s, G, V)
+        # a signature held once forms no pair: keep only the repeated ones
+        sig, members = np.divmod(_shared_signatures(keys, V), V)
+        del keys
         runs = _run_lengths(sig)
-        del sig
         within = _comb_total(runs, 2)
         if within <= pair_count:
             _check_cap(kind, within, "within-signature pairs", pair_cap, "pair counting")

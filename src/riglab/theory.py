@@ -248,12 +248,24 @@ def alpha_active_beta_form(dist: SizeDistribution, n: int, m: int, s: int) -> fl
 
 def alpha_active_from_degree_moments(beta: float, ed: float, ed2: float) -> float:
     """Clustering from asymptotic degree moments:
-    (1/sqrt(beta)) * E[d]^(3/2) / (E[d^2] - E[d])."""
-    if beta <= 0:
+    (1/sqrt(beta)) * E[d]^(3/2) / (E[d^2] - E[d]).
+
+    Where E[d]^(3/2) or the product overflows, the law is read as
+    E[d] * (sqrt(E[d]) / (E[d^2] - E[d])) / sqrt(beta); a value that
+    still overflows raises ``ValueError``."""
+    if not beta > 0:
         raise ValueError("beta must be > 0")
     if not ed2 > ed > 0:
         raise ValueError("need E[d^2] > E[d] > 0 (nondegenerate degree)")
-    return (1.0 / math.sqrt(beta)) * ed**1.5 / (ed2 - ed)
+    try:
+        alpha = (1.0 / math.sqrt(beta)) * ed**1.5 / (ed2 - ed)
+    except OverflowError:
+        alpha = math.inf
+    if math.isinf(alpha):
+        alpha = ed * (math.sqrt(ed) / (ed2 - ed)) / math.sqrt(beta)
+    if math.isinf(alpha):
+        raise ValueError(f"alpha overflows a float at beta={beta}, E[d]={ed}, E[d^2]={ed2}")
+    return alpha
 
 
 def alpha_k_active_curve(

@@ -494,6 +494,20 @@ class TestCommandLine:
         for key, value in exact.items():
             assert out[key] == pytest.approx(float(value), rel=1e-9), key
 
+    def test_alpha_from_moments_past_float_power(self, capsys):
+        """E[d]^(3/2) = 1e450 is past the float range, the law
+        1e450 / (1e308 - 1e300) is not; a law past it (about 1e313 here)
+        is an error line."""
+        code = main(["theory", "alpha-from-moments", "--beta", "1", "--ed", "1e300", "--ed2", "1e308"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_PASS, "")
+        alpha = json.loads(captured.out, parse_constant=reject_constant)["alpha"]
+        assert alpha == pytest.approx(1e142 / (1 - 1e-8), rel=1e-12)
+        code = main(["theory", "alpha-from-moments", "--beta", "1e-300", "--ed", "1e300", "--ed2", "1.0000000000001e300"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("error: alpha overflows a float")
+
     def test_golden_covers_every_subcommand(self):
         declared = {("theory", name) for name in THEORY_COMMANDS}
         declared |= {("oracle", name) for name in ORACLE_COMMANDS}

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -515,6 +517,94 @@ class TestSubsetProjection:
         build, brute = (build_active, brute_force_active) if kind == "active" else (build_passive, brute_force_passive)
         assert edge_set(build(inc, s)) == brute(inc, s)
         assert routes == {"subset_keys": subset_keys, "thresholds": [threshold]}
+
+    @pytest.mark.parametrize(
+        "m, sets, edges",
+        [
+            # the 12 lines of the affine plane over Z_3: two lines share at
+            # most one point, so no 2-subset signature repeats, yet the 36
+            # signatures undercut the 54 co-occurrence pairs
+            (
+                9,
+                [[3 * x + (a * x + b) % 3 for x in range(3)] for a in range(3) for b in range(3)]
+                + [[3 * x + y for y in range(3)] for x in range(3)],
+                set(),
+            ),
+            # identical sets: every signature repeats, 28 within-signature
+            # pairs against 29 co-occurrence pairs, so no fallback
+            (
+                8,
+                [[0, 1, 2]] * 3 + [[3, 4, 5]] * 4 + [[6, 7]] * 2,
+                set(itertools.combinations(range(3), 2))
+                | set(itertools.combinations(range(3, 7), 2))
+                | {(7, 8)},
+            ),
+            # every signature held by exactly two actors, the runs side by side
+            (3, [[0, 1], [0, 1], [1, 2], [1, 2], [0, 2], [0, 2]], {(0, 1), (2, 3), (4, 5)}),
+        ],
+        ids=["none-repeats", "all-repeat", "pairs-repeat"],
+    )
+    def test_repeated_signature_filter(self, routes, m, sets, edges):
+        """The s-subset route keeps only the keys whose signature repeats."""
+        inc = Incidence.from_sets(m, sets)
+        g = build_active(inc, 2)
+        validate(g)
+        assert edge_set(g) == edges == brute_force_active(inc, 2)
+        assert routes == {"subset_keys": 1, "thresholds": [1]}
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        lists=st.lists(st.lists(st.integers(0, 7), unique=True, max_size=6).map(sorted), max_size=12),
+        t=st.integers(1, 3),
+    )
+    def test_subset_keys_match_combinations(self, lists, t):
+        """Every t-subset of every list read as t digits in base G, times
+        V plus its vertex, sorted; at t = 3 the middle digit is read
+        through a temporary, the last by broadcasting."""
+        G, V = 8, max(len(lists), 1)
+        lens = np.array([len(a) for a in lists], dtype=np.int64)
+        groups = np.array([g for a in lists for g in a], dtype=np.int64)
+        want = sorted(
+            sum(d * G ** (t - 1 - i) for i, d in enumerate(c)) * V + v
+            for v, a in enumerate(lists)
+            for c in itertools.combinations(a, t)
+        )
+        got = sampler.subset_keys(lens, groups, t, G, V)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=30),
+        vertex_count=st.integers(1, 5),
+    )
+    def test_shared_signatures_match_counts(self, pairs, vertex_count):
+        """Sorted keys signature * V + v: exactly those whose signature
+        occurs at least twice are kept, in order."""
+        keys = sorted(sig * vertex_count + v % vertex_count for sig, v in pairs)
+        counts = Counter(k // vertex_count for k in keys)
+        got = sampler._shared_signatures(np.array(keys, dtype=np.int64), vertex_count)
+        assert got.dtype == np.int64
+        assert got.tolist() == [k for k in keys if counts[k // vertex_count] >= 2]
+
+    def test_subset_route_memory_stays_within_three_signature_arrays(self):
+        """The active-threshold shape (n = 60k, m = 6k, sets of 6, s = 2)
+        has 900,000 signatures; building it keeps the sorted keys and,
+        while they are written, the sets as rows, so its tracemalloc peak
+        stays within three signature-sized int64 arrays.  Decoding every
+        key's signature and member at once would exceed it."""
+        n, m = 60_000, 6_000
+        params = ModelParams(n=n, m=m, s=2, size_dist=make_size_dist(Degenerate(6), m))
+        inc = sample_incidence(params, rng_stream(0, 0))
+        assert sampler._comb_total(inc.sizes, 2) == 900_000
+        bound = 21_600_000  # 3 * 8 B * 900_000
+        tracemalloc.start()
+        try:
+            g = build_active(inc, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > 0
+        assert peak <= bound
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_subset_table_is_colex_prefix(self, t):

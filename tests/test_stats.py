@@ -237,8 +237,8 @@ class TestLocalCounts:
     def test_memory_stays_within_one_block_and_the_edges(self):
         """The tracemalloc peak of counting the example5 graph (replicate 0
         at seed 0: 100k vertices, 600k edges, 1.8 M oriented wedges) stays
-        within two blocks of packed keys (a block and its parts while
-        subset_keys assembles it), twice the edge keys (their oriented
+        within two blocks of packed keys (a block and its out-lists as
+        rows while subset_keys writes it), twice the edge keys (their oriented
         copy, with room to spare) and eight vertex-sized arrays.  One
         wedge-sized array (14.4 MB here) would exceed it."""
         cfg = preset_config("example5")
