@@ -23,7 +23,6 @@ import sys
 import time
 from collections import defaultdict
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from dataclasses import asdict, dataclass, field, fields
 
@@ -364,6 +363,9 @@ def _run_replicates(cfg: ScenarioConfig, seed: int, jobs: int, count: int) -> li
     work = partial(_replicate_worker, cfg, seed)
     if jobs <= 1 or count <= 1:
         return [work(r) for r in range(count)]
+    # imported here, so a serial run never loads the process machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
         return list(pool.map(work, range(count)))
 

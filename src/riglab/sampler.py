@@ -19,12 +19,15 @@ array it sizes is allocated, because dense regimes explode
 quadratically and are outside the sparse scope of this package.
 
 Memory of the t = s route: the subset keys are written in place into
-one sorted array, 8 B per signature, while the lists are read as rows
-beside it; their signatures are then decoded once to find the repeats,
-and only the keys whose signature repeats go on.  At the scaled
-example1 shape (60k sets of 6, s = 2: 900,000 signatures, of which
-43,869 repeat) the build's tracemalloc peak is 17.1 B per signature
-(39.5 B when every key's signature and member were decoded and kept).
+one sorted array, 8 B per signature, while the lists of one length are
+read as (length, count) rows beside it; their signatures are then
+decoded once to find the repeats, and only the keys whose signature
+repeats go on.  At the scaled example1 shape (60k sets of 6, s = 2:
+900,000 signatures, of which 43,869 repeat) the build's tracemalloc
+peak is 17.1 B per signature (39.5 B when every key's signature and
+member were decoded and kept).  Dense sets are drawn a block at a time
+(see :func:`_floyd_rows`): for 100,000 sets of 10 from m = 100 the
+draws peak at 1.6 times their 8 MB result.
 
 Every subset is listed by one enumerator: the lists of one length are
 read in one block against one colex-ordered table of index subsets.  It
@@ -141,27 +144,23 @@ def _floyd_rows(gen: np.random.Generator, m: int, x: int, count: int) -> np.ndar
 
     Column c holds step j = m - x + c of every row, all drawn by one
     ``integers`` call, which consumes the stream as ``count`` calls of
-    :func:`sample_subset` do.  A step takes j when its draw is already
-    taken: the taken entries are the row's earlier draws (a stable row
-    sort finds repeats) and the j of each earlier such step (one pass
-    per column).  Blocks of ``_FLOYD_BLOCK_BYTES`` of draws bound the
-    temporaries for any m.
+    :func:`sample_subset` do.  A step takes j when its draw equals the
+    final value of an earlier step in its row.  Each block of
+    ``_FLOYD_BLOCK_BYTES`` of draws is copied as one contiguous (x, rows)
+    array, so a step is one compare of its column with the columns
+    before it: C(x, 2) compares per set.  The copy and the compare's
+    mask bound the temporaries for any m; for 100,000 sets of 10 from
+    m = 100 the tracemalloc peak is 1.6 times the 8 MB result.
     """
     top = m - x
     rows = gen.integers(0, np.arange(top + 1, m + 1), size=(count, x), dtype=np.int64)
-    late = np.arange(top, m, dtype=np.int64)
     block = max(1, _FLOYD_BLOCK_BYTES // (8 * x))
     for lo in range(0, count, block):
-        part = rows[lo : lo + block]
-        order = np.argsort(part, axis=1, kind="stable")
-        ranked = np.take_along_axis(part, order, axis=1)
-        replaced = np.zeros(part.shape, dtype=bool)
-        np.put_along_axis(replaced, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
+        cols = rows[lo : lo + block].T.copy()
         for c in range(1, x):
-            step = part[:, c] - top
-            hit = np.flatnonzero((step >= 0) & (step < c))
-            replaced[hit, c] |= replaced[hit, step[hit]]
-        np.copyto(part, late, where=replaced)
+            cols[c][(cols[:c] == cols[c]).any(axis=0)] = top + c
+        rows[lo : lo + block] = cols.T
+        del cols  # freed before the next block is copied
     rows.sort(axis=1)
     return rows
 
@@ -308,15 +307,19 @@ def _subset_table(size: int, t: int) -> np.ndarray:
 
 def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int, out: np.ndarray | None = None):
     """For each list length l >= t: the vertices whose list has length l
-    and the (count, C(l, t)) array of their t-subsets, each read as t
+    and the (C(l, t), count) array of their t-subsets, each read as t
     digits in base ``base``, the first list entry the most significant.
+    Column j belongs to the j-th vertex, and its rows are that list's
+    t-subsets in colex order.
 
     Vertex v's list is the v-th run of ``values`` (runs of length
-    ``lens``).  One :func:`_subset_table` serves every length.  Given
-    ``out``, of size sum C(len, t), each length's array is a view of its
-    next slice, written in place.  The first digit is taken into the
-    array and the last added by broadcasting, so only a middle digit
-    (t >= 3) needs a temporary of the array's size.
+    ``lens``); a length class is gathered as (l, count) rows, entry i of
+    every list in row i.  One :func:`_subset_table` serves every length.
+    Given ``out``, of size sum C(len, t), each length's array is a view
+    of its next slice, written in place.  The first digit is taken into
+    the array and the last added by broadcasting, one add per list entry
+    over whole rows, so only a middle digit (t >= 3) needs a temporary
+    of the array's size.
     """
     offsets = np.concatenate([[0], np.cumsum(lens)])
     listed = np.flatnonzero(lens >= t)
@@ -328,23 +331,23 @@ def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int, out: n
     at = 0
     for length in np.flatnonzero(hist[t:]) + t:
         vertices = by_length[ends[length] - hist[length] : ends[length]]
-        rows = values[offsets[vertices][:, None] + np.arange(length)]
+        rows = values[np.arange(length)[:, None] + offsets[vertices]]
         cols = table[:, : math.comb(int(length), t)]
         size = vertices.size * cols.shape[1]
-        view = None if out is None else out[at : at + size].reshape(vertices.size, -1)
+        view = None if out is None else out[at : at + size].reshape(-1, vertices.size)
         at += size
         # mode "raise" would buffer ``out``; the table's indices are in range
-        sig = np.take(rows, cols[0], axis=1, out=view, mode="clip")
+        sig = np.take(rows, cols[0], axis=0, out=view, mode="clip")
         for j in range(1, t):
             sig *= np.int64(base)
             if j < t - 1:
-                sig += np.take(rows, cols[j], axis=1)
+                sig += np.take(rows, cols[j], axis=0)
                 continue
-            # the last digit: entry c tops the columns C(c, t) to
+            # the last digit: entry c tops the rows C(c, t) to
             # C(c + 1, t) (colex), so one broadcast add per c needs no
             # temporary
             for c in range(t - 1, int(length)):
-                sig[:, math.comb(c, t) : math.comb(c + 1, t)] += rows[:, c : c + 1]
+                sig[math.comb(c, t) : math.comb(c + 1, t)] += rows[c]
         yield vertices, sig
 
 
@@ -359,17 +362,18 @@ def subset_keys(
     as t digits in base ``group_count`` (see :func:`_subset_rows`).  The
     caller checks that group_count**t * V fits in int64.
 
-    Each list length's keys are written straight into the result (8 B
-    per key).  Beside it the transients are one length class's lists as
-    rows (with their index, 16 B per list entry) and, at t >= 3, 8 B per
-    key of the class for each middle digit (see :func:`_subset_rows`).
-    For 60k lists of 6 at t = 2 (900,000 keys) the tracemalloc peak is
-    14.0 MB, 15.5 B per key.
+    Each list length's (C(l, t), count) keys are written straight into
+    the result (8 B per key), and the class's vertices are added as a
+    row.  Beside the result the transients are one length class's lists
+    as rows (with their index, 16 B per list entry) and, at t >= 3, 8 B
+    per key of the class for each middle digit (see
+    :func:`_subset_rows`).  For 60k lists of 6 at t = 2 (900,000 keys)
+    the tracemalloc peak is 14.0 MB, 15.5 B per key.
     """
     keys = np.empty(_comb_total(lens, t), dtype=np.int64)
     for vertices, sig in _subset_rows(lens, groups, t, group_count, out=keys):
         sig *= np.int64(vertex_count)
-        sig += vertices[:, None]
+        sig += vertices
     keys.sort()
     return keys
 

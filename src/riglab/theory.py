@@ -359,12 +359,18 @@ def alpha_passive_finite(dist: SizeDistribution, n: int, m: int) -> float:
 
         (beta*^2 m^{-1} f2^3 + f3) / (beta* f2^2 + f3),   beta* = n/m,
 
-    with f_k the falling-factorial size moments.
+    with f_k the falling-factorial size moments.  The numerator exceeds
+    the denominator exactly when n f2 > m^2, outside the sparse regime
+    the formula describes; that is a ``ValueError``, not a value above 1.
     """
     _check_n_m(n, m)
     mom = moments(dist, 1)
     if mom.f2 <= 0.0:
         raise ValueError("clustering undefined: E[(X)_2] = 0")
+    if n * mom.f2 > m * m:
+        raise ValueError(
+            f"clustering undefined outside the sparse regime: n E[(X)_2] = {n * mom.f2:g} > m^2 = {m * m}"
+        )
     beta_star = n / m
     num = beta_star**2 * mom.f2**3 / m + mom.f3
     den = beta_star * mom.f2**2 + mom.f3

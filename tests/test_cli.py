@@ -630,6 +630,15 @@ class TestCommandLine:
         assert (code, captured.err) == (EXIT_PASS, "")
         assert json.loads(captured.out) == {"lower": 0.0, "upper": 1.0}
 
+    def test_dense_passive_clustering_is_an_error_line(self, capsys):
+        """n E[(X)_2] = 200 > m^2 = 100: the finite-size formula would
+        print 2.0, so the command exits 1 with an ``error:`` line."""
+        size = json.dumps({"kind": "degenerate", "x": 2})
+        code = main(["theory", "alpha-passive", "--n", "100", "--m", "10", "--size-dist", size])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("error: clustering undefined outside the sparse regime")
+
     def test_nan_jump_probs_error_names_probs(self, capsys):
         code = main(["theory", "compound-pmf", "--lam", "1", "--jump-probs", "0.5,nan"])
         captured = capsys.readouterr()

@@ -232,6 +232,27 @@ def assert_matches_scalar(batch, m, x, count, block_rows, seed):
     assert gen.integers(2**63 - 1) == twin.integers(2**63 - 1)
 
 
+def assert_subset_rows_layout(lists, t, base=12):
+    """Each length class of ``_subset_rows`` is a (C(l, t), count) array:
+    column j holds the t-subsets of vertex ``vertices[j]``'s list in
+    colex order, read as t digits in ``base``.  The classes come in
+    ascending length and cover every list of length >= t once."""
+    lens = np.array([len(a) for a in lists], dtype=np.int64)
+    values = np.array([g for a in lists for g in a], dtype=np.int64)
+    seen, lengths = [], []
+    for vertices, sig in sampler._subset_rows(lens, values, t, base):
+        length = len(lists[vertices[0]])
+        lengths.append(length)
+        assert sig.dtype == np.int64 and sig.shape == (math.comb(length, t), vertices.size)
+        for j, v in enumerate(vertices.tolist()):
+            assert len(lists[v]) == length
+            colex = sorted(itertools.combinations(lists[v], t), key=lambda c: c[::-1])
+            assert sig[:, j].tolist() == [sum(d * base ** (t - 1 - i) for i, d in enumerate(c)) for c in colex]
+        seen.extend(vertices.tolist())
+    assert lengths == sorted(set(lengths))
+    assert sorted(seen) == [v for v, a in enumerate(lists) if len(a) >= t]
+
+
 class TestBatchedFloyd:
     """The batched Floyd route against the scalar reference."""
 
@@ -258,6 +279,22 @@ class TestBatchedFloyd:
         """Bounds above 2**32 draw 64-bit words where smaller ones draw
         32-bit halves; the batched call must consume the stream alike."""
         assert_matches_scalar(sampler._floyd_rows, m, x, count, block_rows, seed)
+
+    def test_dense_sets_memory_stays_within_a_block_of_the_result(self):
+        """100,000 sets of 10 from m = 100 (8 MB of draws): beside the
+        draws the temporaries are one block copied as columns and one
+        column compare, so the tracemalloc peak stays under 2.4 times the
+        result.  A row sort of each block, with its order and a repeat
+        mask beside it, exceeds that."""
+        m, x, count = 100, 10, 100_000
+        tracemalloc.start()
+        try:
+            rows = sampler._floyd_rows(rng_stream(0), m, x, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (count, x)
+        assert peak < 2.4 * rows.nbytes
 
 
 class TestSampleIncidence:
@@ -605,6 +642,19 @@ class TestSubsetProjection:
             tracemalloc.stop()
         assert g.edge_count > 0
         assert peak <= bound
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        lists=st.lists(st.lists(st.integers(0, 9), unique=True, max_size=7).map(sorted), max_size=12),
+        t=st.integers(1, 3),
+    )
+    # the out-lists of K_12 (vertex i lists i+1..11): each length class
+    # holds a single list
+    @example(lists=[list(range(i + 1, 12)) for i in range(12)], t=1)
+    @example(lists=[list(range(i + 1, 12)) for i in range(12)], t=2)
+    @example(lists=[list(range(i + 1, 12)) for i in range(12)], t=3)
+    def test_subset_rows_hold_one_list_per_column(self, lists, t):
+        assert_subset_rows_layout(lists, t)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_subset_table_is_colex_prefix(self, t):

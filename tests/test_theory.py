@@ -427,6 +427,15 @@ class TestAlphaPassive:
         finite = theory.alpha_passive_finite(d, 10**6, 10**6)
         assert finite == pytest.approx(1 / 7, abs=1e-4)
 
+    def test_finite_rejects_dense_regime(self):
+        """Past n E[(X)_2] = m^2 the formula would read above 1; at the
+        edge it reads exactly 1."""
+        d = make_size_dist(Degenerate(2), 10)
+        with pytest.raises(ValueError, match=r"sparse regime: n E\[\(X\)_2\] = 200 > m\^2 = 100"):
+            theory.alpha_passive_finite(d, 100, 10)
+        assert theory.alpha_passive_finite(d, 50, 10) == 1.0
+        assert theory.alpha_passive_finite(d, 49, 10) < 1.0
+
     def test_limit_reference(self):
         spec = theory.CompoundPoissonSpec(3.0, DiscretePmf.point_mass(2))
         assert theory.alpha_passive_limit(spec) == pytest.approx(1 / 7, rel=1e-12)
