@@ -24,6 +24,7 @@ import time
 from collections import defaultdict
 from collections.abc import Iterable
 from functools import partial
+from itertools import zip_longest
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -61,9 +62,6 @@ __all__ = [
     "main",
 ]
 
-OUTPUTS = ("degree", "clustering", "alpha_k", "regime", "theorem1_stats", "example2")
-_TRIANGLE_OUTPUTS = ("clustering", "alpha_k")  # read the clustering report
-_GRAPH_OUTPUTS = ("degree", *_TRIANGLE_OUTPUTS)  # read the built graph
 DEFAULT_TOLERANCES = {"tv_degree": 0.01, "alpha_abs": 0.02, "alpha_k_rel": 0.25}
 ENV_SEED = "RIGLAB_SEED"
 
@@ -110,9 +108,12 @@ SIZE_KINDS = {
 
 
 def _number(value, path: str) -> float:
-    """A JSON number as a float; bool, null and strings are rejected."""
+    """A finite JSON number as a float; bool, null, strings, NaN and
+    numbers past the float range are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, "expected a number")
+    if not abs(value) <= sys.float_info.max:  # ints compare exactly; NaN fails
+        raise ConfigError(path, "expected a finite number")
     return float(value)
 
 
@@ -149,10 +150,9 @@ def parse_size_spec(obj: dict, path: str) -> SizeSpec:
         raise ConfigError(f"{path}.kind", f"unknown size distribution kind {kind!r}")
     names = [f.name for f in fields(cls)]
     _check_keys(obj, path, required=("kind", *names))
+    values = {name: _SIZE_FIELDS[name](obj, name, path) for name in names}
     try:
-        return cls(**{name: _SIZE_FIELDS[name](obj, name, path) for name in names})
-    except ConfigError:
-        raise
+        return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -178,6 +178,11 @@ def _k_range_field(obj: dict, key: str, path: str) -> tuple[int, int]:
     return (kr[0], kr[1])
 
 
+def _or_null(reader):
+    """``reader`` that takes null as unset, as the report echo writes it."""
+    return lambda obj, key, path: None if obj[key] is None else reader(obj, key, path)
+
+
 # reader and default of each optional scenario key, in parse order, each
 # a ScenarioConfig field; the reader is called as reader(obj, key, path),
 # and each config gets its own copy of the default
@@ -185,9 +190,9 @@ _SCENARIO_OPTIONS = {
     "seed": (partial(_int_field, minimum=0), None),
     "tolerances": (_tolerances_field, DEFAULT_TOLERANCES),
     "k_range": (_k_range_field, (2, 20)),
-    "k_max": (lambda obj, key, path: None if obj[key] is None else _int_field(obj, key, path, 1), None),
+    "k_max": (_or_null(partial(_int_field, minimum=1)), None),
     "min_bucket": (partial(_int_field, minimum=1), stats.DEFAULT_MIN_BUCKET),
-    "epsilon": (partial(_float_field, inside=(0, 0.5)), None),
+    "epsilon": (_or_null(partial(_float_field, inside=(0, 0.5))), None),
 }
 
 
@@ -212,6 +217,11 @@ class ScenarioConfig:
 
     def params(self) -> ModelParams:
         return ModelParams(n=self.n, m=self.m, s=self.s, size_dist=self.size_dist, kind=self.kind)
+
+    @property
+    def no_limit_law(self) -> bool:
+        """Passive s >= 2 is construction only: no degree or clustering law."""
+        return self.kind == "passive" and self.s >= 2
 
     def echo(self, seed: int) -> dict:
         """The scenario as a config document body: every key, ``None``
@@ -252,8 +262,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if not isinstance(outputs, list) or not outputs:
         raise ConfigError("scenario.outputs", "expected a non-empty list")
     for i, out in enumerate(outputs):
-        if out not in OUTPUTS:
-            raise ConfigError(f"scenario.outputs[{i}]", f"unknown analysis {out!r}; known: {OUTPUTS}")
+        if out not in _ANALYSES:
+            raise ConfigError(f"scenario.outputs[{i}]", f"unknown analysis {out!r}; known: {tuple(_ANALYSES)}")
     options = {
         key: reader(sc, key, "scenario") if key in sc else copy.copy(default)
         for key, (reader, default) in _SCENARIO_OPTIONS.items()
@@ -338,45 +348,57 @@ def _build_graph(cfg: ScenarioConfig, inc, r: int):
         raise ResourceLimitError(f"replicate {r}: {exc}") from exc
 
 
-def _replicate_worker(cfg: ScenarioConfig, seed: int, r: int) -> tuple:
-    """Run one replicate on its own stream; returns plain picklable data.
-
-    The graph is built only for the outputs that read it, and the
-    clustering report only for those that read triangles; what is not
-    computed comes back as None, so a scenario that builds nothing can
-    never trip the pair cap.
-    """
+def _replicate_worker(cfg: ScenarioConfig, reads: frozenset, seed: int, r: int) -> dict:
+    """Run one replicate on its own stream; returns its value of each
+    read as plain picklable data.  The graph is built only for the reads
+    that take it, so a scenario that builds nothing never trips the pair
+    cap."""
     inc = sample_incidence(cfg.params(), rng_stream(seed, r))
-    degree_counts = report = None
-    if any(o in cfg.outputs for o in _GRAPH_OUTPUTS):
+    out = {}
+    if reads & {"degrees", "clustering"}:
         graph = _build_graph(cfg, inc, r)
-        if "degree" in cfg.outputs:
-            degree_counts = np.bincount(graph.degrees, minlength=1)
-        if any(o in cfg.outputs for o in _TRIANGLE_OUTPUTS):
-            report = stats.clustering_report(graph, cfg.min_bucket)
-    sizes = inc.sizes.copy() if r == 0 else None
-    return degree_counts, report, sizes
+        if "degrees" in reads:
+            out["degrees"] = np.bincount(graph.degrees, minlength=1)
+        if "clustering" in reads:
+            out["clustering"] = stats.clustering_report(graph, cfg.min_bucket)
+    if "sizes" in reads and r == 0:
+        out["sizes"] = inc.sizes.copy()
+    return out
 
 
-def _run_replicates(cfg: ScenarioConfig, seed: int, jobs: int, count: int) -> list[tuple]:
-    """Results of replicates 0..count-1, in replicate order."""
-    work = partial(_replicate_worker, cfg, seed)
+def _pooled_reads(cfg: ScenarioConfig, reads: frozenset, seed: int, jobs: int) -> dict:
+    """Each read pooled over the replicates, folded in replicate order:
+    the empirical degree pmf, the pooled clustering report, and replicate
+    0's sizes.  Only the graph reads take every replicate, so a scenario
+    that reads sizes alone samples replicate 0 only."""
+    count = cfg.replicates if reads & {"degrees", "clustering"} else int("sizes" in reads)
+    work = partial(_replicate_worker, cfg, reads, seed)
     if jobs <= 1 or count <= 1:
-        return [work(r) for r in range(count)]
-    # imported here, so a serial run never loads the process machinery
-    from concurrent.futures import ProcessPoolExecutor
+        results = [work(r) for r in range(count)]
+    else:
+        # imported here, so a serial run never loads the process machinery
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
-        return list(pool.map(work, range(count)))
+        with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
+            results = list(pool.map(work, range(count)))
+    pooled = {}
+    if "degrees" in reads:
+        total = np.zeros(max(res["degrees"].size for res in results))
+        for res in results:
+            total[: res["degrees"].size] += res["degrees"]
+        pooled["degrees"] = DiscretePmf(total / total.sum(), 0.0)
+    if "clustering" in reads:
+        pooled["clustering"] = stats.pooled_estimates([res["clustering"] for res in results])
+    if "sizes" in reads:
+        pooled["sizes"] = results[0]["sizes"]
+    return pooled
 
 
 def _json_float(x) -> float | str | None:
     if x is None:
         return None
     x = float(x)
-    if math.isfinite(x):
-        return x
-    return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
+    return x if math.isfinite(x) else str(x)  # "inf", "-inf" or "nan"
 
 
 def _json_floats(result) -> dict:
@@ -403,31 +425,107 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        flags = [v for v in self.body["passes"].values() if v is not None]
-        return all(flags)
+        return all(flag for flag in self.body["passes"].values() if flag is not None)
 
 
-def _theory_degree_pmf(cfg: ScenarioConfig) -> DiscretePmf:
+def _degree(cfg: ScenarioConfig, empirical: DiscretePmf) -> tuple[dict, bool | None]:
+    entry: dict = {"empirical": _pmf_json(empirical), "theory": None, "tv": None}
+    if cfg.no_limit_law:
+        return entry, None
     if cfg.kind == "active":
-        return theory.mixed_poisson_degree_pmf(cfg.size_dist, cfg.n, cfg.m, cfg.s, k_max=cfg.k_max)
-    spec = theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m)
-    return theory.compound_poisson_pmf(spec, k_max=cfg.k_max)
+        law = theory.mixed_poisson_degree_pmf(cfg.size_dist, cfg.n, cfg.m, cfg.s, k_max=cfg.k_max)
+    else:
+        law = theory.compound_poisson_pmf(theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m), k_max=cfg.k_max)
+    tv = stats.tv_distance(empirical, law)
+    entry.update(theory=_pmf_json(law), tv=tv, tolerance=cfg.tolerances["tv_degree"])
+    return entry, bool(tv < cfg.tolerances["tv_degree"])
 
 
-def _theory_alpha(cfg: ScenarioConfig) -> float | None:
-    try:
-        if cfg.kind == "active":
-            return theory.alpha_active(cfg.size_dist, cfg.m, cfg.s)
-        return theory.alpha_passive_finite(cfg.size_dist, cfg.n, cfg.m)
-    except ValueError:
-        return None
+def _clustering(cfg: ScenarioConfig, rep: stats.ClusteringReport) -> tuple[dict, bool | None]:
+    law = None
+    if not cfg.no_limit_law:
+        try:
+            if cfg.kind == "active":
+                law = theory.alpha_active(cfg.size_dist, cfg.m, cfg.s)
+            else:
+                law = theory.alpha_passive_finite(cfg.size_dist, cfg.n, cfg.m)
+        except ValueError:  # no clustering law at these parameters
+            pass
+    entry = {
+        "alpha_hat": _json_float(rep.alpha_hat),
+        "alpha_hat_hat": _json_float(rep.alpha_hat_hat),
+        "se_alpha_hat_hat": _json_float(rep.se_alpha_hat_hat),
+        "theory_alpha": _json_float(law),
+        "abs_diff": None,
+    }
+    if law is None:
+        return entry, None
+    if rep.alpha_hat_hat is None:
+        return entry, False
+    diff = abs(rep.alpha_hat_hat - law)
+    entry.update(abs_diff=diff, tolerance=cfg.tolerances["alpha_abs"])
+    return entry, bool(diff <= cfg.tolerances["alpha_abs"])
 
 
-def _theory_alpha_k(cfg: ScenarioConfig) -> dict[int, float]:
-    if cfg.kind == "active":
-        return theory.alpha_k_active_curve(cfg.size_dist, cfg.n, cfg.m, cfg.s, cfg.k_range[1])
-    spec = theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m)
-    return theory.alpha_k_passive_curve(spec, cfg.k_range[1])
+def _alpha_k(cfg: ScenarioConfig, rep: stats.ClusteringReport) -> tuple[dict, bool | None]:
+    k_min, k_max = cfg.k_range
+    if cfg.no_limit_law:
+        curve = {}
+    elif cfg.kind == "active":
+        curve = theory.alpha_k_active_curve(cfg.size_dist, cfg.n, cfg.m, cfg.s, k_max)
+    else:
+        curve = theory.alpha_k_passive_curve(theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m), k_max)
+    per_degree, per_degree_se = rep.per_degree, rep.per_degree_se
+    per_k, errors = {}, []  # the relative error of each bucket compared
+    for k in range(k_min, k_max + 1):
+        emp, th = per_degree.get(k), curve.get(k)
+        per_k[str(k)] = {
+            "empirical": _json_float(emp),
+            "theory": _json_float(th),
+            "bucket_count": rep.bucket_counts.get(k, 0),
+            "se": _json_float(per_degree_se.get(k)),
+        }
+        if emp is not None and th is not None and th > 0:
+            errors.append(abs(emp - th) / th)
+    entry = {"per_k": per_k, "buckets_compared": len(errors)}
+    emp_points = {k: per_degree[k] for k in range(k_min, k_max + 1) if per_degree.get(k, 0.0) > 0}
+    if len(emp_points) >= 3:
+        fit = stats.loglog_slope(emp_points)
+        entry["loglog"] = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
+    return entry, None if cfg.no_limit_law else bool(errors and max(errors) <= cfg.tolerances["alpha_k_rel"])
+
+
+def _example2(cfg: ScenarioConfig, _) -> tuple[dict, bool]:
+    diag = oracle.dense_overlap_diagnostics(cfg.m, cfg.epsilon)
+    return vars(diag), bool(diag.ratio_prime <= diag.bound)
+
+
+# one row per output: (read, analysis, summary).  ``read`` names what the
+# output takes from the replicates (see _pooled_reads), or is None; the
+# analysis maps (config, pooled read) to the analyses entry, or to
+# (entry, pass flag) for a judged output, the flag None with no law; the
+# summary line is formatted over the entry, a missing field reading None,
+# plus ``status``: PASS or FAIL from the flag, info when there is none
+_ANALYSES = {
+    "degree": ("degrees", _degree, "degree: tv={tv} [{status}]"),
+    "clustering": (
+        "clustering",
+        _clustering,
+        "clustering: alpha_hat_hat={alpha_hat_hat} theory={theory_alpha} [{status}]",
+    ),
+    "alpha_k": ("clustering", _alpha_k, "alpha_k: buckets_compared={buckets_compared} [{status}]"),
+    "regime": (
+        None,
+        lambda cfg, _: vars(theory.passive_regime_classify(cfg.n, cfg.m, cfg.size_dist)),
+        "regime: {case_label} (n_star={n_star}) [{status}]",
+    ),
+    "theorem1_stats": (
+        "sizes",
+        lambda cfg, sizes: _json_floats(theory.poisson_approx_stats(sizes, cfg.m, cfg.s)),
+        "theorem1_stats: lambda={lambda_bar} kappa1={kappa1} kappa2={kappa2} [{status}]",
+    ),
+    "example2": (None, _example2, "example2: ratio_prime={ratio_prime} bound={bound} [{status}]"),
+}
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None = None) -> Report:
@@ -439,101 +537,25 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
     t_start = time.perf_counter()
     resolved_seed = _resolve_seed(seed, cfg.seed)
     jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-    if any(o in cfg.outputs for o in _GRAPH_OUTPUTS):
-        replicates = cfg.replicates
-    else:  # theorem1_stats reads only replicate 0's sizes
-        replicates = 1 if "theorem1_stats" in cfg.outputs else 0
-    results = _run_replicates(cfg, resolved_seed, jobs, replicates)
-    vertices_per_rep = cfg.n if cfg.kind == "active" else cfg.m
-    # passive s >= 2 is construction only; the _theory_* helpers pick a law by kind
-    no_limit_law = cfg.kind == "passive" and cfg.s >= 2
+    reads = frozenset(_ANALYSES[name][0] for name in cfg.outputs)
+    pooled = _pooled_reads(cfg, reads, resolved_seed, jobs)
+    clamped = cfg.kind == "active" and theory.active_edge_prob_asymptotic(cfg.size_dist, cfg.m, cfg.s).clamped
+    metadata = {
+        "asymptotic_prediction": True,
+        "clamped_probability": clamped,
+        "passive_s_ge2_no_theory": cfg.no_limit_law,
+        "alpha_hat_convention": stats.ALPHA_HAT_CONVENTION,
+    }
 
     analyses: dict[str, dict] = {}
     passes: dict[str, bool | None] = {}
-    metadata = {
-        "asymptotic_prediction": True,
-        "clamped_probability": False,
-        "passive_s_ge2_no_theory": no_limit_law,
-        "alpha_hat_convention": stats.ALPHA_HAT_CONVENTION,
-    }
-    if cfg.kind == "active":
-        edge = theory.active_edge_prob_asymptotic(cfg.size_dist, cfg.m, cfg.s)
-        metadata["clamped_probability"] = edge.clamped
-
-    reports = [rep for _, rep, _ in results if rep is not None]
-    pooled_report = stats.pooled_estimates(reports) if reports else None
-
-    if "degree" in cfg.outputs:
-        width = max(counts.size for counts, _, _ in results)
-        total = np.zeros(width)
-        for counts, _, _ in results:
-            total[: counts.size] += counts
-        empirical = DiscretePmf(total / (vertices_per_rep * cfg.replicates), 0.0)
-        theory_pmf = None if no_limit_law else _theory_degree_pmf(cfg)
-        entry: dict = {"empirical": _pmf_json(empirical), "theory": None, "tv": None}
-        passes["degree"] = None
-        if theory_pmf is not None:
-            tv = stats.tv_distance(empirical, theory_pmf)
-            entry.update(theory=_pmf_json(theory_pmf), tv=tv, tolerance=cfg.tolerances["tv_degree"])
-            passes["degree"] = bool(tv < cfg.tolerances["tv_degree"])
-        analyses["degree"] = entry
-
-    if "clustering" in cfg.outputs:
-        rep = pooled_report
-        theory_alpha = None if no_limit_law else _theory_alpha(cfg)
-        entry = {
-            "alpha_hat": _json_float(rep.alpha_hat),
-            "alpha_hat_hat": _json_float(rep.alpha_hat_hat),
-            "se_alpha_hat_hat": _json_float(rep.se_alpha_hat_hat),
-            "theory_alpha": _json_float(theory_alpha),
-            "abs_diff": None,
-        }
-        passes["clustering"] = None if theory_alpha is None else False
-        if theory_alpha is not None and rep.alpha_hat_hat is not None:
-            diff = abs(rep.alpha_hat_hat - theory_alpha)
-            entry.update(abs_diff=diff, tolerance=cfg.tolerances["alpha_abs"])
-            passes["clustering"] = bool(diff <= cfg.tolerances["alpha_abs"])
-        analyses["clustering"] = entry
-
-    if "alpha_k" in cfg.outputs:
-        ks = list(range(cfg.k_range[0], cfg.k_range[1] + 1))
-        theory_curve = {} if no_limit_law else _theory_alpha_k(cfg)
-        per_degree, per_degree_se = pooled_report.per_degree, pooled_report.per_degree_se
-        per_k = {}
-        checked, ok = 0, True
-        for k in ks:
-            emp = per_degree.get(k)
-            th = theory_curve.get(k)
-            row = {
-                "empirical": _json_float(emp),
-                "theory": _json_float(th),
-                "bucket_count": pooled_report.bucket_counts.get(k, 0),
-                "se": _json_float(per_degree_se.get(k)),
-            }
-            per_k[str(k)] = row
-            if emp is not None and th is not None and th > 0:
-                checked += 1
-                if abs(emp - th) / th > cfg.tolerances["alpha_k_rel"]:
-                    ok = False
-        entry = {"per_k": per_k, "buckets_compared": checked}
-        emp_points = {k: per_degree[k] for k in ks if per_degree.get(k, 0.0) > 0}
-        if len(emp_points) >= 3:
-            fit = stats.loglog_slope(emp_points)
-            entry["loglog"] = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
-        passes["alpha_k"] = None if no_limit_law else bool(ok and checked > 0)
-        analyses["alpha_k"] = entry
-
-    if "regime" in cfg.outputs:
-        analyses["regime"] = vars(theory.passive_regime_classify(cfg.n, cfg.m, cfg.size_dist))
-
-    if "theorem1_stats" in cfg.outputs:
-        sizes0 = results[0][2]
-        analyses["theorem1_stats"] = _json_floats(theory.poisson_approx_stats(sizes0, cfg.m, cfg.s))
-
-    if "example2" in cfg.outputs:
-        diag2 = oracle.dense_overlap_diagnostics(cfg.m, cfg.epsilon)
-        analyses["example2"] = vars(diag2)
-        passes["example2"] = bool(diag2.ratio_prime <= diag2.bound)
+    for name in cfg.outputs:
+        read, analyse, _ = _ANALYSES[name]
+        result = analyse(cfg, pooled.get(read))
+        if isinstance(result, tuple):
+            analyses[name], passes[name] = result
+        else:  # an information-only output has no pass flag
+            analyses[name] = result
 
     body = {
         "scenario": cfg.echo(resolved_seed),
@@ -566,34 +588,16 @@ def _write_csvs(report: Report, out_dir: str) -> None:
     if "degree" in analyses and analyses["degree"].get("theory") is not None:
         emp = analyses["degree"]["empirical"]["probs"]
         th = analyses["degree"]["theory"]["probs"]
-        width = max(len(emp), len(th))
         with open(os.path.join(out_dir, "degree.csv"), "w", encoding="ascii") as fh:
             fh.write("k,empirical,theory,abs_diff\n")
-            for k in range(width):
-                e = emp[k] if k < len(emp) else 0.0
-                t = th[k] if k < len(th) else 0.0
+            for k, (e, t) in enumerate(zip_longest(emp, th, fillvalue=0.0)):
                 fh.write(f"{k},{e!r},{t!r},{abs(e - t)!r}\n")
     if "alpha_k" in analyses:
         with open(os.path.join(out_dir, "alpha_k.csv"), "w", encoding="ascii") as fh:
             fh.write("k,empirical,theory,bucket_count,se\n")
             for k, row in sorted(analyses["alpha_k"]["per_k"].items(), key=lambda kv: int(kv[0])):
-                emp = "" if row["empirical"] is None else repr(row["empirical"])
-                th = "" if row["theory"] is None else repr(row["theory"])
-                se = "" if row["se"] is None else repr(row["se"])
+                emp, th, se = ("" if row[c] is None else repr(row[c]) for c in ("empirical", "theory", "se"))
                 fh.write(f"{k},{emp},{th},{row['bucket_count']},{se}\n")
-
-
-# summary line of each output, formatted over its analyses entry (a
-# missing field reads None) plus ``status``: PASS or FAIL from its pass
-# flag, info when it has none
-_SUMMARY_FORMATS = {
-    "degree": "degree: tv={tv} [{status}]",
-    "clustering": "clustering: alpha_hat_hat={alpha_hat_hat} theory={theory_alpha} [{status}]",
-    "alpha_k": "alpha_k: buckets_compared={buckets_compared} [{status}]",
-    "regime": "regime: {case_label} (n_star={n_star}) [{status}]",
-    "theorem1_stats": "theorem1_stats: lambda={lambda_bar} kappa1={kappa1} kappa2={kappa2} [{status}]",
-    "example2": "example2: ratio_prime={ratio_prime} bound={bound} [{status}]",
-}
 
 
 def _summary_lines(report: Report) -> list[str]:
@@ -602,7 +606,7 @@ def _summary_lines(report: Report) -> list[str]:
         flag = report.body["passes"].get(name)
         status = "info" if flag is None else ("PASS" if flag else "FAIL")
         entry = defaultdict(lambda: None, report.body["analyses"].get(name, {}), status=status)
-        lines.append(_SUMMARY_FORMATS[name].format_map(entry))
+        lines.append(_ANALYSES[name][2].format_map(entry))
     return lines
 
 
@@ -620,10 +624,6 @@ def _parse_size_dist_arg(text: str, m: int) -> SizeDistribution:
         raise ConfigError("--size-dist", str(exc)) from exc
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
-
-
 def _load_scenario(args: argparse.Namespace) -> tuple[ScenarioConfig, int]:
     """The scenario named by --config or --preset, and its resolved seed."""
     cfg = preset_config(args.preset) if args.preset else load_config(args.config)
@@ -633,8 +633,7 @@ def _load_scenario(args: argparse.Namespace) -> tuple[ScenarioConfig, int]:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg, seed = _load_scenario(args)
     report = run_scenario(cfg, seed=seed, jobs=args.jobs)
-    for line in _summary_lines(report):
-        print(line)
+    print("\n".join(_summary_lines(report)))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
@@ -812,7 +811,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     """Run one THEORY_COMMANDS/ORACLE_COMMANDS entry and print its JSON."""
     if getattr(args, "size_dist", None) is not None:
         args.dist = _parse_size_dist_arg(args.size_dist, args.m)
-    _print_json(args.compute(args))
+    print(json.dumps(args.compute(args), sort_keys=True, indent=2))
     return EXIT_PASS
 
 

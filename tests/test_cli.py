@@ -15,11 +15,9 @@ from riglab.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     ORACLE_COMMANDS,
-    OUTPUTS,
     PRESETS,
     THEORY_COMMANDS,
     Report,
-    _SUMMARY_FORMATS,
     _summary_lines,
     _write_csvs,
     main,
@@ -125,12 +123,13 @@ class TestConfigParsing:
             parse_scenario(small_scenario(k_range=[7, 3]))
         with pytest.raises(ConfigError, match="tolerances"):
             parse_scenario(small_scenario(tolerances={"tv_degree": 0}))
-        # numeric fields take JSON numbers only
+        # numeric fields take JSON numbers only (epsilon takes null as unset)
         for value in (None, "abc", "0.1", True, [0.1]):
             with pytest.raises(ConfigError, match=r"scenario\.tolerances\.tv_degree: expected a number"):
                 parse_scenario(small_scenario(tolerances={"tv_degree": value}))
-            with pytest.raises(ConfigError, match=r"scenario\.epsilon: expected a number"):
-                parse_scenario(small_scenario(epsilon=value))
+            if value is not None:
+                with pytest.raises(ConfigError, match=r"scenario\.epsilon: expected a number"):
+                    parse_scenario(small_scenario(epsilon=value))
             for size_dist, field_path in (
                 ({"kind": "table", "weights": [0, value, 0.5]}, r"weights\[1\]"),
                 ({"kind": "truncated_power_law", "gamma": value, "x_min": 1, "x_max": 9}, "gamma"),
@@ -141,10 +140,24 @@ class TestConfigParsing:
                 with pytest.raises(ConfigError, match=rf"size_dist\.{field_path}: expected a number"):
                     parse_scenario(doc)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+    def test_non_finite_numbers_rejected(self, value):
+        """JSON's Infinity and NaN (and 1e400, which loads as inf), and
+        integer literals past the float range, are not numbers a scenario
+        can hold: an infinite tolerance would pass any comparison."""
+        with pytest.raises(ConfigError, match=r"scenario\.tolerances\.tv_degree: expected a finite number"):
+            parse_scenario(small_scenario(tolerances={"tv_degree": value}))
+        doc = small_scenario()
+        doc["scenario"]["model"]["size_dist"] = {"kind": "truncated_power_law", "gamma": value, "x_min": 1, "x_max": 9}
+        with pytest.raises(ConfigError, match=r"size_dist\.gamma: expected a finite number"):
+            parse_scenario(doc)
+
     def test_epsilon_required_for_overlap_diagnostics(self):
         doc = small_scenario(outputs=["example2"])
         with pytest.raises(ConfigError, match="epsilon"):
             parse_scenario(doc)
+        with pytest.raises(ConfigError, match="epsilon"):
+            parse_scenario(small_scenario(outputs=["example2"], epsilon=None))
 
     def test_model_consistency_checked(self):
         doc = small_scenario()
@@ -204,11 +217,26 @@ class TestRunScenario:
         assert r1.json_body() == r2.json_body() == r3.json_body()
         assert r1.body["scenario"]["seed"] == 9
 
-    @pytest.mark.parametrize("name", sorted(PRESET_GOLDEN))
-    def test_preset_body_is_pinned(self, name):
+    @pytest.mark.parametrize(
+        "name, jobs",
+        [pytest.param(name, 1, id=name) for name in sorted(PRESET_GOLDEN)]
+        + [pytest.param(name, 2, id=f"{name}-jobs2") for name in sorted(PRESET_GOLDEN)],
+    )
+    def test_preset_body_is_pinned(self, name, jobs):
+        """The golden bodies were recorded at --jobs 1; the process pool
+        must fold its replicates to the same bytes."""
         document = copy.deepcopy(PRESETS[name])
-        assert run_scenario(preset_config(name), seed=0, jobs=1).json_body() == PRESET_GOLDEN[name]
+        assert run_scenario(preset_config(name), seed=0, jobs=jobs).json_body() == PRESET_GOLDEN[name]
         assert PRESETS[name] == document  # shared module data stays untouched
+
+    @pytest.mark.parametrize("name", sorted(SUMMARY_GOLDEN))
+    def test_echo_reruns_to_the_same_body(self, name):
+        """A report's ``scenario`` section is a config document: run
+        again, it gives the same body byte for byte.  The fixed bodies
+        include a failing tolerance and a passive s = 2 scenario."""
+        body = SUMMARY_GOLDEN[name]["body"] or PRESET_GOLDEN[name]
+        cfg = parse_scenario({"scenario": json.loads(body)["scenario"]})
+        assert run_scenario(cfg, jobs=1).json_body() == body
 
     def test_preset_golden_covers_every_preset(self):
         assert set(PRESET_GOLDEN) == set(PRESETS)
@@ -266,12 +294,16 @@ class TestRunScenario:
         doc = small_scenario()
         doc["scenario"]["model"]["kind"] = "passive"
         doc["scenario"]["model"]["s"] = 2
-        doc["scenario"]["outputs"] = ["degree", "clustering"]
+        doc["scenario"]["outputs"] = ["degree", "clustering", "alpha_k"]
         cfg = parse_scenario(doc)
         rep = run_scenario(cfg, seed=1, jobs=1)
         assert rep.body["metadata"]["passive_s_ge2_no_theory"] is True
         assert rep.body["analyses"]["degree"]["theory"] is None
-        assert rep.body["passes"]["degree"] is None
+        assert rep.body["analyses"]["clustering"]["theory_alpha"] is None
+        per_k = rep.body["analyses"]["alpha_k"]["per_k"]
+        assert list(per_k) == ["2", "3", "4", "5", "6"]
+        assert [row["theory"] for row in per_k.values()] == [None] * 5
+        assert rep.body["passes"] == {"degree": None, "clustering": None, "alpha_k": None}
         assert rep.passed  # informational-only runs count as passing
 
 
@@ -311,6 +343,23 @@ class TestCommandLine:
             assert code == EXIT_COMPARISON, tolerances
             report = json.loads((out_dir / "report.json").read_text())
             assert report["passes"][flag] is False, tolerances
+
+    def test_infinite_tolerance_is_usage_error(self, tmp_path, capsys):
+        """An Infinity tolerance would turn any TV into a pass: the run
+        stops at the config instead."""
+        path = self.write_config(tmp_path, small_scenario(tolerances={"tv_degree": math.inf}))
+        assert "Infinity" in Path(path).read_text()
+        code = main(["run", "--config", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err == "config error: scenario.tolerances.tv_degree: expected a finite number\n"
+
+    def test_overflowing_size_dist_literal_is_usage_error(self, capsys):
+        size = '{"kind": "truncated_power_law", "gamma": 1e400, "x_min": 1, "x_max": 9}'
+        code = main(["theory", "alpha", "--m", "10", "--s", "1", "--size-dist", size])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err == "config error: --size-dist.gamma: expected a finite number\n"
 
     def test_usage_error_exit_one(self, tmp_path, capsys):
         doc = small_scenario()
@@ -674,9 +723,6 @@ class TestRunSummary:
         for status in ("[PASS]", "[FAIL]", "[info]"):
             assert any(line.endswith(status) for line in lines), status
         assert any("=None " in line for line in lines)
-
-    def test_every_output_has_a_summary_format(self):
-        assert set(_SUMMARY_FORMATS) == set(OUTPUTS)
 
     def test_missing_field_reads_none(self):
         body = {"scenario": {"outputs": ["degree", "regime"]}, "analyses": {}, "passes": {}}
