@@ -94,6 +94,8 @@ def _int_field(obj: dict, key: str, path: str, minimum: int | None = None) -> in
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}.{key}", "expected an integer")
+    if not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{path}.{key}", "must fit in a signed 64-bit integer")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}.{key}", f"must be >= {minimum}")
     return value
@@ -355,14 +357,15 @@ def _replicate_worker(cfg: ScenarioConfig, reads: frozenset, seed: int, r: int) 
     cap."""
     inc = sample_incidence(cfg.params(), rng_stream(seed, r))
     out = {}
+    if "sizes" in reads and r == 0:
+        out["sizes"] = inc.sizes
     if reads & {"degrees", "clustering"}:
         graph = _build_graph(cfg, inc, r)
+        del inc  # the sets are not read past the build
         if "degrees" in reads:
             out["degrees"] = np.bincount(graph.degrees, minlength=1)
         if "clustering" in reads:
             out["clustering"] = stats.clustering_report(graph, cfg.min_bucket)
-    if "sizes" in reads and r == 0:
-        out["sizes"] = inc.sizes.copy()
     return out
 
 

@@ -25,9 +25,11 @@ decoded once to find the repeats, and only the keys whose signature
 repeats go on.  At the scaled example1 shape (60k sets of 6, s = 2:
 900,000 signatures, of which 43,869 repeat) the build's tracemalloc
 peak is 17.1 B per signature (39.5 B when every key's signature and
-member were decoded and kept).  Dense sets are drawn a block at a time
-(see :func:`_floyd_rows`): for 100,000 sets of 10 from m = 100 the
-draws peak at 1.6 times their 8 MB result.
+member were decoded and kept).  Sets are written into the incidence a
+block at a time (see :func:`_write_subsets`): for 100,000 sets of 10
+from m = 100 the tracemalloc peak of :func:`sample_incidence` is 1.3
+times its 9.6 MB result, and for 100,000 sets of 4 from m = 100,000
+1.7 times its 4.8 MB.
 
 Every subset is listed by one enumerator: the lists of one length are
 read in one block against one colex-ordered table of index subsets.  It
@@ -63,8 +65,8 @@ __all__ = [
 ]
 
 PAIR_CAP_DEFAULT = 200_000_000
-# bytes of draws per block of rows in the batched Floyd sampler
-_FLOYD_BLOCK_BYTES = 1 << 22
+# bytes of set entries per block that the sampler draws or writes
+_BLOCK_BYTES = 1 << 20
 # edges formatted per string by write_edge_list
 _EXPORT_BLOCK = 1 << 16
 
@@ -144,55 +146,85 @@ def _floyd_rows(gen: np.random.Generator, m: int, x: int, count: int) -> np.ndar
 
     Column c holds step j = m - x + c of every row, all drawn by one
     ``integers`` call, which consumes the stream as ``count`` calls of
-    :func:`sample_subset` do.  A step takes j when its draw equals the
-    final value of an earlier step in its row.  Each block of
-    ``_FLOYD_BLOCK_BYTES`` of draws is copied as one contiguous (x, rows)
-    array, so a step is one compare of its column with the columns
-    before it: C(x, 2) compares per set.  The copy and the compare's
-    mask bound the temporaries for any m; for 100,000 sets of 10 from
-    m = 100 the tracemalloc peak is 1.6 times the 8 MB result.
+    :func:`sample_subset` do.  Philox keeps a spare 32-bit half-draw in
+    its state, so consecutive calls draw what one call over all their
+    rows would.  A step takes j when its draw equals the final value of
+    an earlier step in its row.  The draws are copied as one contiguous
+    (x, count) array, so a step is one compare of its column with the
+    columns before it: C(x, 2) compares per set.
     """
     top = m - x
     rows = gen.integers(0, np.arange(top + 1, m + 1), size=(count, x), dtype=np.int64)
-    block = max(1, _FLOYD_BLOCK_BYTES // (8 * x))
-    for lo in range(0, count, block):
-        cols = rows[lo : lo + block].T.copy()
-        for c in range(1, x):
-            cols[c][(cols[:c] == cols[c]).any(axis=0)] = top + c
-        rows[lo : lo + block] = cols.T
-        del cols  # freed before the next block is copied
+    cols = rows.T.copy()
+    for c in range(1, x):
+        cols[c][(cols[:c] == cols[c]).any(axis=0)] = top + c
+    rows[...] = cols.T
     rows.sort(axis=1)
     return rows
 
 
-def _batch_subsets(
-    gen: np.random.Generator, m: int, x: int, count: int
-) -> np.ndarray:
-    """(count, x) matrix of independent uniform x-subsets, rows sorted.
+def _has_repeat(rows: np.ndarray) -> np.ndarray:
+    """Whether each sorted row holds a value twice, one column pair at a
+    time."""
+    repeat = np.zeros(rows.shape[0], dtype=bool)
+    for c in range(1, rows.shape[1]):
+        repeat |= rows[:, c] == rows[:, c - 1]
+    return repeat
+
+
+def _write_subsets(
+    gen: np.random.Generator, m: int, x: int, attrs: np.ndarray, offsets: np.ndarray, actors: np.ndarray
+) -> None:
+    """Write an independent uniform x-subset, sorted, into
+    ``attrs[offsets[a] : offsets[a] + x]`` for each actor a of
+    ``actors`` in turn, ``_BLOCK_BYTES`` of rows at a time.
 
     A full set (x == m) takes no draws.  Sparse sizes (x(x-1) <= m // 2)
-    use a vectorized draw-and-redraw of the few colliding rows; larger
-    sizes run :func:`_floyd_rows`, which draws what per-row
-    :func:`sample_subset` would.
+    draw, sort and write each block and note its rows with a repeated
+    value; after the last block those rows are redrawn, in rounds, until
+    none repeats.  Every redraw thus follows all first draws, as when
+    the class is drawn in one call.  Larger sizes draw each block by
+    :func:`_floyd_rows`, which draws what per-row :func:`sample_subset`
+    would.  Split calls consume the stream as one call would, since
+    Philox keeps its spare 32-bit half-draw in its state.
     """
+    count = actors.size
+    block = max(1, _BLOCK_BYTES // (8 * x))
+    span = np.arange(x, dtype=np.int64)
+
+    def at(lo: int) -> np.ndarray:
+        return offsets[actors[lo : lo + block], None] + span
+
     if x == m:
-        return np.tile(np.arange(m, dtype=np.int64), (count, 1))
-    if x * (x - 1) <= m // 2:
-        rows = np.sort(gen.integers(0, m, size=(count, x), dtype=np.int64), axis=1)
-        bad = np.flatnonzero((np.diff(rows, axis=1) == 0).any(axis=1))
+        for lo in range(0, count, block):
+            attrs[at(lo)] = span
+    elif x * (x - 1) <= m // 2:
+        bad = []
+        for lo in range(0, count, block):
+            rows = gen.integers(0, m, size=(min(block, count - lo), x), dtype=np.int64)
+            rows.sort(axis=1)
+            attrs[at(lo)] = rows
+            bad.append(lo + np.flatnonzero(_has_repeat(rows)))
+        bad = np.concatenate(bad)
         while bad.size:
-            redraw = np.sort(
-                gen.integers(0, m, size=(bad.size, x), dtype=np.int64), axis=1
-            )
-            rows[bad] = redraw
-            bad = bad[(np.diff(redraw, axis=1) == 0).any(axis=1)]
-        return rows
-    return _floyd_rows(gen, m, x, count)
+            rows = gen.integers(0, m, size=(bad.size, x), dtype=np.int64)
+            rows.sort(axis=1)
+            attrs[offsets[actors[bad], None] + span] = rows
+            bad = bad[_has_repeat(rows)]
+    else:
+        for lo in range(0, count, block):
+            attrs[at(lo)] = _floyd_rows(gen, m, x, min(block, count - lo))
 
 
 def sample_incidence(params: ModelParams, gen: np.random.Generator) -> Incidence:
     """Draw n independent attribute sets: a size from the size law, then
-    a uniform subset of that size."""
+    a uniform subset of that size.
+
+    Each size class is drawn and written straight into ``attrs`` a block
+    at a time (see :func:`_write_subsets`), so beside the result and the
+    sets' draw order (8 B per set) only one block of rows and their
+    positions are live.
+    """
     n, m, dist = params.n, params.m, params.size_dist
     support = dist.support
     if support.size == 0:
@@ -208,10 +240,7 @@ def sample_incidence(params: ModelParams, gen: np.random.Generator) -> Incidence
     ends = np.cumsum(hist)
     for x in np.flatnonzero(hist[1:]) + 1:
         x = int(x)
-        idx = by_size[ends[x] - hist[x] : ends[x]]
-        rows = _batch_subsets(gen, m, x, idx.size)
-        flat_pos = (offsets[idx][:, None] + np.arange(x)[None, :]).ravel()
-        attrs[flat_pos] = rows.ravel()
+        _write_subsets(gen, m, x, attrs, offsets, by_size[ends[x] - hist[x] : ends[x]])
     return Incidence(m=m, sizes=sizes, offsets=offsets, attrs=attrs)
 
 

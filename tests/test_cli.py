@@ -361,6 +361,26 @@ class TestCommandLine:
         assert (code, captured.out) == (EXIT_USAGE, "")
         assert captured.err == "config error: --size-dist.gamma: expected a finite number\n"
 
+    def test_integer_past_int64_is_usage_error(self, tmp_path, capsys):
+        """A model integer too wide for int64 stops at the config, not
+        at a float conversion inside the theory."""
+        doc = small_scenario(outputs=["regime"])
+        doc["scenario"]["model"]["n"] = int("9" * 400)
+        code = main(["run", "--config", self.write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err == "config error: scenario.model.n: must fit in a signed 64-bit integer\n"
+
+    @pytest.mark.parametrize("n, fits", [(2**63 - 1, True), (2**63, False)])
+    def test_int64_edge(self, n, fits):
+        doc = small_scenario()
+        doc["scenario"]["model"]["n"] = n
+        if fits:
+            assert parse_scenario(doc).n == n
+        else:
+            with pytest.raises(ConfigError, match=r"scenario\.model\.n: must fit in a signed 64-bit integer"):
+                parse_scenario(doc)
+
     def test_usage_error_exit_one(self, tmp_path, capsys):
         doc = small_scenario()
         doc["scenario"]["surprise"] = 1
@@ -823,6 +843,31 @@ class TestReportReproducibility:
             hashlib.sha256(body.encode()).hexdigest()
             == "6488aac195f6f54634c06f0a15ea84a8324c4d66cf40ebadecd0e0b130e39b03"
         )
+
+    def test_sets_released_before_clustering(self, monkeypatch):
+        """A replicate reads its sets only to build the graph, so they
+        are freed before the clustering counts run."""
+        import weakref
+
+        import riglab.cli as cli_mod
+        from riglab import stats
+
+        inner, report = cli_mod.sample_incidence, stats.clustering_report
+        sets, alive = [], []
+
+        def tracked_sample(params, rng):
+            inc = inner(params, rng)
+            sets.append(weakref.ref(inc))
+            return inc
+
+        def checked_report(graph, min_bucket):
+            alive.append(sets[-1]() is not None)
+            return report(graph, min_bucket)
+
+        monkeypatch.setattr(cli_mod, "sample_incidence", tracked_sample)
+        monkeypatch.setattr(stats, "clustering_report", checked_report)
+        run_scenario(parse_scenario(small_scenario(outputs=["clustering", "theorem1_stats"])), seed=1, jobs=1)
+        assert alive == [False, False, False]
 
     def test_degree_only_outputs_count_no_triangles(self, monkeypatch):
         from riglab import stats

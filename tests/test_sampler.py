@@ -220,16 +220,109 @@ def dense_shapes(draw):
     return m, draw(st.integers(x_min, m)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
 
 
-def assert_matches_scalar(batch, m, x, count, block_rows, seed):
-    """``batch`` draws, row for row, the stacked :func:`sample_subset`
-    rows of a twin generator, and leaves it where they leave the twin."""
+def assert_same_position(gen, twin):
+    """The two generators stand at the same place of their stream,
+    spare 32-bit half-draw included."""
+    assert repr(gen.bit_generator.state) == repr(twin.bit_generator.state)
+
+
+def written_rows(gen, m, x, count):
+    """The rows :func:`sampler._write_subsets` writes for ``count``
+    actors laid out in reverse, read back in draw order."""
+    offsets = np.arange(count + 1, dtype=np.int64) * x
+    actors = np.arange(count)[::-1]
+    attrs = np.full(count * x, -1, dtype=np.int64)
+    sampler._write_subsets(gen, m, x, attrs, offsets, actors)
+    return attrs.reshape(count, x)[actors]
+
+
+def floyd_blocks(gen, m, x, count):
+    """:func:`sampler._floyd_rows` called once per block of rows, as
+    :func:`sampler._write_subsets` calls it, the blocks stacked."""
+    block = max(1, sampler._BLOCK_BYTES // (8 * x))
+    return np.concatenate([sampler._floyd_rows(gen, m, x, min(block, count - lo)) for lo in range(0, count, block)])
+
+
+def assert_matches_scalar(draw, m, x, count, block_rows, seed):
+    """``draw``, with blocks of ``block_rows`` rows, gives row for row
+    the stacked :func:`sample_subset` rows of a twin generator, and
+    leaves it where they leave the twin."""
     gen, twin = rng_stream(seed), rng_stream(seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_FLOYD_BLOCK_BYTES", 8 * x * block_rows)
-        rows = batch(gen, m, x, count)
+        mp.setattr(sampler, "_BLOCK_BYTES", 8 * x * block_rows)
+        rows = draw(gen, m, x, count)
     want = np.stack([sample_subset(m, x, twin) for _ in range(count)])
     assert rows.dtype == want.dtype and np.array_equal(rows, want)
+    assert_same_position(gen, twin)
     assert gen.integers(2**63 - 1) == twin.integers(2**63 - 1)
+
+
+def whole_class_incidence(params, gen):
+    """Reference sampler: each size class drawn whole, each route by one
+    call over all its rows, the redraw route's repeats found by
+    ``np.diff``, Floyd's rule applied row by row to one call's draws,
+    and every class scattered into ``attrs`` through one index."""
+    n, m, dist = params.n, params.m, params.size_dist
+    probs = dist.probs[dist.support]
+    sizes = gen.choice(dist.support, size=n, p=probs / probs.sum()).astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    attrs = np.empty(int(offsets[-1]), dtype=np.int64)
+    by_size = np.argsort(sizes, kind="stable")
+    for x in np.unique(sizes[sizes > 0]).tolist():
+        idx = by_size[sizes[by_size] == x]
+        if x == m:
+            rows = np.tile(np.arange(m, dtype=np.int64), (idx.size, 1))
+        elif x * (x - 1) <= m // 2:
+            rows = np.sort(gen.integers(0, m, size=(idx.size, x), dtype=np.int64), axis=1)
+            bad = np.flatnonzero((np.diff(rows, axis=1) == 0).any(axis=1))
+            while bad.size:
+                redraw = np.sort(gen.integers(0, m, size=(bad.size, x), dtype=np.int64), axis=1)
+                rows[bad] = redraw
+                bad = bad[(np.diff(redraw, axis=1) == 0).any(axis=1)]
+        else:
+            draws = gen.integers(0, np.arange(m - x + 1, m + 1), size=(idx.size, x), dtype=np.int64)
+            rows = np.empty_like(draws)
+            for i, row in enumerate(draws.tolist()):
+                chosen = set()
+                for j, t in enumerate(row, start=m - x):
+                    chosen.add(j if t in chosen else t)
+                rows[i] = sorted(chosen)
+        attrs[(offsets[idx][:, None] + np.arange(x)).ravel()] = rows.ravel()
+    return Incidence(m=m, sizes=sizes, offsets=offsets, attrs=attrs)
+
+
+@st.composite
+def mixed_laws(draw):
+    """(params, block_bytes): a table size law over up to five sizes in
+    [0, m], so redraw, Floyd and full-set classes hold interleaved
+    actors, and a block size that gives every class blocks of 1-4
+    rows."""
+    m = draw(st.integers(1, 40))
+    support = draw(st.lists(st.integers(0, m), min_size=1, max_size=5, unique=True))
+    weights = [0.0] * (max(support) + 1)
+    for x in support:
+        weights[x] = float(draw(st.integers(1, 4)))
+    params = ModelParams(n=draw(st.integers(1, 40)), m=m, s=1, size_dist=make_size_dist(Table(weights), m))
+    x_min = min([x for x in support if x > 0], default=1)
+    return params, draw(st.integers(1, 32 * x_min))
+
+
+def incidence_bytes(inc):
+    return inc.attrs.nbytes + inc.sizes.nbytes + inc.offsets.nbytes
+
+
+def sampling_peak(params):
+    """(incidence, tracemalloc peak) of one :func:`sample_incidence` call,
+    its generator made before tracing (a process's first one allocates
+    a one-off 0.7 MB)."""
+    gen = rng_stream(0)
+    tracemalloc.start()
+    try:
+        inc = sample_incidence(params, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return inc, peak
 
 
 def assert_subset_rows_layout(lists, t, base=12):
@@ -265,7 +358,7 @@ class TestBatchedFloyd:
     def test_dense_route_matches_scalar(self, shape, seed):
         m, x, count, block_rows = shape
         assert x * (x - 1) > m // 2
-        assert_matches_scalar(sampler._batch_subsets, m, x, count, block_rows, seed)
+        assert_matches_scalar(written_rows, m, x, count, block_rows, seed)
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -277,24 +370,28 @@ class TestBatchedFloyd:
     )
     def test_wide_bounds_match_scalar(self, m, x, count, block_rows, seed):
         """Bounds above 2**32 draw 64-bit words where smaller ones draw
-        32-bit halves; the batched call must consume the stream alike."""
-        assert_matches_scalar(sampler._floyd_rows, m, x, count, block_rows, seed)
+        32-bit halves; the Floyd blocks must consume the stream alike."""
+        assert_matches_scalar(floyd_blocks, m, x, count, block_rows, seed)
 
     def test_dense_sets_memory_stays_within_a_block_of_the_result(self):
-        """100,000 sets of 10 from m = 100 (8 MB of draws): beside the
-        draws the temporaries are one block copied as columns and one
-        column compare, so the tracemalloc peak stays under 2.4 times the
-        result.  A row sort of each block, with its order and a repeat
-        mask beside it, exceeds that."""
+        """100,000 sets of 10 from m = 100 written into a preallocated
+        incidence: beside it the temporaries are one block of draws, its
+        copy as columns and one column compare, then the block and its
+        positions, so the tracemalloc peak stays under 2.4 blocks.
+        Drawing the class whole before writing it exceeds that."""
         m, x, count = 100, 10, 100_000
+        offsets = np.arange(count + 1, dtype=np.int64) * x
+        attrs = np.empty(count * x, dtype=np.int64)
+        actors = np.arange(count)
+        gen = rng_stream(0)
         tracemalloc.start()
         try:
-            rows = sampler._floyd_rows(rng_stream(0), m, x, count)
+            sampler._write_subsets(gen, m, x, attrs, offsets, actors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows.shape == (count, x)
-        assert peak < 2.4 * rows.nbytes
+        assert count * x * 8 > 7 * sampler._BLOCK_BYTES
+        assert peak < 2.4 * sampler._BLOCK_BYTES
 
 
 class TestSampleIncidence:
@@ -363,6 +460,44 @@ class TestSampleIncidence:
         for i in range(inc.n):
             row = members(inc, i)
             assert row.size == 25 and np.all(np.diff(row) > 0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(law=mixed_laws(), seed=st.integers(0, 2**32))
+    # x = 1 and 2 redraw, 4 and 5 take Floyd, 12 is full
+    @example(law=(ModelParams(n=40, m=12, s=1, size_dist=make_size_dist(Table([1, 1, 1, 0, 1, 1] + [0] * 6 + [1]), 12)), 8), seed=0)
+    def test_blocks_match_whole_classes(self, law, seed):
+        """Under blocks of 1-4 rows, every class is drawn and written as
+        when it is drawn whole, and the stream ends in the same place."""
+        params, block_bytes = law
+        gen, twin = rng_stream(seed), rng_stream(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_BLOCK_BYTES", block_bytes)
+            inc = sample_incidence(params, gen)
+        want = whole_class_incidence(params, twin)
+        assert np.array_equal(inc.sizes, want.sizes) and np.array_equal(inc.offsets, want.offsets)
+        assert inc.attrs.dtype == want.attrs.dtype and np.array_equal(inc.attrs, want.attrs)
+        assert_same_position(gen, twin)
+
+    def test_dense_sets_memory_stays_near_the_incidence(self):
+        """100,000 sets of 10 from m = 100 take the Floyd route: beside
+        the incidence only a block and the sets' draw order are live, so
+        the tracemalloc peak stays under 1.75 times the incidence.  Three
+        full copies of the sets (rows, their index and the incidence)
+        read 2.9 times."""
+        p = ModelParams(n=100_000, m=100, s=1, size_dist=make_size_dist(Degenerate(10), 100))
+        inc, peak = sampling_peak(p)
+        assert peak < 1.75 * incidence_bytes(inc)
+
+    def test_sparse_sets_memory_stays_near_the_incidence(self):
+        """100,000 sets of 4 from m = 100,000 take the redraw route: the
+        first draws are made and written a block at a time and only the
+        rows with a repeat are redrawn after them, so the tracemalloc
+        peak stays under 1.9 times the incidence.  Drawing the class
+        whole reads 2.1 times, and adding a full-size index and a sorted
+        copy 2.7."""
+        p = ModelParams(n=100_000, m=100_000, s=1, size_dist=make_size_dist(Degenerate(4), 100_000))
+        inc, peak = sampling_peak(p)
+        assert peak < 1.9 * incidence_bytes(inc)
 
 
 class TestBuildActive:
