@@ -272,6 +272,15 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     }
     if "example2" in outputs and options["epsilon"] is None:
         raise ConfigError("scenario.epsilon", "required when outputs include 'example2'")
+    # no vertex has more than V - 1 neighbours (n - 1 actors, m - 1
+    # attributes); the default k range passes on any graph, so that a
+    # report's echo always parses back
+    top = (n if kind == "active" else m) - 1
+    k_hi = options["k_range"][1]
+    if k_hi > max(top, _SCENARIO_OPTIONS["k_range"][1][1]):
+        raise ConfigError("scenario.k_range", f"upper end {k_hi} exceeds the largest degree {top}")
+    if options["k_max"] is not None and options["k_max"] > top:
+        raise ConfigError("scenario.k_max", f"{options['k_max']} exceeds the largest degree {top}")
     return ScenarioConfig(
         kind=kind,
         n=n,

@@ -29,6 +29,7 @@ __all__ = [
     "falling_factorial",
     "DiscretePmf",
     "trim_tail",
+    "truncation_point",
     "SizeDistribution",
     "ModelParams",
     "DerivedParams",
@@ -200,6 +201,13 @@ def trim_tail(probs: np.ndarray, tol: float) -> np.ndarray:
     csum = np.cumsum(probs[::-1])[::-1]
     keep = np.nonzero(csum >= tol)[0]
     return probs[: (int(keep[-1]) + 1) if keep.size else 1]
+
+
+def truncation_point(mean: float, var: float) -> float:
+    """Where a degree pmf of this mean and variance is cut when no k_max
+    is given: 12 standard deviations (of var + 1, so never 0) past the
+    mean, plus 30."""
+    return mean + 12.0 * math.sqrt(var + 1.0) + 30.0
 
 
 SizeDistribution = DiscretePmf  # a size law: a pmf on {0..m} with no tail mass

@@ -28,6 +28,7 @@ from .model import (
     falling_factorial,
     log_binomial,
     trim_tail,
+    truncation_point,
 )
 
 __all__ = [
@@ -189,7 +190,7 @@ def exact_active_degree_pmf(
     k_cap = 0
     for q in qbars.values():
         mean = trials * q
-        k_cap = max(k_cap, int(mean + 12.0 * math.sqrt(mean + 1.0) + 30.0))
+        k_cap = max(k_cap, int(truncation_point(mean, mean)))
     k_cap = min(k_cap, trials)
     probs = np.zeros(k_cap + 1)
     for x1 in xs:

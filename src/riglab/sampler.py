@@ -35,9 +35,10 @@ Every subset is listed by one enumerator: the lists of one length are
 read in one block against one colex-ordered table of index subsets.  It
 gives the s-subset signatures, the pairs within each signature or
 group, and, through :func:`subset_keys`, the wedge keys of stats.  Every
-build ends with the sorted distinct edge keys u * V + v, u < v (V the
-vertex count), and a :class:`Graph` is that array, made by
-:meth:`Graph.from_edge_arrays` from its ends.
+build writes its pair keys u * V + v, u < v (V the vertex count), into
+one array of the size its cap checked, and :meth:`Graph.from_edge_arrays`
+thresholds them in place: the sorted distinct keys are the
+:class:`Graph` as they stand.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ class Graph:
 
     Edge {u, v}, u < v, is the int64 key u * V + v (V the vertex count);
     ``keys`` holds each edge once, strictly increasing.  ``degrees`` is
-    counted on first read unless :meth:`from_edge_arrays` counted it.
+    counted from the keys on first read.
     Graphs compare by value and are unhashable.
     """
 
@@ -264,7 +265,9 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.bincount(np.concatenate(self.edges()), minlength=self.vertex_count)
+        # the ends u, then the ends v: one edge-sized temporary at a time
+        V, keys = self.vertex_count, self.keys
+        return np.bincount(keys // np.int64(V), minlength=V) + np.bincount(keys % np.int64(V), minlength=V)
 
     @property
     def edge_count(self) -> int:
@@ -275,34 +278,25 @@ class Graph:
         return np.divmod(self.keys, np.int64(self.vertex_count))
 
     @staticmethod
-    def from_edge_arrays(vertex_count: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        """Graph of the unique edges u < v, in any order, with its degrees."""
-        keys = u * np.int64(vertex_count) + v
-        if np.any(keys[1:] < keys[:-1]):
-            keys.sort()
-        graph = Graph(vertex_count, keys)
-        # seeds the cached_property, which reads the instance dict first
-        vars(graph)["degrees"] = np.bincount(u, minlength=vertex_count) + np.bincount(v, minlength=vertex_count)
-        return graph
+    def from_edge_arrays(vertex_count: int, keys: np.ndarray, threshold: int = 1) -> "Graph":
+        """Graph of the edges whose key u * V + v, u < v, occurs at least
+        ``threshold`` times in ``keys``, in any order (sorted in place).
+
+        After the sort, a key occurs at least t = ``threshold`` times iff
+        its run starts at some i with keys[i] == keys[i + t - 1]; the
+        distinct keys kept are the graph's keys as they stand.
+        """
+        keys.sort()
+        starts = keys.size - threshold + 1
+        if starts <= 0:
+            return Graph(vertex_count, keys[:0])
+        keep = keys[threshold - 1 :] == keys[:starts]
+        keep[1:] &= keys[1:starts] != keys[: starts - 1]
+        return Graph(vertex_count, keys[:starts][keep])
 
     @staticmethod
     def empty(vertex_count: int) -> "Graph":
         return Graph(vertex_count, np.empty(0, dtype=np.int64))
-
-
-def _threshold_pairs(keys: np.ndarray, s: int) -> np.ndarray:
-    """Distinct keys with multiplicity >= s (sorts in place).
-
-    After the sort, a key repeats at least s times iff its run starts at
-    some i with keys[i] == keys[i + s - 1].
-    """
-    keys.sort()
-    starts = keys.size - s + 1
-    if starts <= 0:
-        return keys[:0]
-    keep = keys[s - 1 :] == keys[:starts]
-    keep[1:] &= keys[1:starts] != keys[: starts - 1]
-    return keys[:starts][keep]
 
 
 def _comb_total(counts: np.ndarray, r: int) -> int:
@@ -334,7 +328,7 @@ def _subset_table(size: int, t: int) -> np.ndarray:
     return table
 
 
-def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int, out: np.ndarray | None = None):
+def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int, out: np.ndarray):
     """For each list length l >= t: the vertices whose list has length l
     and the (C(l, t), count) array of their t-subsets, each read as t
     digits in base ``base``, the first list entry the most significant.
@@ -344,9 +338,9 @@ def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int, out: n
     Vertex v's list is the v-th run of ``values`` (runs of length
     ``lens``); a length class is gathered as (l, count) rows, entry i of
     every list in row i.  One :func:`_subset_table` serves every length.
-    Given ``out``, of size sum C(len, t), each length's array is a view
-    of its next slice, written in place.  The first digit is taken into
-    the array and the last added by broadcasting, one add per list entry
+    ``out`` has size sum C(len, t), and each length's array is a view of
+    its next slice, written in place.  The first digit is taken into the
+    array and the last added by broadcasting, one add per list entry
     over whole rows, so only a middle digit (t >= 3) needs a temporary
     of the array's size.
     """
@@ -363,10 +357,10 @@ def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int, out: n
         rows = values[np.arange(length)[:, None] + offsets[vertices]]
         cols = table[:, : math.comb(int(length), t)]
         size = vertices.size * cols.shape[1]
-        view = None if out is None else out[at : at + size].reshape(-1, vertices.size)
+        sig = out[at : at + size].reshape(-1, vertices.size)
         at += size
         # mode "raise" would buffer ``out``; the table's indices are in range
-        sig = np.take(rows, cols[0], axis=0, out=view, mode="clip")
+        np.take(rows, cols[0], axis=0, out=sig, mode="clip")
         for j in range(1, t):
             sig *= np.int64(base)
             if j < t - 1:
@@ -400,7 +394,7 @@ def subset_keys(
     the tracemalloc peak is 14.0 MB, 15.5 B per key.
     """
     keys = np.empty(_comb_total(lens, t), dtype=np.int64)
-    for vertices, sig in _subset_rows(lens, groups, t, group_count, out=keys):
+    for vertices, sig in _subset_rows(lens, groups, t, group_count, keys):
         sig *= np.int64(vertex_count)
         sig += vertices
     keys.sort()
@@ -428,16 +422,12 @@ def _shared_signatures(keys: np.ndarray, vertex_count: int) -> np.ndarray:
 def _edges_within(members: np.ndarray, runs: np.ndarray, vertex_count: int, threshold: int) -> Graph:
     """Graph whose edges are the member pairs formed inside at least
     ``threshold`` runs (``members`` in runs of length ``runs``, ascending
-    inside each): the 2-subsets of the runs, read in base V, are the
-    edge keys a * V + b, a < b."""
-    # joined, not written into one array as in subset_keys: that raised
-    # the passive-wedge benchmark's peak RSS by about 6 % (heap layout)
-    parts = (sig.ravel() for _, sig in _subset_rows(runs, members, 2, vertex_count))
-    keys = np.concatenate([np.empty(0, np.int64), *parts])
-    u, v = np.divmod(_threshold_pairs(keys, threshold), np.int64(vertex_count))
-    # freed before the graph's arrays are made, which then reuse it
-    del keys
-    return Graph.from_edge_arrays(vertex_count, u, v)
+    inside each): the sum C(run, 2) 2-subsets of the runs, read in base
+    V, are the edge keys a * V + b, a < b, written into one array."""
+    keys = np.empty(_comb_total(runs, 2), dtype=np.int64)
+    for _ in _subset_rows(runs, members, 2, vertex_count, keys):
+        pass
+    return Graph.from_edge_arrays(vertex_count, keys, threshold)
 
 
 def _check_cap(kind: str, count: int, what: str, pair_cap: int, method: str) -> None:
@@ -468,7 +458,9 @@ def _project(kind: str, inc: Incidence, s: int, pair_cap: int) -> Graph:
     more in :func:`_shared_signatures`; the members, runs and pairs are
     sized by the repeated signatures alone.  The peak, 17.1 B per
     signature at the scaled example1 shape, falls in
-    :func:`_shared_signatures`.
+    :func:`_shared_signatures`.  Either route's pair keys are one array,
+    8 B per checked pair, and the threshold's masks 2 B more: at the
+    example2 shape (10.7 M pairs at t = 1) the peak is 1.25 times the keys.
     """
     active = kind == "active"
     attr_deg = np.bincount(inc.attrs, minlength=inc.m)

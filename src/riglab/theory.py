@@ -44,6 +44,7 @@ from .model import (
     moments,
     scale_constants,
     size_biased,
+    truncation_point,
 )
 
 __all__ = [
@@ -163,7 +164,7 @@ def mixed_poisson_degree_pmf(
     if k_max is None:
         # the bound grows with lam, so the largest intensity sets it
         top = float((scale.z * scale.mu1).max())
-        cap = max(5, int(top + 12.0 * math.sqrt(top + 1.0) + 30.0))
+        cap = max(5, int(truncation_point(top, top)))
     else:
         cap = k_max
     probs = _mixed_poisson_columns(scale, 0, cap)
@@ -340,9 +341,7 @@ def compound_poisson_pmf(
         return DiscretePmf(out, 0.0)
     mean = spec.mean()
     var = lam * spec.jump_pmf.second_moment()
-    cap = k_max if k_max is not None else int(
-        mean + 12.0 * math.sqrt(var + 1.0) + 30.0 + f.size
-    )
+    cap = k_max if k_max is not None else int(truncation_point(mean, var) + f.size)
     jf = np.arange(f.size) * f  # j * f_j
     g = np.zeros(cap + 1)
     g[0] = math.exp(-lam * (1.0 - f[0]))

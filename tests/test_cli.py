@@ -180,6 +180,31 @@ class TestConfigParsing:
         cfg = parse_scenario(doc)
         assert cfg.echo(0)["model"]["size_dist"] == size_dist
 
+    @pytest.mark.parametrize("kind, top", [("active", 799), ("passive", 399)])
+    def test_k_bounded_by_the_largest_degree(self, kind, top):
+        """No vertex has more than V - 1 neighbours (n - 1 = 799 actors,
+        m - 1 = 399 attributes), so a k range or pmf cut past that is
+        rejected at parse time, naming the field; the default range
+        passes on any graph."""
+        def doc(**overrides):
+            d = small_scenario(**overrides)
+            d["scenario"]["model"]["kind"] = kind
+            return d
+
+        cfg = parse_scenario(doc(k_range=[2, top], k_max=top))
+        assert (cfg.k_range, cfg.k_max) == ((2, top), top)
+        with pytest.raises(ConfigError, match=rf"scenario\.k_range: upper end {top + 1} exceeds the largest degree {top}"):
+            parse_scenario(doc(k_range=[2, top + 1]))
+        with pytest.raises(ConfigError, match=rf"scenario\.k_max: 200000 exceeds the largest degree {top}"):
+            parse_scenario(doc(k_max=200000))
+        tiny = doc()
+        del tiny["scenario"]["k_range"]
+        tiny["scenario"]["model"].update(n=5, m=5)
+        assert parse_scenario(tiny).k_range == (2, 20)
+        tiny["scenario"]["k_range"] = [2, 21]
+        with pytest.raises(ConfigError, match=r"scenario\.k_range: upper end 21 exceeds the largest degree 4"):
+            parse_scenario(tiny)
+
     def test_echo_round_trips(self):
         """A scenario setting every optional key off its default echoes
         to a document that parses back to the same config (the echo

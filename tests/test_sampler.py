@@ -103,7 +103,7 @@ def pair_count_reference(kind, inc, s):
     left, right = group_pair_indices(sizes)
     keys, counts = np.unique(members[left] * width + members[right], return_counts=True)
     keys = keys[counts >= s]
-    return Graph.from_edge_arrays(width, keys // width, keys % width)
+    return Graph(width, keys)
 
 
 def assert_same_graph(got, want):
@@ -136,6 +136,11 @@ def edge_sets(draw):
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     edges = np.array(draw(st.permutations(chosen)), dtype=np.int64).reshape(-1, 2)
     return n, edges[:, 0], edges[:, 1]
+
+
+def graph_from_ends(vertex_count, u, v):
+    """Graph of the unique edges u < v, given as their ends in any order."""
+    return Graph.from_edge_arrays(vertex_count, np.asarray(u, np.int64) * vertex_count + v)
 
 
 def lexsort_csr(vertex_count, u, v):
@@ -329,14 +334,18 @@ def assert_subset_rows_layout(lists, t, base=12):
     """Each length class of ``_subset_rows`` is a (C(l, t), count) array:
     column j holds the t-subsets of vertex ``vertices[j]``'s list in
     colex order, read as t digits in ``base``.  The classes come in
-    ascending length and cover every list of length >= t once."""
+    ascending length, cover every list of length >= t once, and are
+    consecutive slices of ``out``, which they fill."""
     lens = np.array([len(a) for a in lists], dtype=np.int64)
     values = np.array([g for a in lists for g in a], dtype=np.int64)
-    seen, lengths = [], []
-    for vertices, sig in sampler._subset_rows(lens, values, t, base):
+    out = np.full(sampler._comb_total(lens, t), -1, dtype=np.int64)
+    seen, lengths, at = [], [], 0
+    for vertices, sig in sampler._subset_rows(lens, values, t, base, out):
         length = len(lists[vertices[0]])
         lengths.append(length)
         assert sig.dtype == np.int64 and sig.shape == (math.comb(length, t), vertices.size)
+        assert np.shares_memory(sig, out) and np.array_equal(sig.ravel(), out[at : at + sig.size])
+        at += sig.size
         for j, v in enumerate(vertices.tolist()):
             assert len(lists[v]) == length
             colex = sorted(itertools.combinations(lists[v], t), key=lambda c: c[::-1])
@@ -344,6 +353,7 @@ def assert_subset_rows_layout(lists, t, base=12):
         seen.extend(vertices.tolist())
     assert lengths == sorted(set(lengths))
     assert sorted(seen) == [v for v, a in enumerate(lists) if len(a) >= t]
+    assert at == out.size and np.all(out >= 0)
 
 
 class TestBatchedFloyd:
@@ -632,20 +642,21 @@ def tiny_incidences(draw):
 def routes(monkeypatch):
     """Record how each build projects: whether it keyed the vertices by
     s-subsets, and the multiplicity its edges were thresholded at (1 on
-    the s-subset route, s on the single-group route)."""
+    the s-subset route, s on the single-group route) by the one
+    ``Graph.from_edge_arrays`` call that ends the build."""
     seen = {"subset_keys": 0, "thresholds": []}
-    subset_keys, edges_within = sampler.subset_keys, sampler._edges_within
+    subset_keys, from_edge_arrays = sampler.subset_keys, Graph.from_edge_arrays
 
     def spy_subset_keys(*args):
         seen["subset_keys"] += 1
         return subset_keys(*args)
 
-    def spy_edges_within(members, runs, vertex_count, threshold):
+    def spy_from_edge_arrays(vertex_count, keys, threshold):
         seen["thresholds"].append(threshold)
-        return edges_within(members, runs, vertex_count, threshold)
+        return from_edge_arrays(vertex_count, keys, threshold)
 
     monkeypatch.setattr(sampler, "subset_keys", spy_subset_keys)
-    monkeypatch.setattr(sampler, "_edges_within", spy_edges_within)
+    monkeypatch.setattr(Graph, "from_edge_arrays", staticmethod(spy_from_edge_arrays))
     return seen
 
 
@@ -778,6 +789,25 @@ class TestSubsetProjection:
         assert g.edge_count > 0
         assert peak <= bound
 
+    def test_pair_count_route_memory_stays_near_the_keys(self):
+        """Sets of 24 from m = 40 at s = 20 (the example2 law at n = 300)
+        take the single-group route; its pair keys are one array, sized
+        by the checked count and thresholded in place, so the tracemalloc
+        peak stays under 1.5 times 8 B per checked pair.  A second copy
+        of the keys would take it to 2."""
+        params = ModelParams(n=300, m=40, s=20, size_dist=make_size_dist(Degenerate(24), 40))
+        inc = sample_incidence(params, rng_stream(0, 0))
+        pairs = sampler._comb_total(np.bincount(inc.attrs, minlength=40), 2)
+        assert sampler._comb_total(inc.sizes, 20) > pairs
+        tracemalloc.start()
+        try:
+            g = build_active(inc, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > 0
+        assert peak < 1.5 * 8 * pairs
+
     @settings(deadline=None, max_examples=100)
     @given(
         lists=st.lists(st.lists(st.integers(0, 9), unique=True, max_size=7).map(sorted), max_size=12),
@@ -866,10 +896,23 @@ class TestIncidenceFromSets:
 
 class TestGraph:
     def test_from_edge_arrays(self):
-        g = Graph.from_edge_arrays(4, np.array([0, 1]), np.array([2, 3]))
+        g = graph_from_ends(4, np.array([0, 1]), np.array([2, 3]))
         assert g.edge_count == 2
         assert has_edge(g, 0, 2) and has_edge(g, 2, 0) and not has_edge(g, 0, 1)
         assert [list(nb) for nb in adjacency(g)] == [[2], [3], [0], [1]]
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        keys=st.lists(st.sampled_from([u * 6 + v for u, v in itertools.combinations(range(6), 2)]), max_size=40),
+        threshold=st.integers(1, 4),
+    )
+    def test_from_edge_arrays_keeps_the_keys_formed_threshold_times(self, keys, threshold):
+        """Keys in any order, repeats allowed: the graph holds the distinct
+        keys that occur at least ``threshold`` times, increasing."""
+        counts = Counter(keys)
+        g = Graph.from_edge_arrays(6, np.array(keys, dtype=np.int64), threshold)
+        validate(g)
+        assert g.keys.tolist() == sorted(k for k, c in counts.items() if c >= threshold)
 
     @pytest.mark.parametrize(
         "vertex_count, density",
@@ -884,7 +927,7 @@ class TestGraph:
         chosen = np.array([p for p, k in zip(pairs, keep) if k], dtype=np.int64).reshape(-1, 2)
         chosen = chosen[gen.permutation(len(chosen))]
         u, v = chosen[:, 0], chosen[:, 1]
-        g = Graph.from_edge_arrays(vertex_count, u, v)
+        g = graph_from_ends(vertex_count, u, v)
         validate(g)
         got, want = lexsort_csr(vertex_count, *g.edges()), lexsort_csr(vertex_count, u, v)
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
@@ -895,25 +938,24 @@ class TestGraph:
     @example(edges=(1, np.empty(0, np.int64), np.empty(0, np.int64)))
     def test_derived_views_match_lexsort_reference(self, edges):
         """Keys strictly increasing with u < v < V; edges and degrees
-        equal the lexsort reference, dtypes too, whether the degrees are
-        counted by the constructor or read off the keys."""
+        equal the lexsort reference, dtypes too."""
         n, u, v = edges
-        g = Graph.from_edge_arrays(n, u, v)
+        g = graph_from_ends(n, u, v)
         validate(g)
         assert g.edge_count == u.size
         indptr, _ = lexsort_csr(n, u, v)
         order = np.lexsort((v, u))
         pairs = zip(
-            (g.degrees, Graph(n, g.keys).degrees, *g.edges()),
-            (np.diff(indptr), np.diff(indptr), u[order], v[order]),
+            (g.degrees, *g.edges()),
+            (np.diff(indptr), u[order], v[order]),
         )
         for got, want in pairs:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_value_equality(self):
-        g = Graph.from_edge_arrays(4, np.array([0, 1]), np.array([2, 3]))
-        assert g == Graph.from_edge_arrays(4, np.array([1, 0]), np.array([3, 2]))
-        assert g != Graph.from_edge_arrays(4, np.array([0]), np.array([2]))
+        g = graph_from_ends(4, np.array([0, 1]), np.array([2, 3]))
+        assert g == graph_from_ends(4, np.array([1, 0]), np.array([3, 2]))
+        assert g != graph_from_ends(4, np.array([0]), np.array([2]))
         assert Graph.empty(4) != Graph.empty(5)
         assert g != (4, g.keys)
 
@@ -929,14 +971,14 @@ class TestGraph:
         assert g.edge_count == 0 and g.degrees.sum() == 0
 
     def test_adjacency_view(self):
-        g = Graph.from_edge_arrays(3, np.array([0, 0]), np.array([1, 2]))
+        g = graph_from_ends(3, np.array([0, 0]), np.array([1, 2]))
         adj = adjacency(g)
         assert [a.tolist() for a in adj] == [[1, 2], [0], [0]]
 
 
 class TestEdgeListExport:
     def test_format(self, tmp_path):
-        g = Graph.from_edge_arrays(4, np.array([0, 0, 2]), np.array([3, 1, 3]))
+        g = graph_from_ends(4, np.array([0, 0, 2]), np.array([3, 1, 3]))
         path = tmp_path / "graph.txt"
         write_edge_list(g, path, kind="active", n=4, m=9, s=2, seed=77)
         lines = path.read_text().splitlines()
@@ -951,8 +993,8 @@ class TestEdgeListExport:
         [
             Graph.empty(0),
             Graph.empty(3),
-            Graph.from_edge_arrays(4, np.array([0, 0, 2]), np.array([3, 1, 3])),
-            Graph.from_edge_arrays(12, *np.triu_indices(12, 1)),
+            graph_from_ends(4, np.array([0, 0, 2]), np.array([3, 1, 3])),
+            graph_from_ends(12, *np.triu_indices(12, 1)),
         ],
     )
     def test_bytes_match_line_writer(self, graph, tmp_path):

@@ -32,19 +32,19 @@ from fanout import group_pair_indices
 
 
 def k3():
-    return Graph.from_edge_arrays(3, np.array([0, 0, 1]), np.array([1, 2, 2]))
+    return graph_from_pairs(3, [(0, 1), (0, 2), (1, 2)])
 
 
 def star_k13():
-    return Graph.from_edge_arrays(4, np.array([0, 0, 0]), np.array([1, 2, 3]))
+    return graph_from_pairs(4, [(0, 1), (0, 2), (0, 3)])
 
 
 def k4_minus_edge():
-    return Graph.from_edge_arrays(4, np.array([0, 0, 0, 1, 1]), np.array([1, 2, 3, 2, 3]))
+    return graph_from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 
 def path3():
-    return Graph.from_edge_arrays(3, np.array([0, 1]), np.array([1, 2]))
+    return graph_from_pairs(3, [(0, 1), (1, 2)])
 
 
 def dense_triangle_oracle(graph):
@@ -99,9 +99,8 @@ def wedge_probe_counts(graph):
 
 
 def graph_from_pairs(n, pairs):
-    u = np.array([a for a, _ in pairs], dtype=np.int64)
-    v = np.array([b for _, b in pairs], dtype=np.int64)
-    return Graph.from_edge_arrays(n, u, v)
+    """Graph of the unique edges (a, b), a < b, in any order."""
+    return Graph.from_edge_arrays(n, np.array([a * n + b for a, b in pairs], dtype=np.int64))
 
 
 def complete_pairs(n):
@@ -298,7 +297,7 @@ class TestClusteringReport:
         assert rep.per_degree == {2: pytest.approx(1.0), 3: pytest.approx(2 / 3)}
 
     def test_no_wedges_reported_absent(self):
-        g = Graph.from_edge_arrays(4, np.array([0]), np.array([1]))
+        g = graph_from_pairs(4, [(0, 1)])
         rep = clustering_report(g, min_bucket=1)
         assert rep.alpha_hat is None and rep.alpha_hat_hat is None
 
