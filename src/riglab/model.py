@@ -16,6 +16,7 @@ never overflow for m up to 1e9.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -108,8 +109,8 @@ def falling_factorial(x: int, k: int) -> int:
     return out
 
 
-def _freeze(array: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(array, dtype=float)
+def _freeze(array: np.ndarray, dtype: type = float) -> np.ndarray:
+    arr = np.ascontiguousarray(array, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -253,16 +254,25 @@ class DerivedParams:
 
     ``z`` holds the rescaled joint count C(x, s) * sqrt(n / C(m, s)) of
     an actor at each set size x of ``support``, whose probabilities are
-    ``weights``, and ``mu1`` is its mean under the size distribution.
-    ``beta_active`` = C(m, s)/n sets the clustering magnitude of the
-    actor graph.
+    ``weights``; ``mu1`` and ``ez2`` are E[z] and E[z^2] under the size
+    distribution.  ``beta_active`` = C(m, s)/n sets the clustering
+    magnitude of the actor graph, and ``mu1_per_root_beta`` =
+    mu1/sqrt(beta_active) scales its clustering laws.  ``lam`` = z * mu1
+    is the mixed Poisson degree intensity at each size and ``log_lam``
+    its ``math.log`` (0 where the intensity is 0).  The arrays are
+    read-only: :func:`scale_constants` hands one instance to every caller
+    of the same law.
     """
 
     mu1: float
+    ez2: float
     beta_active: float
+    mu1_per_root_beta: float
     support: np.ndarray
     weights: np.ndarray
     z: np.ndarray
+    lam: np.ndarray
+    log_lam: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -398,6 +408,9 @@ def moments(dist: SizeDistribution, s: int) -> Moments:
     return Moments(a1=a1, a2=a2, f2=fs[0], f3=fs[1])
 
 
+_SCALE_MEMO_SIZE = 4  # laws held at once; every caller reads one law at a time
+
+
 def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedParams:
     """Scale constants of size law ``dist`` at (n, m, s); see
     :class:`DerivedParams`.
@@ -406,7 +419,18 @@ def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedPa
     C(m, s)/n stay finite for m up to 1e9 and any s <= m; a ``ValueError``
     names the one that still overflows a float.  mu1 is the dot product
     of the support weights with z.
+
+    The result is memoised by value, on the bytes of ``dist.probs`` and
+    (n, m, s): laws with equal probabilities share one instance, a call
+    that raises stores nothing, and the ``_SCALE_MEMO_SIZE`` most recently
+    used keys are kept.
     """
+    return _scale_constants(dist.probs.tobytes(), n, m, s)
+
+
+# typed: an n of another integer type (np.int64) gives a beta of another float type
+@functools.lru_cache(maxsize=_SCALE_MEMO_SIZE, typed=True)
+def _scale_constants(probs: bytes, n: int, m: int, s: int) -> DerivedParams:
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 1 <= s <= m:
@@ -420,13 +444,28 @@ def scale_constants(dist: SizeDistribution, n: int, m: int, s: int) -> DerivedPa
         except OverflowError:
             raise ValueError(f"C(m, s)/n overflows a float at n={n}, m={m}, s={s}") from None
     half_log = 0.5 * (math.log(n) - log_m_choose_s)
-    xs = dist.support
-    w = dist.probs[xs]
+    pmf = np.frombuffer(probs)
+    xs = np.flatnonzero(pmf > 0.0)
+    w = pmf[xs]
     try:
         z = np.fromiter(map(math.exp, (_log_binomials(xs, s) + half_log).tolist()), float, xs.size)
     except OverflowError:
         raise ValueError(f"z(x) overflows a float at n={n}, m={m}, s={s}") from None
-    return DerivedParams(mu1=float(np.dot(w, z)), beta_active=beta_active, support=xs, weights=w, z=z)
+    mu1 = float(np.dot(w, z))
+    lam = z * mu1
+    log_lam = np.fromiter(map(math.log, np.where(lam > 0.0, lam, 1.0).tolist()), float, lam.size)
+    return DerivedParams(
+        mu1=mu1,
+        ez2=float(np.dot(w, z * z)),
+        beta_active=beta_active,
+        # beta is 0 only where n / C(m, s) passes the float range
+        mu1_per_root_beta=mu1 / math.sqrt(beta_active) if beta_active > 0.0 else math.inf,
+        support=_freeze(xs, xs.dtype),
+        weights=_freeze(w),
+        z=_freeze(z),
+        lam=_freeze(lam),
+        log_lam=_freeze(log_lam),
+    )
 
 
 def _log_binomials(xs: np.ndarray, s: int) -> np.ndarray:

@@ -14,8 +14,12 @@ at most ``_PMF_BLOCK_BYTES``.  Row 0 of the buffer carries the running
 sum, and a reduce over axis 0 adds the rows in support order, so the
 floats equal those of one pass per size, whatever the range.  The pmf
 reads [0, cap], the alpha^[k] curve [0, k_max] and a single alpha^[k]
-only [k-1, k], so one alpha^[k] costs O(|support|), not O(|support| k).
-Each row's log intensity comes from ``math.log``; a size with zero
+only [k-1, k].  Each row's intensity z(x) mu1 and its ``math.log`` are
+scale constants: :func:`riglab.model.scale_constants` computes them once
+per (size law, n, m, s) and hands every later call the same memoised
+instance.  So a warm alpha^[k] costs two pmf columns, 2 |support|
+array exps and no Python call per size; only the first call for a law
+pays the per-size ``math.log``/``math.exp`` maps.  A size with zero
 intensity puts its weight at k = 0.
 
 Attribute ("passive") side, threshold 1: the degree is asymptotically
@@ -163,7 +167,7 @@ def mixed_poisson_degree_pmf(
     scale = scale_constants(dist, n, m, s)
     if k_max is None:
         # the bound grows with lam, so the largest intensity sets it
-        top = float((scale.z * scale.mu1).max())
+        top = float(scale.lam.max())
         cap = max(5, int(truncation_point(top, top)))
     else:
         cap = k_max
@@ -175,12 +179,11 @@ def _mixed_poisson_columns(scale: DerivedParams, lo: int, hi: int) -> np.ndarray
     """p_k for k in [lo, hi]: the sum over the support of weight *
     Pois_k(lam), one 2-D block of support rows at a time (see the module
     docstring)."""
-    lams = scale.z * scale.mu1
+    lams, logs = scale.lam, scale.log_lam
     # a one-column reduce would sum pairwise, not row by row
     width = max(hi - lo + 1, 2)
     ks = np.arange(lo, lo + width, dtype=float)
     log_fact = np.array([math.lgamma(k + 1) for k in range(lo, lo + width)])
-    logs = np.fromiter(map(math.log, np.where(lams > 0.0, lams, 1.0).tolist()), float, lams.size)
     rows = max(1, _PMF_BLOCK_BYTES // (8 * width) - 1)
     buf = np.zeros((min(rows, lams.size) + 1, width))
     for first in range(0, lams.size, rows):
@@ -208,9 +211,8 @@ def asymptotic_degree_moments(
     E d = mu1^2 and E d^2 = mu1^2 E[z(X)^2] + mu1^2.
     """
     scale = scale_constants(dist, n, m, s)
-    ez2 = float(np.dot(scale.weights, scale.z * scale.z))
     ed = scale.mu1 * scale.mu1
-    return ed, ed * ez2 + ed
+    return ed, ed * scale.ez2 + ed
 
 
 def alpha_active(dist: SizeDistribution, m: int, s: int) -> float:
@@ -241,10 +243,9 @@ def alpha_active_beta_form(dist: SizeDistribution, n: int, m: int, s: int) -> fl
     route so the identity can be checked numerically.
     """
     scale = scale_constants(dist, n, m, s)
-    ez2 = float(np.dot(scale.weights, scale.z * scale.z))
-    if ez2 <= 0.0:
+    if scale.ez2 <= 0.0:
         raise ValueError("clustering undefined: E[z^2] = 0")
-    return (1.0 / math.sqrt(scale.beta_active)) * scale.mu1 / ez2
+    return (1.0 / math.sqrt(scale.beta_active)) * scale.mu1 / scale.ez2
 
 
 def alpha_active_from_degree_moments(beta: float, ed: float, ed2: float) -> float:
@@ -282,8 +283,11 @@ def alpha_k_active_curve(
         raise ValueError("k_max must be >= 2")
     scale = scale_constants(dist, n, m, s)
     p = _mixed_poisson_columns(scale, 0, k_max).tolist()
-    ratio = scale.mu1 / math.sqrt(scale.beta_active)
-    return {k: (1.0 / k) * ratio * p[k - 1] / p[k] for k in range(2, k_max + 1) if p[k] > 0.0}
+    return {
+        k: (1.0 / k) * scale.mu1_per_root_beta * p[k - 1] / p[k]
+        for k in range(2, k_max + 1)
+        if p[k] > 0.0
+    }
 
 
 def alpha_k_active(dist: SizeDistribution, n: int, m: int, s: int, k: int) -> float:
@@ -295,8 +299,7 @@ def alpha_k_active(dist: SizeDistribution, n: int, m: int, s: int, k: int) -> fl
     p_prev, p_k = _mixed_poisson_columns(scale, k - 1, k).tolist()
     if not p_k > 0.0:
         raise ValueError(f"degree {k} has zero asymptotic mass")
-    ratio = scale.mu1 / math.sqrt(scale.beta_active)
-    return (1.0 / k) * ratio * p_prev / p_k
+    return (1.0 / k) * scale.mu1_per_root_beta * p_prev / p_k
 
 
 def _check_n_m(n: int, m: int) -> None:

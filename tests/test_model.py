@@ -1,10 +1,12 @@
 """Distribution types, transforms and scaling constants."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from riglab import model
 from riglab.model import (
     BinomialSizes,
     Degenerate,
@@ -320,6 +322,13 @@ class TestDeriveParams:
         assert dp.beta_active == math.exp(log_beta)
         assert dp.z.tolist() == [math.exp(0.5 * -log_beta)]
 
+    def test_beta_underflow_keeps_the_law_usable(self):
+        """C(10, 1)/1e620 underflows to beta = 0: the constants are still
+        returned, with mu1/sqrt(beta) read as inf, not a division by 0."""
+        d = make_size_dist(Degenerate(0), 10)
+        dp = scale_constants(d, 10**620, 10, 1)
+        assert (dp.beta_active, dp.mu1, dp.mu1_per_root_beta) == (0.0, 0.0, math.inf)
+
     def test_overflow_names_the_quantity(self):
         d = make_size_dist(Degenerate(1500), 3000)
         with pytest.raises(ValueError, match=r"^C\(m, s\)/n overflows a float"):
@@ -328,6 +337,88 @@ class TestDeriveParams:
         d = make_size_dist(Degenerate(3000), 3000)
         with pytest.raises(ValueError, match=r"^z\(x\) overflows a float"):
             scale_constants(d, 10**620, 3000, 1500)
+
+
+def fresh_scale_constants(d, n, m, s):
+    """The scale constants computed anew, past the memo."""
+    return model._scale_constants.__wrapped__(d.probs.tobytes(), n, m, s)
+
+
+def assert_same_scale(got, want):
+    for field in dataclasses.fields(model.DerivedParams):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+class TestScaleMemo:
+    """``scale_constants`` memoises by value on (probs, n, m, s)."""
+
+    LAWS = [
+        (Degenerate(2), 10_000, 10_000, 1),
+        (TruncatedPowerLaw(2.5, 1, 200), 200_000, 200_000, 1),
+        (TruncatedPowerLaw(2.5, 1, 200), 200_000, 200_000, 2),
+        (Table([0.0, 1.0, 2.0, 0.0, 3.0, 1.0]), 777, 40, 2),
+        (BinomialSizes(40, 0.5), 1_000, 40, 3),
+        # C(1030, 515) overflows a float: beta comes from the log form
+        (Degenerate(515), 10**6, 1030, 515),
+    ]
+
+    @pytest.mark.parametrize("spec, n, m, s", LAWS)
+    def test_memoised_equals_fresh_float_for_float(self, spec, n, m, s):
+        d = make_size_dist(spec, m)
+        first = scale_constants(d, n, m, s)
+        assert_same_scale(first, fresh_scale_constants(d, n, m, s))
+        assert scale_constants(d, n, m, s) is first
+        # a second law object with the same probabilities shares the entry
+        assert scale_constants(make_size_dist(spec, m), n, m, s) is first
+
+    def test_derived_fields_use_the_readers_expressions(self):
+        d = make_size_dist(TruncatedPowerLaw(2.5, 1, 200), 200_000)
+        dp = scale_constants(d, 200_000, 200_000, 1)
+        assert dp.ez2 == float(np.dot(dp.weights, dp.z * dp.z))
+        assert dp.mu1_per_root_beta == dp.mu1 / math.sqrt(dp.beta_active)
+        assert dp.lam.tolist() == (dp.z * dp.mu1).tolist()
+        assert dp.log_lam.tolist() == [math.log(x) for x in dp.lam.tolist()]
+        zero = scale_constants(make_size_dist(Table([1.0, 1.0, 1.0]), 10), 100, 10, 2)
+        assert zero.lam[:2].tolist() == zero.log_lam[:2].tolist() == [0.0, 0.0]
+
+    def test_other_n_m_or_s_is_a_distinct_entry(self):
+        d = make_size_dist(Table([0.0, 1.0, 2.0, 3.0]), 40)
+        base = scale_constants(d, 500, 40, 1)
+        for n, m, s in ((501, 40, 1), (500, 41, 1), (500, 40, 2)):
+            other = scale_constants(d, n, m, s)
+            assert other is not base
+            assert other.beta_active != base.beta_active
+            assert_same_scale(other, fresh_scale_constants(d, n, m, s))
+        assert scale_constants(d, 500, 40, 1).beta_active == base.beta_active
+
+    def test_overflow_raises_again_and_is_not_stored(self):
+        model._scale_constants.cache_clear()
+        cases = [
+            (make_size_dist(Degenerate(1500), 3000), 10**6, r"^C\(m, s\)/n overflows a float"),
+            (make_size_dist(Degenerate(3000), 3000), 10**620, r"^z\(x\) overflows a float"),
+        ]
+        for d, n, message in cases:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    scale_constants(d, n, 3000, 1500)
+        assert model._scale_constants.cache_info().currsize == 0
+
+    def test_entry_count_stays_bounded(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            scale_constants(random_table_dist(rng, m=40), 777, 40, 2)
+        assert model._scale_constants.cache_info().currsize == model._SCALE_MEMO_SIZE
+
+    def test_shared_arrays_are_read_only(self):
+        dp = scale_constants(make_size_dist(Table([0.0, 1.0, 2.0]), 10), 100, 10, 1)
+        for name in ("support", "weights", "z", "lam", "log_lam"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(dp, name)[0] = 1
+        assert dp.support.tolist() == [1, 2] and dp.support.dtype == np.intp
 
 
 class TestSizeBiased:
