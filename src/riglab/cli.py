@@ -220,11 +220,6 @@ class ScenarioConfig:
     def params(self) -> ModelParams:
         return ModelParams(n=self.n, m=self.m, s=self.s, size_dist=self.size_dist, kind=self.kind)
 
-    @property
-    def no_limit_law(self) -> bool:
-        """Passive s >= 2 is construction only: no degree or clustering law."""
-        return self.kind == "passive" and self.s >= 2
-
     def echo(self, seed: int) -> dict:
         """The scenario as a config document body: every key, ``None``
         where unset, and ``seed`` the resolved one."""
@@ -442,25 +437,20 @@ class Report:
 
 def _degree(cfg: ScenarioConfig, empirical: DiscretePmf) -> tuple[dict, bool | None]:
     entry: dict = {"empirical": _pmf_json(empirical), "theory": None, "tv": None}
-    if cfg.no_limit_law:
+    laws = theory.limit_laws(cfg.kind, cfg.s)
+    if laws is None:
         return entry, None
-    if cfg.kind == "active":
-        law = theory.mixed_poisson_degree_pmf(cfg.size_dist, cfg.n, cfg.m, cfg.s, k_max=cfg.k_max)
-    else:
-        law = theory.compound_poisson_pmf(theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m), k_max=cfg.k_max)
+    law = laws.degree_pmf(cfg.size_dist, cfg.n, cfg.m, cfg.s, cfg.k_max)
     tv = stats.tv_distance(empirical, law)
     entry.update(theory=_pmf_json(law), tv=tv, tolerance=cfg.tolerances["tv_degree"])
     return entry, bool(tv < cfg.tolerances["tv_degree"])
 
 
 def _clustering(cfg: ScenarioConfig, rep: stats.ClusteringReport) -> tuple[dict, bool | None]:
-    law = None
-    if not cfg.no_limit_law:
+    laws, law = theory.limit_laws(cfg.kind, cfg.s), None
+    if laws is not None:
         try:
-            if cfg.kind == "active":
-                law = theory.alpha_active(cfg.size_dist, cfg.m, cfg.s)
-            else:
-                law = theory.alpha_passive_finite(cfg.size_dist, cfg.n, cfg.m)
+            law = laws.alpha(cfg.size_dist, cfg.n, cfg.m, cfg.s)
         except ValueError:  # no clustering law at these parameters
             pass
     entry = {
@@ -481,12 +471,8 @@ def _clustering(cfg: ScenarioConfig, rep: stats.ClusteringReport) -> tuple[dict,
 
 def _alpha_k(cfg: ScenarioConfig, rep: stats.ClusteringReport) -> tuple[dict, bool | None]:
     k_min, k_max = cfg.k_range
-    if cfg.no_limit_law:
-        curve = {}
-    elif cfg.kind == "active":
-        curve = theory.alpha_k_active_curve(cfg.size_dist, cfg.n, cfg.m, cfg.s, k_max)
-    else:
-        curve = theory.alpha_k_passive_curve(theory.passive_compound_spec(cfg.size_dist, cfg.n, cfg.m), k_max)
+    laws = theory.limit_laws(cfg.kind, cfg.s)
+    curve = {} if laws is None else laws.alpha_k_curve(cfg.size_dist, cfg.n, cfg.m, cfg.s, k_max)
     per_degree, per_degree_se = rep.per_degree, rep.per_degree_se
     per_k, errors = {}, []  # the relative error of each bucket compared
     for k in range(k_min, k_max + 1):
@@ -504,7 +490,7 @@ def _alpha_k(cfg: ScenarioConfig, rep: stats.ClusteringReport) -> tuple[dict, bo
     if len(emp_points) >= 3:
         fit = stats.loglog_slope(emp_points)
         entry["loglog"] = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
-    return entry, None if cfg.no_limit_law else bool(errors and max(errors) <= cfg.tolerances["alpha_k_rel"])
+    return entry, None if laws is None else bool(errors and max(errors) <= cfg.tolerances["alpha_k_rel"])
 
 
 def _example2(cfg: ScenarioConfig, _) -> tuple[dict, bool]:
@@ -555,7 +541,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
     metadata = {
         "asymptotic_prediction": True,
         "clamped_probability": clamped,
-        "passive_s_ge2_no_theory": cfg.no_limit_law,
+        "passive_s_ge2_no_theory": theory.limit_laws(cfg.kind, cfg.s) is None,
         "alpha_hat_convention": stats.ALPHA_HAT_CONVENTION,
     }
 

@@ -31,11 +31,18 @@ it equals E[sum of within-jump pairs | total = k] / (k (k-1)).
 Every value here is an asymptotic prediction evaluated at finite (n, m):
 the o(1) corrections are dropped, except for the finite-size clustering
 formula ``alpha_passive_finite`` which keeps its 1/m term.
+
+A graph kind's limit laws are one :class:`LimitLaws` row: its degree
+pmf, alpha and alpha^[k] curve, all called as (dist, n, m, s, ...).
+:func:`limit_laws` looks the row up, and is the one place that states
+which parameters have no limit law: the attribute graph's laws hold at
+threshold 1 only, so passive s >= 2 is construction only and has no row.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +62,7 @@ __all__ = [
     "TAIL_TOL",
     "ClampedProbability",
     "CompoundPoissonSpec",
+    "LimitLaws",
     "RegimeReport",
     "PoissonApproxStats",
     "active_edge_prob_asymptotic",
@@ -70,6 +78,7 @@ __all__ = [
     "alpha_passive_finite",
     "alpha_passive_limit",
     "alpha_k_passive_curve",
+    "limit_laws",
     "poisson_approx_stats",
     "passive_regime_classify",
 ]
@@ -418,6 +427,40 @@ def alpha_k_passive_curve(
         for k in range(2, k_max + 1)
         if g[k] > 0.0
     }
+
+
+@dataclass(frozen=True)
+class LimitLaws:
+    """One graph kind's limit laws, each called with (dist, n, m, s) first:
+    ``degree_pmf(..., k_max)`` truncated at ``TAIL_TOL`` when ``k_max`` is
+    None, ``alpha(...)``, and ``alpha_k_curve(..., k_max)`` over [2, k_max].
+    """
+
+    degree_pmf: Callable[[SizeDistribution, int, int, int, int | None], DiscretePmf]
+    alpha: Callable[[SizeDistribution, int, int, int], float]
+    alpha_k_curve: Callable[[SizeDistribution, int, int, int, int], dict[int, float]]
+
+
+# one row per graph kind; the lambdas look each law up as a module global
+# when called, so a patched law is the one a row runs
+_LIMIT_LAWS = {
+    "active": LimitLaws(
+        degree_pmf=lambda dist, n, m, s, k_max: mixed_poisson_degree_pmf(dist, n, m, s, k_max=k_max),
+        alpha=lambda dist, n, m, s: alpha_active(dist, m, s),
+        alpha_k_curve=lambda dist, n, m, s, k_max: alpha_k_active_curve(dist, n, m, s, k_max),
+    ),
+    "passive": LimitLaws(
+        degree_pmf=lambda dist, n, m, s, k_max: compound_poisson_pmf(passive_compound_spec(dist, n, m), k_max=k_max),
+        alpha=lambda dist, n, m, s: alpha_passive_finite(dist, n, m),
+        alpha_k_curve=lambda dist, n, m, s, k_max: alpha_k_passive_curve(passive_compound_spec(dist, n, m), k_max),
+    ),
+}
+
+
+def limit_laws(kind: str, s: int) -> LimitLaws | None:
+    """The limit laws of the ``kind`` graph at threshold s, or None where
+    it has none: the passive laws hold at s = 1 only."""
+    return None if kind == "passive" and s >= 2 else _LIMIT_LAWS[kind]
 
 
 def poisson_approx_stats(sizes, m: int, s: int) -> PoissonApproxStats:

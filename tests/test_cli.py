@@ -45,6 +45,12 @@ SUMMARY_GOLDEN = json.loads(
 
 PAIR = '{"kind": "degenerate", "x": 2}'
 
+# the theory functions that each graph kind's limit-law row calls
+ROW_LAWS = {
+    "active": {"mixed_poisson_degree_pmf", "alpha_active", "alpha_k_active_curve"},
+    "passive": {"passive_compound_spec", "compound_poisson_pmf", "alpha_passive_finite", "alpha_k_passive_curve"},
+}
+
 
 def reject_constant(name):
     """``parse_constant`` hook: NaN and Infinity are not JSON."""
@@ -315,6 +321,15 @@ class TestRunScenario:
         assert rep.body["analyses"]["clustering"]["theory_alpha"] is None
         assert rep.body["passes"]["clustering"] is None
 
+    def test_dense_passive_clustering_law_is_null(self):
+        """n E[(X)_2] = 1600 > m^2 = 400 is outside the sparse regime, where
+        the passive law's alpha raises: the law reads null, as does its flag."""
+        doc = small_scenario(outputs=["clustering"])
+        doc["scenario"]["model"].update(kind="passive", m=20, size_dist={"kind": "degenerate", "x": 2})
+        rep = run_scenario(parse_scenario(doc), seed=1, jobs=1)
+        assert rep.body["analyses"]["clustering"]["theory_alpha"] is None
+        assert rep.body["passes"]["clustering"] is None
+
     def test_passive_s2_has_no_theory(self):
         doc = small_scenario()
         doc["scenario"]["model"]["kind"] = "passive"
@@ -330,6 +345,28 @@ class TestRunScenario:
         assert [row["theory"] for row in per_k.values()] == [None] * 5
         assert rep.body["passes"] == {"degree": None, "clustering": None, "alpha_k": None}
         assert rep.passed  # informational-only runs count as passing
+
+    @pytest.mark.parametrize("kind", sorted(ROW_LAWS))
+    def test_limit_laws_are_looked_up_when_called(self, kind, monkeypatch):
+        """The judged analyses reach each law through ``theory``'s module
+        globals at call time, so a patched law is the one that runs."""
+        from riglab import theory
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in set().union(*ROW_LAWS.values()):
+            monkeypatch.setattr(theory, name, counting(name, getattr(theory, name)))
+        doc = small_scenario(outputs=["degree", "clustering", "alpha_k"], replicates=1)
+        doc["scenario"]["model"]["kind"] = kind
+        run_scenario(parse_scenario(doc), seed=1, jobs=1)
+        assert set(calls) == ROW_LAWS[kind]
 
 
 class TestCommandLine:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riglab import theory
+from riglab.cli import PRESETS, preset_config
 from riglab.model import (
     Degenerate,
     DiscretePmf,
@@ -546,6 +547,67 @@ class TestAlphaKPassive:
             assert reference and reference.keys() <= curve.keys()
             for k, want in reference.items():
                 assert curve[k] == pytest.approx(want, abs=1e-11)
+
+
+def law_case(name):
+    """(size law, n, m) of a preset, or of a small table law."""
+    if name == "table":
+        return make_size_dist(Table([0, 0.5, 0.5]), 400), 800, 400
+    cfg = preset_config(name)
+    return cfg.size_dist, cfg.n, cfg.m
+
+
+def direct_laws(kind, dist, n, m, s):
+    """(degree pmf, alpha, alpha^[k] curve) of ``kind`` by direct theory
+    calls, each taking the k_max its row takes."""
+    if kind == "active":
+        return (
+            lambda k_max: theory.mixed_poisson_degree_pmf(dist, n, m, s, k_max=k_max),
+            lambda: theory.alpha_active(dist, m, s),
+            lambda k_max: theory.alpha_k_active_curve(dist, n, m, s, k_max),
+        )
+    spec = theory.passive_compound_spec(dist, n, m)
+    return (
+        lambda k_max: theory.compound_poisson_pmf(spec, k_max=k_max),
+        lambda: theory.alpha_passive_finite(dist, n, m),
+        lambda k_max: theory.alpha_k_passive_curve(spec, k_max),
+    )
+
+
+def outcome(call, *args):
+    """A law's value as exactly comparable data, or the ValueError it raises."""
+    try:
+        value = call(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if isinstance(value, DiscretePmf):
+        return value.probs.tolist(), value.tail_mass
+    return value
+
+
+class TestLimitLaws:
+    @pytest.mark.parametrize("name", [*sorted(PRESETS), "table"])
+    @pytest.mark.parametrize("kind, s", [("active", 1), ("active", 2), ("passive", 1)])
+    def test_row_equals_the_direct_calls(self, name, kind, s):
+        dist, n, m = law_case(name)
+        row = theory.limit_laws(kind, s)
+        degree_pmf, alpha, alpha_k_curve = direct_laws(kind, dist, n, m, s)
+        for k_max in (None, 12):
+            assert outcome(row.degree_pmf, dist, n, m, s, k_max) == outcome(degree_pmf, k_max)
+        assert outcome(row.alpha, dist, n, m, s) == outcome(alpha)
+        assert outcome(row.alpha_k_curve, dist, n, m, s, 12) == outcome(alpha_k_curve, 12)
+
+    def test_passive_threshold_two_and_up_has_no_row(self):
+        assert theory.limit_laws("passive", 2) is None
+        assert theory.limit_laws("passive", 3) is None
+        assert theory.limit_laws("active", 3) is not None
+
+    def test_dense_passive_alpha_raises(self):
+        """n E[(X)_2] = 200 > m^2 = 100: the row's alpha raises like
+        ``alpha_passive_finite``, so a report's clustering law reads null."""
+        d = make_size_dist(Degenerate(2), 10)
+        with pytest.raises(ValueError, match="sparse regime"):
+            theory.limit_laws("passive", 1).alpha(d, 100, 10, 1)
 
 
 class TestPoissonApproxStats:
