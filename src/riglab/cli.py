@@ -534,7 +534,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
     """
     t_start = time.perf_counter()
     resolved_seed = _resolve_seed(seed, cfg.seed)
-    jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
+    jobs = jobs if jobs and jobs > 0 else _usable_cpus()
     reads = frozenset(_ANALYSES[name][0] for name in cfg.outputs)
     pooled = _pooled_reads(cfg, reads, resolved_seed, jobs)
     clamped = cfg.kind == "active" and theory.active_edge_prob_asymptotic(cfg.size_dist, cfg.m, cfg.s).clamped
@@ -563,6 +563,14 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None, jobs: int | None 
     }
     timing = {"wall_clock_s": time.perf_counter() - t_start, "jobs": jobs}
     return Report(body=body, timing=timing)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set (a ``taskset`` or
+    cpuset limit) where the platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _resolve_seed(cli_seed: int | None, cfg_seed: int | None) -> int:
@@ -828,7 +836,7 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--preset", choices=sorted(PRESETS), help="built-in scenario")
         p.add_argument("--seed", type=int, default=None)
         p.set_defaults(func=func)
-    run_p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    run_p.add_argument("--jobs", type=int, default=None, help="worker processes (default: the CPUs this process may use)")
     run_p.add_argument("--out", default=None, help="directory for report.json and CSV tables")
     gen_p.add_argument("--emit-graph", required=True, help="output path for the edge list")
 

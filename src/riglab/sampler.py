@@ -19,26 +19,25 @@ array it sizes is allocated, because dense regimes explode
 quadratically and are outside the sparse scope of this package.
 
 Memory of the t = s route: the subset keys are written in place into
-one sorted array, 8 B per signature, while the lists of one length are
-read as (length, count) rows beside it; their signatures are then
-decoded once to find the repeats, and only the keys whose signature
-repeats go on.  At the scaled example1 shape (60k sets of 6, s = 2:
-900,000 signatures, of which 43,869 repeat) the build's tracemalloc
-peak is 17.1 B per signature (39.5 B when every key's signature and
-member were decoded and kept).  Sets are written into the incidence a
-block at a time (see :func:`_write_subsets`): for 100,000 sets of 10
-from m = 100 the tracemalloc peak of :func:`sample_incidence` is 1.3
-times its 9.6 MB result, and for 100,000 sets of 4 from m = 100,000
-1.7 times its 4.8 MB.
+one sorted array, 8 B per signature, while the lists are read beside it
+one slab of ``_SLAB_CELLS`` keys at a time; their signatures are then
+decoded a slab at a time to find the repeats, and only the keys whose
+signature repeats go on.  At the scaled example1 shape (60k sets of 6,
+s = 2: 900,000 signatures, of which 43,869 repeat) the build's
+tracemalloc peak is 10.9 B per signature, and 10.2 B at s = 3 (1.2 M
+signatures).  Sets are written into the incidence a block at a time
+(see :func:`_write_subsets`): for 100,000 sets of 10 from m = 100 the
+tracemalloc peak of :func:`sample_incidence` is 1.3 times its 9.6 MB
+result, and for 100,000 sets of 4 from m = 100,000 1.7 times its 4.8 MB.
 
 Every subset is listed by one enumerator: the lists of one length are
-read in one block against one colex-ordered table of index subsets.  It
-gives the s-subset signatures, the pairs within each signature or
-group, and, through :func:`subset_keys`, the wedge keys of stats.  Every
-build writes its pair keys u * V + v, u < v (V the vertex count), into
-one array of the size its cap checked, and :meth:`Graph.from_edge_arrays`
-thresholds them in place: the sorted distinct keys are the
-:class:`Graph` as they stand.
+read a slab of vertices at a time against one colex-ordered table of
+index subsets.  It gives the s-subset signatures, the pairs within each
+signature or group, and, through :func:`subset_keys`, the wedge keys of
+stats.  Every build writes its pair keys u * V + v, u < v (V the vertex
+count), into one array of the size its cap checked, and
+:meth:`Graph.from_edge_arrays` thresholds them in place: the sorted
+distinct keys are the :class:`Graph` as they stand.
 """
 
 from __future__ import annotations
@@ -68,6 +67,8 @@ __all__ = [
 PAIR_CAP_DEFAULT = 200_000_000
 # bytes of set entries per block that the sampler draws or writes
 _BLOCK_BYTES = 1 << 20
+# keys that the subset enumerator fills, or that a decode reads, per slab
+_SLAB_CELLS = 1 << 16
 # edges formatted per string by write_edge_list
 _EXPORT_BLOCK = 1 << 16
 
@@ -336,13 +337,16 @@ def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int, out: n
     t-subsets in colex order.
 
     Vertex v's list is the v-th run of ``values`` (runs of length
-    ``lens``); a length class is gathered as (l, count) rows, entry i of
-    every list in row i.  One :func:`_subset_table` serves every length.
-    ``out`` has size sum C(len, t), and each length's array is a view of
-    its next slice, written in place.  The first digit is taken into the
-    array and the last added by broadcasting, one add per list entry
-    over whole rows, so only a middle digit (t >= 3) needs a temporary
-    of the array's size.
+    ``lens``).  ``out`` has size sum C(len, t), and each length's array
+    is a view of its next slice, written in place.  A class is filled in
+    slabs of vertices holding at most ``_SLAB_CELLS`` keys (at least one
+    vertex).  A slab's lists are gathered as (l, k) rows, entry i of
+    every list in row i, and one :func:`_subset_table` serves every
+    length: the first digit is taken into the slab's columns of the
+    array, which are then multiplied by ``base`` and given each later
+    digit through one slab-sized temporary.  So beside ``out`` the
+    transients are O(t * ``_SLAB_CELLS``) at any t, or one list's
+    C(l, t) keys when those exceed the slab.
     """
     offsets = np.concatenate([[0], np.cumsum(lens)])
     listed = np.flatnonzero(lens >= t)
@@ -354,23 +358,20 @@ def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int, out: n
     at = 0
     for length in np.flatnonzero(hist[t:]) + t:
         vertices = by_length[ends[length] - hist[length] : ends[length]]
-        rows = values[np.arange(length)[:, None] + offsets[vertices]]
         cols = table[:, : math.comb(int(length), t)]
         size = vertices.size * cols.shape[1]
         sig = out[at : at + size].reshape(-1, vertices.size)
         at += size
-        # mode "raise" would buffer ``out``; the table's indices are in range
-        np.take(rows, cols[0], axis=0, out=sig, mode="clip")
-        for j in range(1, t):
-            sig *= np.int64(base)
-            if j < t - 1:
-                sig += np.take(rows, cols[j], axis=0)
-                continue
-            # the last digit: entry c tops the rows C(c, t) to
-            # C(c + 1, t) (colex), so one broadcast add per c needs no
-            # temporary
-            for c in range(t - 1, int(length)):
-                sig[math.comb(c, t) : math.comb(c + 1, t)] += rows[c]
+        entries = np.arange(length)[:, None]
+        step = max(1, _SLAB_CELLS // cols.shape[1])
+        for lo in range(0, vertices.size, step):
+            rows = values[entries + offsets[vertices[lo : lo + step]]]
+            part = sig[:, lo : lo + step]
+            # mode "raise" would buffer the output; the table's indices are in range
+            np.take(rows, cols[0], axis=0, out=part, mode="clip")
+            for j in range(1, t):
+                part *= np.int64(base)
+                part += np.take(rows, cols[j], axis=0)
         yield vertices, sig
 
 
@@ -387,11 +388,11 @@ def subset_keys(
 
     Each list length's (C(l, t), count) keys are written straight into
     the result (8 B per key), and the class's vertices are added as a
-    row.  Beside the result the transients are one length class's lists
-    as rows (with their index, 16 B per list entry) and, at t >= 3, 8 B
-    per key of the class for each middle digit (see
-    :func:`_subset_rows`).  For 60k lists of 6 at t = 2 (900,000 keys)
-    the tracemalloc peak is 14.0 MB, 15.5 B per key.
+    row.  Beside the result the transients are one slab's lists as rows
+    and one slab of keys (see :func:`_subset_rows`), and a few
+    vertex-sized arrays while the lists are sorted by length.  For 60k
+    lists of 6 the tracemalloc peak is 9.1 MB at t = 2 (900,000 keys,
+    10.1 B per key) and 11.5 MB at t = 3 (1.2 M keys, 9.6 B per key).
     """
     keys = np.empty(_comb_total(lens, t), dtype=np.int64)
     for vertices, sig in _subset_rows(lens, groups, t, group_count, keys):
@@ -409,10 +410,12 @@ def _run_lengths(values: np.ndarray) -> np.ndarray:
 
 def _shared_signatures(keys: np.ndarray, vertex_count: int) -> np.ndarray:
     """The sorted keys signature * V + v whose signature another key
-    shares, in order."""
-    sig = keys // np.int64(vertex_count)
-    same = sig[1:] == sig[:-1]
-    del sig
+    shares, in order.  Signatures are decoded ``_SLAB_CELLS`` keys at a
+    time, so beside the keys only 2 B per key are live."""
+    same = np.empty(max(keys.size - 1, 0), dtype=bool)
+    for lo in range(0, same.size, _SLAB_CELLS):
+        sig = keys[lo : lo + _SLAB_CELLS + 1] // np.int64(vertex_count)
+        np.equal(sig[1:], sig[:-1], out=same[lo : lo + _SLAB_CELLS])
     shared = np.zeros(keys.size, dtype=bool)
     shared[1:] = same
     shared[:-1] |= same
@@ -454,10 +457,11 @@ def _project(kind: str, inc: Incidence, s: int, pair_cap: int) -> Graph:
     checked against ``pair_cap`` before the array it sizes is allocated.
 
     At t = s the transients are those of :func:`subset_keys`, then the
-    sorted key and its decoded signature, 16 B per signature, and 1 B
-    more in :func:`_shared_signatures`; the members, runs and pairs are
-    sized by the repeated signatures alone.  The peak, 17.1 B per
-    signature at the scaled example1 shape, falls in
+    sorted keys, 8 B per signature, and 2 B more for the repeat masks of
+    :func:`_shared_signatures`, which decodes one slab of signatures at a
+    time; the members, runs and pairs are sized by the repeated
+    signatures alone.  The peak, 10.9 B per signature at the scaled
+    example1 shape (10.2 B at s = 3), falls in
     :func:`_shared_signatures`.  Either route's pair keys are one array,
     8 B per checked pair, and the threshold's masks 2 B more: at the
     example2 shape (10.7 M pairs at t = 1) the peak is 1.25 times the keys.

@@ -156,9 +156,9 @@ def local_counts(graph: Graph) -> LocalCounts:
     Memory: beside the graph, the transients are 8 B per edge for the
     oriented keys (twice that while the out-degrees are counted), 8 B
     per vertex for each of six vertex arrays, and 8 B per wedge of the
-    current block, plus the block's out-lists as (length, count) rows
+    current block, plus one slab of its out-lists as rows and of keys
     while :func:`riglab.sampler.subset_keys` writes the keys in place
-    (10.2 to 10.5 B per wedge of a full block at that peak on the
+    (10.2 to 10.4 B per wedge of a full block at that peak on the
     example5 graph, 14.8 B when the keys were assembled from copies);
     everything else is sized by ``PROBE_CHUNK``.  On the example5 graph
     (600 k edges, 1.8 M oriented wedges) the tracemalloc peak is 16.7 MB.

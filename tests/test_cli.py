@@ -1,8 +1,10 @@
 """Scenario configs, the runner contract and the command-line surface."""
 
+import concurrent.futures
 import copy
 import json
 import math
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -247,6 +249,19 @@ class TestRunScenario:
         r3 = run_scenario(cfg, seed=9, jobs=1)
         assert r1.json_body() == r2.json_body() == r3.json_body()
         assert r1.body["scenario"]["seed"] == 9
+
+    def test_default_jobs_count_the_usable_cpus(self, monkeypatch):
+        """Without ``jobs`` a run takes as many workers as the CPUs this
+        process may run on: limited to one, it starts no process pool."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = parse_scenario(small_scenario(outputs=["degree"]))
+        assert cfg.replicates > 1
+        assert run_scenario(cfg, seed=1).timing["jobs"] == 1
 
     @pytest.mark.parametrize(
         "name, jobs",

@@ -739,11 +739,14 @@ class TestSubsetProjection:
     @given(
         lists=st.lists(st.lists(st.integers(0, 7), unique=True, max_size=6).map(sorted), max_size=12),
         t=st.integers(1, 3),
+        slab=st.sampled_from([1, 2, 5, sampler._SLAB_CELLS]),
     )
-    def test_subset_keys_match_combinations(self, lists, t):
+    # one list's C(6, 2) = 15 keys exceed the slab: a slab of one vertex
+    @example(lists=[[0, 1, 2], [0, 1, 2, 3, 4, 5], [1, 3, 5, 7], [2, 3, 4, 5, 6, 7]], t=2, slab=5)
+    def test_subset_keys_match_combinations(self, lists, t, slab):
         """Every t-subset of every list read as t digits in base G, times
-        V plus its vertex, sorted; at t = 3 the middle digit is read
-        through a temporary, the last by broadcasting."""
+        V plus its vertex, sorted, with the classes filled in slabs of
+        any size."""
         G, V = 8, max(len(lists), 1)
         lens = np.array([len(a) for a in lists], dtype=np.int64)
         groups = np.array([g for a in lists for g in a], dtype=np.int64)
@@ -752,37 +755,46 @@ class TestSubsetProjection:
             for v, a in enumerate(lists)
             for c in itertools.combinations(a, t)
         )
-        got = sampler.subset_keys(lens, groups, t, G, V)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_SLAB_CELLS", slab)
+            got = sampler.subset_keys(lens, groups, t, G, V)
         assert got.dtype == np.int64 and got.tolist() == want
 
     @settings(deadline=None, max_examples=200)
     @given(
         pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=30),
         vertex_count=st.integers(1, 5),
+        slab=st.sampled_from([1, 2, 5, sampler._SLAB_CELLS]),
     )
-    def test_shared_signatures_match_counts(self, pairs, vertex_count):
+    def test_shared_signatures_match_counts(self, pairs, vertex_count, slab):
         """Sorted keys signature * V + v: exactly those whose signature
-        occurs at least twice are kept, in order."""
+        occurs at least twice are kept, in order, with the signatures
+        decoded in slabs of any size."""
         keys = sorted(sig * vertex_count + v % vertex_count for sig, v in pairs)
         counts = Counter(k // vertex_count for k in keys)
-        got = sampler._shared_signatures(np.array(keys, dtype=np.int64), vertex_count)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_SLAB_CELLS", slab)
+            got = sampler._shared_signatures(np.array(keys, dtype=np.int64), vertex_count)
         assert got.dtype == np.int64
         assert got.tolist() == [k for k in keys if counts[k // vertex_count] >= 2]
 
-    def test_subset_route_memory_stays_within_three_signature_arrays(self):
-        """The active-threshold shape (n = 60k, m = 6k, sets of 6, s = 2)
-        has 900,000 signatures; building it keeps the sorted keys and,
-        while they are written, the sets as rows, so its tracemalloc peak
-        stays within three signature-sized int64 arrays.  Decoding every
-        key's signature and member at once would exceed it."""
+    @pytest.mark.parametrize("s, signatures", [(2, 900_000), (3, 1_200_000)], ids=["s2", "s3"])
+    def test_subset_route_memory_within_1_4_signature_arrays(self, s, signatures):
+        """The active-threshold shape (n = 60k, m = 6k, sets of 6) has
+        900,000 signatures at s = 2 and 1.2 M at s = 3.  Building it keeps
+        the sorted keys and, beside them, a few vertex-sized arrays, one
+        slab of keys and 2 B per key for the repeat masks, so its
+        tracemalloc peak stays within 1.4 signature-sized int64 arrays.
+        Gathering a whole length class at once, or decoding every
+        signature at once, would exceed it."""
         n, m = 60_000, 6_000
-        params = ModelParams(n=n, m=m, s=2, size_dist=make_size_dist(Degenerate(6), m))
+        params = ModelParams(n=n, m=m, s=s, size_dist=make_size_dist(Degenerate(6), m))
         inc = sample_incidence(params, rng_stream(0, 0))
-        assert sampler._comb_total(inc.sizes, 2) == 900_000
-        bound = 21_600_000  # 3 * 8 B * 900_000
+        assert sampler._comb_total(inc.sizes, s) == signatures
+        bound = 1.4 * 8 * signatures  # 10.08 MB at s = 2, 13.44 MB at s = 3
         tracemalloc.start()
         try:
-            g = build_active(inc, 2)
+            g = build_active(inc, s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -812,14 +824,22 @@ class TestSubsetProjection:
     @given(
         lists=st.lists(st.lists(st.integers(0, 9), unique=True, max_size=7).map(sorted), max_size=12),
         t=st.integers(1, 3),
+        slab=st.sampled_from([1, 2, 5, sampler._SLAB_CELLS]),
     )
     # the out-lists of K_12 (vertex i lists i+1..11): each length class
     # holds a single list
-    @example(lists=[list(range(i + 1, 12)) for i in range(12)], t=1)
-    @example(lists=[list(range(i + 1, 12)) for i in range(12)], t=2)
-    @example(lists=[list(range(i + 1, 12)) for i in range(12)], t=3)
-    def test_subset_rows_hold_one_list_per_column(self, lists, t):
-        assert_subset_rows_layout(lists, t)
+    @example(lists=[list(range(i + 1, 12)) for i in range(12)], t=1, slab=sampler._SLAB_CELLS)
+    @example(lists=[list(range(i + 1, 12)) for i in range(12)], t=2, slab=sampler._SLAB_CELLS)
+    @example(lists=[list(range(i + 1, 12)) for i in range(12)], t=3, slab=sampler._SLAB_CELLS)
+    # three lists of 7 at t = 3, C(7, 3) = 35 keys each: a slab of 5
+    # holds one vertex (the floor), one of 70 two, then the last one
+    @example(lists=[[0, 1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7, 8], [0, 9]], t=3, slab=5)
+    @example(lists=[[0, 1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7, 8], [0, 9]], t=3, slab=70)
+    def test_subset_rows_hold_one_list_per_column(self, lists, t, slab):
+        """The layout holds with the classes filled in slabs of any size."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_SLAB_CELLS", slab)
+            assert_subset_rows_layout(lists, t)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_subset_table_is_colex_prefix(self, t):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riglab import stats
+from riglab import sampler, stats
 from riglab.cli import PRESETS, preset_config
 from riglab.model import DiscretePmf, ModelParams, Table, make_size_dist
 from riglab.sampler import (
@@ -169,36 +169,42 @@ class TestLocalCounts:
         chunk=st.sampled_from([1, 2, 5, stats.WEDGE_CHUNK]),
         span=st.sampled_from([0, 1, 2, 5, None]),
         probe=st.sampled_from([1, 2, 5, stats.PROBE_CHUNK]),
+        slab=st.sampled_from([1, 2, 5, sampler._SLAB_CELLS]),
     )
-    @example(graph=(0, []), chunk=stats.WEDGE_CHUNK, span=None, probe=stats.PROBE_CHUNK)
-    @example(graph=(6, []), chunk=stats.WEDGE_CHUNK, span=None, probe=stats.PROBE_CHUNK)
+    @example(graph=(0, []), chunk=stats.WEDGE_CHUNK, span=None, probe=stats.PROBE_CHUNK, slab=sampler._SLAB_CELLS)
+    @example(graph=(6, []), chunk=stats.WEDGE_CHUNK, span=None, probe=stats.PROBE_CHUNK, slab=sampler._SLAB_CELLS)
     @example(  # isolated vertices
-        graph=(9, [(0, 1), (0, 2), (1, 2), (4, 5)]), chunk=1, span=None, probe=1
+        graph=(9, [(0, 1), (0, 2), (1, 2), (4, 5)]), chunk=1, span=None, probe=1, slab=sampler._SLAB_CELLS
     )
     @example(  # octahedron: every degree tied, eight triangles
         graph=(6, [p for p in complete_pairs(6) if p not in ((0, 1), (2, 3), (4, 5))]),
         chunk=1,
         span=None,
         probe=2,
+        slab=sampler._SLAB_CELLS,
     )
-    @example(graph=(8, complete_pairs(8)), chunk=1, span=None, probe=1)
-    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=None, probe=2)
-    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=0, probe=5)
-    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=3, probe=stats.PROBE_CHUNK)
+    @example(graph=(8, complete_pairs(8)), chunk=1, span=None, probe=1, slab=sampler._SLAB_CELLS)
+    # every out-degree class of K_8 holds one list, and each slab one key
+    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=None, probe=stats.PROBE_CHUNK, slab=1)
+    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=None, probe=2, slab=sampler._SLAB_CELLS)
+    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=0, probe=5, slab=sampler._SLAB_CELLS)
+    @example(graph=(8, complete_pairs(8)), chunk=stats.WEDGE_CHUNK, span=3, probe=stats.PROBE_CHUNK, slab=sampler._SLAB_CELLS)
     @example(  # open wedge (0, 1) around 2: needle 1 below the first edge key 2
         graph=(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6)]),
         chunk=stats.WEDGE_CHUNK,
         span=None,
         probe=1,
+        slab=sampler._SLAB_CELLS,
     )
     @example(  # open wedge (5, 6) around 0: needle 41 past the last edge key 34
         graph=(7, [(0, 5), (0, 6), (1, 5), (2, 5), (3, 6), (4, 6)]),
         chunk=stats.WEDGE_CHUNK,
         span=None,
         probe=1,
+        slab=sampler._SLAB_CELLS,
     )
     @example(  # 4-cycle: needle 7 between edge keys 6 and 11, so its slice is empty
-        graph=(4, [(0, 1), (0, 3), (1, 2), (2, 3)]), chunk=stats.WEDGE_CHUNK, span=None, probe=1
+        graph=(4, [(0, 1), (0, 3), (1, 2), (2, 3)]), chunk=stats.WEDGE_CHUNK, span=None, probe=1, slab=sampler._SLAB_CELLS
     )
     @example(  # one chunk: needle 1 below the first edge key 2, needle 4
         # closed by triangle (0, 3, 4), needle 181 past the last edge key 167
@@ -210,13 +216,14 @@ class TestLocalCounts:
         chunk=stats.WEDGE_CHUNK,
         span=None,
         probe=stats.PROBE_CHUNK,
+        slab=sampler._SLAB_CELLS,
     )
-    def test_matches_networkx_triangles(self, graph, chunk, span, probe):
+    def test_matches_networkx_triangles(self, graph, chunk, span, probe, slab):
         """Per-vertex n3 equals networkx's triangle count, with the
         oriented wedges probed in blocks of any size and ``probe`` at a
-        time.  ``span`` lowers ``KEY_LIMIT`` so that a block holds at most
-        that many centers (0 leaves only the one-center floor); None keeps
-        2**63."""
+        time, their keys filled ``slab`` at a time.  ``span`` lowers
+        ``KEY_LIMIT`` so that a block holds at most that many centers (0
+        leaves only the one-center floor); None keeps 2**63."""
         n, pairs = graph
         g = graph_from_pairs(n, pairs)
         nxg = nx.Graph()
@@ -226,6 +233,7 @@ class TestLocalCounts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stats, "WEDGE_CHUNK", chunk)
             mp.setattr(stats, "PROBE_CHUNK", probe)
+            mp.setattr(sampler, "_SLAB_CELLS", slab)
             if span is not None:
                 mp.setattr(stats, "KEY_LIMIT", span * n * n + 1)
             lc = local_counts(g)
