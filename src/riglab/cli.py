@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import math
 import os
@@ -265,8 +266,13 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         key: reader(sc, key, "scenario") if key in sc else copy.copy(default)
         for key, (reader, default) in _SCENARIO_OPTIONS.items()
     }
-    if "example2" in outputs and options["epsilon"] is None:
-        raise ConfigError("scenario.epsilon", "required when outputs include 'example2'")
+    if "example2" in outputs:
+        if options["epsilon"] is None:
+            raise ConfigError("scenario.epsilon", "required when outputs include 'example2'")
+        try:
+            oracle.dense_overlap_set_size(m, options["epsilon"])
+        except ValueError as exc:
+            raise ConfigError("scenario.epsilon", str(exc)) from exc
     # no vertex has more than V - 1 neighbours (n - 1 actors, m - 1
     # attributes); the default k range passes on any graph, so that a
     # report's echo always parses back
@@ -638,10 +644,11 @@ def _load_scenario(args: argparse.Namespace) -> tuple[ScenarioConfig, int]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg, seed = _load_scenario(args)
+    if args.out:  # a path that cannot be a directory fails before the run
+        os.makedirs(args.out, exist_ok=True)
     report = run_scenario(cfg, seed=seed, jobs=args.jobs)
     print("\n".join(_summary_lines(report)))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
         _write_csvs(report, args.out)
@@ -659,165 +666,112 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-# Each theory/oracle subcommand is (its flags, a function of the parsed
-# arguments returning the JSON document); ``args.dist`` is the parsed
-# --size-dist of the commands that take one.
+# Each theory/oracle subcommand is one row (law, shown): the function it
+# runs, whose parameter names are the subcommand's flags, and how its
+# result prints: under that JSON key for a float, else through that
+# function.  A flag is ``--`` plus the parameter name with ``-`` for
+# ``_``, except ``dist``: the ``--size-dist`` JSON, parsed against ``m``.
+# A law that takes something no flag gives (a spec, a list, ModelParams)
+# runs through a small adapter whose parameters are flags.
 
-def _ints(*flags: str) -> tuple:
-    return tuple((flag, {"type": int, "required": True}) for flag in flags)
+_PARAM_FLAGS = {
+    **{name: {"type": int, "required": True} for name in ("n", "m", "s", "k", "d1", "d2")},
+    **{name: {"type": float, "required": True} for name in ("beta", "ed", "ed2", "lam", "epsilon")},
+    "dist": {"required": True, "help": 'size distribution as JSON, e.g. \'{"kind": "degenerate", "x": 5}\''},
+    "k_max": {"type": int, "default": None},
+    "jump_probs": {"required": True, "help": "comma list, mass at 0,1,2,..."},
+    "sizes": {"default": None, "help": "comma list of set sizes, vertex 1 first"},
+    "uniform_size": {"type": int, "default": None},
+    "count": {"type": int, "default": None},
+    "probs": {"default": "", "help": "comma list of indicator probabilities"},
+    "kind": {"choices": ("active", "passive"), "required": True},
+}
 
 
-def _floats(*flags: str) -> tuple:
-    return tuple((flag, {"type": float, "required": True}) for flag in flags)
+def _flag(name: str) -> str:
+    return "--size-dist" if name == "dist" else "--" + name.replace("_", "-")
 
 
-_SIZE_DIST = (
-    "--size-dist",
-    {"required": True, "help": 'size distribution as JSON, e.g. \'{"kind": "degenerate", "x": 5}\''},
-)
-_K_MAX = ("--k-max", {"type": int, "default": None})
-
-
-def _passive_spec(a: argparse.Namespace) -> theory.CompoundPoissonSpec:
-    return theory.passive_compound_spec(a.dist, a.n, a.m)
-
-
-def _passive_spec_json(a: argparse.Namespace) -> dict:
-    spec = _passive_spec(a)
+def _spec_json(spec: theory.CompoundPoissonSpec) -> dict:
     return {"lam": spec.lam, "jump": _pmf_json(spec.jump_pmf)}
 
 
-def _alpha_k_at(curve, k: int) -> float:
-    """alpha[k] read off ``curve(k)``, an alpha[k] curve built up to k."""
+def _alpha_passive_limit(dist: SizeDistribution, n: int, m: int) -> float:
+    return theory.alpha_passive_limit(theory.passive_compound_spec(dist, n, m))
+
+
+def _alpha_k_passive(dist: SizeDistribution, n: int, m: int, k: int) -> float:
+    """alpha*[k] read off the curve built up to k."""
+    spec = theory.passive_compound_spec(dist, n, m)
     if k < 2:
         raise ValueError("k must be >= 2")
-    values = curve(k)
+    values = theory.alpha_k_passive_curve(spec, k)
     if k not in values:
         raise ValueError(f"degree {k} has zero asymptotic mass")
     return values[k]
 
 
-def _compound_pmf(a: argparse.Namespace) -> dict:
-    probs = [float(p) for p in a.jump_probs.split(",")]
-    spec = theory.CompoundPoissonSpec(a.lam, DiscretePmf(np.array(probs)))
-    return _pmf_json(theory.compound_poisson_pmf(spec, k_max=a.k_max))
+def _compound_pmf(lam: float, jump_probs: str, k_max: int | None) -> DiscretePmf:
+    spec = theory.CompoundPoissonSpec(lam, DiscretePmf(np.array([float(p) for p in jump_probs.split(",")])))
+    return theory.compound_poisson_pmf(spec, k_max=k_max)
 
 
-def _degree_stats(a: argparse.Namespace) -> dict:
-    if a.sizes:
-        sizes = [int(x) for x in a.sizes.split(",")]
-    elif a.uniform_size is not None and a.count is not None:
-        sizes = [a.uniform_size] * a.count
+def _degree_stats(
+    m: int, s: int, sizes: str | None, uniform_size: int | None, count: int | None
+) -> theory.PoissonApproxStats:
+    if sizes:
+        listed = [int(x) for x in sizes.split(",")]
+    elif uniform_size is not None and count is not None:
+        listed = [uniform_size] * count
     else:
         raise ConfigError("--sizes", "provide either --sizes or both --uniform-size and --count")
-    return _json_floats(theory.poisson_approx_stats(sizes, a.m, a.s))
+    return theory.poisson_approx_stats(listed, m, s)
+
+
+def _lecam(probs: str) -> float:
+    return oracle.lecam_bound([float(p) for p in probs.split(",")] if probs else [])
+
+
+def _brute_force(kind: str, n: int, m: int, s: int, dist: SizeDistribution) -> DiscretePmf:
+    return oracle.brute_force_degree_pmf(ModelParams(n=n, m=m, s=s, size_dist=dist, kind=kind))
 
 
 THEORY_COMMANDS = {
-    "edge-prob": (
-        _ints("--m", "--s") + (_SIZE_DIST,),
-        lambda a: vars(theory.active_edge_prob_asymptotic(a.dist, a.m, a.s)),
-    ),
-    "degree-pmf": (
-        _ints("--n", "--m", "--s") + (_K_MAX, _SIZE_DIST),
-        lambda a: _pmf_json(theory.mixed_poisson_degree_pmf(a.dist, a.n, a.m, a.s, k_max=a.k_max)),
-    ),
-    "alpha": (
-        _ints("--m", "--s") + (_SIZE_DIST,),
-        lambda a: {"alpha": theory.alpha_active(a.dist, a.m, a.s)},
-    ),
-    "alpha-beta-form": (
-        _ints("--n", "--m", "--s") + (_SIZE_DIST,),
-        lambda a: {"alpha": theory.alpha_active_beta_form(a.dist, a.n, a.m, a.s)},
-    ),
-    "alpha-from-moments": (
-        _floats("--beta", "--ed", "--ed2"),
-        lambda a: {"alpha": theory.alpha_active_from_degree_moments(a.beta, a.ed, a.ed2)},
-    ),
-    "alpha-k": (
-        _ints("--n", "--m", "--s", "--k") + (_SIZE_DIST,),
-        lambda a: {"alpha_k": _alpha_k_at(partial(theory.alpha_k_active_curve, a.dist, a.n, a.m, a.s), a.k)},
-    ),
-    "passive-spec": (
-        _ints("--n", "--m") + (_SIZE_DIST,),
-        _passive_spec_json,
-    ),
-    "compound-pmf": (
-        _floats("--lam") + (("--jump-probs", {"required": True, "help": "comma list, mass at 0,1,2,..."}), _K_MAX),
-        _compound_pmf,
-    ),
-    "alpha-passive": (
-        _ints("--n", "--m") + (_SIZE_DIST,),
-        lambda a: {"alpha_star": theory.alpha_passive_finite(a.dist, a.n, a.m)},
-    ),
-    "alpha-passive-limit": (
-        _ints("--n", "--m") + (_SIZE_DIST,),
-        lambda a: {"alpha_star": theory.alpha_passive_limit(_passive_spec(a))},
-    ),
-    "alpha-k-passive": (
-        _ints("--n", "--m", "--k") + (_SIZE_DIST,),
-        lambda a: {"alpha_star_k": _alpha_k_at(partial(theory.alpha_k_passive_curve, _passive_spec(a)), a.k)},
-    ),
-    "regime": (
-        _ints("--n", "--m") + (_SIZE_DIST,),
-        lambda a: vars(theory.passive_regime_classify(a.n, a.m, a.dist)),
-    ),
-    "degree-stats": (
-        _ints("--m", "--s")
-        + (
-            ("--sizes", {"default": None, "help": "comma list of set sizes, vertex 1 first"}),
-            ("--uniform-size", {"type": int, "default": None}),
-            ("--count", {"type": int, "default": None}),
-        ),
-        _degree_stats,
-    ),
+    "edge-prob": (theory.active_edge_prob_asymptotic, vars),
+    "degree-pmf": (theory.mixed_poisson_degree_pmf, _pmf_json),
+    "alpha": (theory.alpha_active, "alpha"),
+    "alpha-beta-form": (theory.alpha_active_beta_form, "alpha"),
+    "alpha-from-moments": (theory.alpha_active_from_degree_moments, "alpha"),
+    "alpha-k": (theory.alpha_k_active, "alpha_k"),
+    "passive-spec": (theory.passive_compound_spec, _spec_json),
+    "compound-pmf": (_compound_pmf, _pmf_json),
+    "alpha-passive": (theory.alpha_passive_finite, "alpha_star"),
+    "alpha-passive-limit": (_alpha_passive_limit, "alpha_star"),
+    "alpha-k-passive": (_alpha_k_passive, "alpha_star_k"),
+    "regime": (theory.passive_regime_classify, vars),
+    "degree-stats": (_degree_stats, _json_floats),
 }
 
 ORACLE_COMMANDS = {
-    "intersection-pmf": (
-        _ints("--m", "--d1", "--d2"),
-        lambda a: _pmf_json(oracle.intersection_pmf(a.m, a.d1, a.d2)),
-    ),
-    "intersection-tail": (
-        _ints("--m", "--d1", "--d2", "--s"),
-        lambda a: {"tail": oracle.intersection_tail(a.m, a.d1, a.d2, a.s)},
-    ),
-    "tail-bounds": (
-        _ints("--m", "--d1", "--d2", "--s"),
-        lambda a: vars(oracle.intersection_tail_bounds(a.m, a.d1, a.d2, a.s)),
-    ),
-    "exact-degree-pmf": (
-        _ints("--n", "--m", "--s") + (_SIZE_DIST,),
-        lambda a: _pmf_json(oracle.exact_active_degree_pmf(a.dist, a.n, a.m, a.s)),
-    ),
-    "links-pmf": (
-        _ints("--n", "--m") + (_K_MAX, _SIZE_DIST),
-        lambda a: _pmf_json(oracle.exact_passive_links_pmf(a.dist, a.n, a.m, k_max=a.k_max)),
-    ),
-    "lecam": (
-        (("--probs", {"default": "", "help": "comma list of indicator probabilities"}),),
-        lambda a: {"bound": oracle.lecam_bound([float(p) for p in a.probs.split(",")] if a.probs else [])},
-    ),
-    "brute-force": (
-        (("--kind", {"choices": ("active", "passive"), "required": True}),)
-        + _ints("--n", "--m", "--s")
-        + (_SIZE_DIST,),
-        lambda a: _pmf_json(
-            oracle.brute_force_degree_pmf(ModelParams(n=a.n, m=a.m, s=a.s, size_dist=a.dist, kind=a.kind))
-        ),
-    ),
-    "dense-overlap": (
-        _ints("--m") + _floats("--epsilon"),
-        lambda a: vars(oracle.dense_overlap_diagnostics(a.m, a.epsilon)),
-    ),
+    "intersection-pmf": (oracle.intersection_pmf, _pmf_json),
+    "intersection-tail": (oracle.intersection_tail, "tail"),
+    "tail-bounds": (oracle.intersection_tail_bounds, vars),
+    "exact-degree-pmf": (oracle.exact_active_degree_pmf, _pmf_json),
+    "links-pmf": (oracle.exact_passive_links_pmf, _pmf_json),
+    "lecam": (_lecam, "bound"),
+    "brute-force": (_brute_force, _pmf_json),
+    "dense-overlap": (oracle.dense_overlap_diagnostics, vars),
 }
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    """Run one THEORY_COMMANDS/ORACLE_COMMANDS entry and print its JSON."""
-    if getattr(args, "size_dist", None) is not None:
-        args.dist = _parse_size_dist_arg(args.size_dist, args.m)
-    print(json.dumps(args.compute(args), sort_keys=True, indent=2))
+def _cmd_table(law, shown, args: argparse.Namespace) -> int:
+    """Run one THEORY_COMMANDS/ORACLE_COMMANDS row and print its JSON."""
+    params = inspect.signature(law).parameters
+    if "dist" in params:
+        args.dist = _parse_size_dist_arg(args.dist, args.m)
+    result = law(**{name: getattr(args, name) for name in params})
+    doc = {shown: result} if isinstance(shown, str) else shown(result)
+    print(json.dumps(doc, sort_keys=True, indent=2))
     return EXIT_PASS
 
 
@@ -845,23 +799,25 @@ def _build_parser() -> argparse.ArgumentParser:
         ("oracle", ORACLE_COMMANDS, "exact finite-size computations"),
     ):
         group_subs = subs.add_parser(group, help=help_text).add_subparsers(dest=f"{group}_cmd", required=True)
-        for name, (flags, compute) in commands.items():
+        for name, (law, shown) in commands.items():
             p = group_subs.add_parser(name)
-            for flag, options in flags:
-                p.add_argument(flag, **options)
-            p.set_defaults(func=_cmd_table, compute=compute)
+            for param in inspect.signature(law).parameters:
+                p.add_argument(_flag(param), dest=param, **_PARAM_FLAGS[param])
+            p.set_defaults(func=partial(_cmd_table, law, shown))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_PASS
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceLimitError, FileNotFoundError, ValueError) as exc:
+    except (ResourceLimitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -42,6 +42,7 @@ __all__ = [
     "lecam_bound",
     "brute_force_degree_pmf",
     "dense_overlap_diagnostics",
+    "dense_overlap_set_size",
     "BRUTE_FORCE_BUDGET",
 ]
 
@@ -293,6 +294,21 @@ def brute_force_degree_pmf(params: ModelParams) -> DiscretePmf:
     return DiscretePmf(hist, 0.0)
 
 
+def dense_overlap_set_size(m: int, epsilon: float) -> int:
+    """The set size x = (epsilon + 1/2) m of the half-overlap regime;
+    ``ValueError`` unless m is positive and even, epsilon lies in
+    (0, 1/2) and x is an integer."""
+    if m <= 0 or m % 2 != 0:
+        raise ValueError("m must be positive and even")
+    if not 0 < epsilon < 0.5:
+        raise ValueError("epsilon must lie in (0, 0.5)")
+    x_float = (epsilon + 0.5) * m
+    x = round(x_float)
+    if abs(x_float - x) > 1e-9:
+        raise ValueError(f"x = (epsilon + 0.5) m = {x_float} is not integral")
+    return x
+
+
 def dense_overlap_diagnostics(m: int, epsilon: float) -> DenseOverlapDiagnostics:
     """Diagnostics at s = m/2, x = (epsilon + 1/2) m.
 
@@ -301,15 +317,8 @@ def dense_overlap_diagnostics(m: int, epsilon: float) -> DenseOverlapDiagnostics
     the factor ``ratio_prime`` = (m-x)_{x-s} / (m-s)_{x-s}, itself at
     most (1 - 2 eps)^(eps m).
     """
-    if m <= 0 or m % 2 != 0:
-        raise ValueError("m must be positive and even")
-    if not 0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 0.5)")
+    x = dense_overlap_set_size(m, epsilon)
     s = m // 2
-    x_float = (epsilon + 0.5) * m
-    x = round(x_float)
-    if abs(x_float - x) > 1e-9:
-        raise ValueError(f"x = (epsilon + 0.5) m = {x_float} is not integral")
     p_star = math.exp(2.0 * log_binomial(x, s) - log_binomial(m, s))
     num = falling_factorial(m - x, x - s)
     den = falling_factorial(m - s, x - s)

@@ -1,5 +1,6 @@
 """Scenario configs, the runner contract and the command-line surface."""
 
+import argparse
 import concurrent.futures
 import copy
 import json
@@ -20,6 +21,7 @@ from riglab.cli import (
     PRESETS,
     THEORY_COMMANDS,
     Report,
+    _build_parser,
     _summary_lines,
     _write_csvs,
     main,
@@ -52,6 +54,59 @@ ROW_LAWS = {
     "active": {"mixed_poisson_degree_pmf", "alpha_active", "alpha_k_active_curve"},
     "passive": {"passive_compound_spec", "compound_poisson_pmf", "alpha_passive_finite", "alpha_k_passive_curve"},
 }
+
+# every theory/oracle subcommand's options, each as (required, type,
+# default, choices), recorded from the parser whose rows listed their
+# flags by hand: the golden invocations leave most optional flags out,
+# so their defaults are pinned here
+_INT = (True, "int", None, None)
+_FLOAT = (True, "float", None, None)
+_DIST = (True, None, None, None)
+_K_MAX = (False, "int", None, None)
+SUBCOMMAND_FLAGS = {
+    "theory": {
+        "edge-prob": {"--m": _INT, "--s": _INT, "--size-dist": _DIST},
+        "degree-pmf": {"--n": _INT, "--m": _INT, "--s": _INT, "--k-max": _K_MAX, "--size-dist": _DIST},
+        "alpha": {"--m": _INT, "--s": _INT, "--size-dist": _DIST},
+        "alpha-beta-form": {"--n": _INT, "--m": _INT, "--s": _INT, "--size-dist": _DIST},
+        "alpha-from-moments": {"--beta": _FLOAT, "--ed": _FLOAT, "--ed2": _FLOAT},
+        "alpha-k": {"--n": _INT, "--m": _INT, "--s": _INT, "--k": _INT, "--size-dist": _DIST},
+        "passive-spec": {"--n": _INT, "--m": _INT, "--size-dist": _DIST},
+        "compound-pmf": {"--lam": _FLOAT, "--jump-probs": (True, None, None, None), "--k-max": _K_MAX},
+        "alpha-passive": {"--n": _INT, "--m": _INT, "--size-dist": _DIST},
+        "alpha-passive-limit": {"--n": _INT, "--m": _INT, "--size-dist": _DIST},
+        "alpha-k-passive": {"--n": _INT, "--m": _INT, "--k": _INT, "--size-dist": _DIST},
+        "regime": {"--n": _INT, "--m": _INT, "--size-dist": _DIST},
+        "degree-stats": {
+            "--m": _INT,
+            "--s": _INT,
+            "--sizes": (False, None, None, None),
+            "--uniform-size": (False, "int", None, None),
+            "--count": (False, "int", None, None),
+        },
+    },
+    "oracle": {
+        "intersection-pmf": {"--m": _INT, "--d1": _INT, "--d2": _INT},
+        "intersection-tail": {"--m": _INT, "--d1": _INT, "--d2": _INT, "--s": _INT},
+        "tail-bounds": {"--m": _INT, "--d1": _INT, "--d2": _INT, "--s": _INT},
+        "exact-degree-pmf": {"--n": _INT, "--m": _INT, "--s": _INT, "--size-dist": _DIST},
+        "links-pmf": {"--n": _INT, "--m": _INT, "--k-max": _K_MAX, "--size-dist": _DIST},
+        "lecam": {"--probs": (False, None, "", None)},
+        "brute-force": {
+            "--kind": (True, None, None, ("active", "passive")),
+            "--n": _INT,
+            "--m": _INT,
+            "--s": _INT,
+            "--size-dist": _DIST,
+        },
+        "dense-overlap": {"--m": _INT, "--epsilon": _FLOAT},
+    },
+}
+
+
+def _subcommands(parser):
+    """The subparsers of ``parser``, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def reject_constant(name):
@@ -458,6 +513,67 @@ class TestCommandLine:
             with pytest.raises(ConfigError, match=r"scenario\.model\.n: must fit in a signed 64-bit integer"):
                 parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["theory", "alpha", "--m", "10", "--size-dist", PAIR], EXIT_USAGE),
+            (["run", "--preset", "nope"], EXIT_USAGE),
+            (["theory", "alpha-k", "--n", "1.5", "--m", "10", "--s", "1", "--k", "2", "--size-dist", PAIR], EXIT_USAGE),
+            (["theory", "alpha", "--help"], EXIT_PASS),
+        ],
+        ids=["missing-flag", "bad-preset-choice", "non-integer-n", "help"],
+    )
+    def test_argument_errors_exit_one(self, argv, exit_code, capsys):
+        """A command line the parser rejects is a usage error (exit 1, as
+        for a bad config), not a failed comparison (exit 2); --help
+        exits 0."""
+        assert main(argv) == exit_code
+        captured = capsys.readouterr()
+        if exit_code == EXIT_PASS:
+            assert captured.out.startswith("usage: riglab theory alpha"), captured.out
+        else:
+            assert captured.out == "" and "usage: riglab" in captured.err, captured.err
+
+    @staticmethod
+    def forbid_sampling(monkeypatch):
+        def sample_incidence(*args):
+            raise AssertionError("the scenario was sampled")
+
+        monkeypatch.setattr("riglab.cli.sample_incidence", sample_incidence)
+
+    @pytest.mark.parametrize("m, message", [(41, "m must be positive and even"), (42, "is not integral")])
+    def test_example2_shape_rejected_before_sampling(self, m, message, tmp_path, capsys, monkeypatch):
+        """The half-overlap diagnostics need an even m and an integral
+        (epsilon + 1/2) m; a config without them fails at parse time,
+        before any replicate is drawn."""
+        doc = small_scenario(outputs=["example2", "degree"], epsilon=0.1, replicates=3)
+        doc["scenario"]["model"].update(n=20000, m=m, s=2, size_dist={"kind": "degenerate", "x": 6})
+        with pytest.raises(ConfigError, match=rf"scenario\.epsilon: .*{message}"):
+            parse_scenario(doc)
+        self.forbid_sampling(monkeypatch)
+        code = main(["run", "--config", self.write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("config error: scenario.epsilon: "), captured.err
+        assert preset_config("example2").epsilon == 0.1
+
+    def test_gen_into_a_directory_is_an_error_line(self, tmp_path, capsys):
+        code = main(["gen", "--preset", "example4", "--emit-graph", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("error: "), captured.err
+
+    def test_run_out_on_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        """--out naming an existing file is an ``error:`` line, given
+        before the scenario runs, so no summary reaches stdout."""
+        target = tmp_path / "taken"
+        target.write_text("")
+        self.forbid_sampling(monkeypatch)
+        code = main(["run", "--preset", "example4", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("error: "), captured.err
+
     def test_usage_error_exit_one(self, tmp_path, capsys):
         doc = small_scenario()
         doc["scenario"]["surprise"] = 1
@@ -653,6 +769,29 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert (code, captured.out) == (EXIT_USAGE, "")
         assert captured.err.startswith("error: alpha overflows a float")
+
+    def test_subcommand_flags_are_pinned(self):
+        """Each subcommand keeps its option strings and their required
+        flag, type, default and choices (option strings, not dests:
+        where a flag stores is the parser's business)."""
+        groups = _subcommands(_build_parser())
+        built = {
+            group: {
+                name: {
+                    " ".join(action.option_strings): (
+                        action.required,
+                        getattr(action.type, "__name__", None),
+                        action.default,
+                        action.choices,
+                    )
+                    for action in sub._actions
+                    if not isinstance(action, argparse._HelpAction)
+                }
+                for name, sub in _subcommands(groups[group]).items()
+            }
+            for group in SUBCOMMAND_FLAGS
+        }
+        assert built == SUBCOMMAND_FLAGS
 
     def test_golden_covers_every_subcommand(self):
         declared = {("theory", name) for name in THEORY_COMMANDS}
