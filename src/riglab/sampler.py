@@ -24,7 +24,7 @@ one slab of ``_SLAB_CELLS`` keys at a time; their signatures are then
 decoded a slab at a time to find the repeats, and only the keys whose
 signature repeats go on.  At the scaled example1 shape (60k sets of 6,
 s = 2: 900,000 signatures, of which 43,869 repeat) the build's
-tracemalloc peak is 10.9 B per signature, and 10.2 B at s = 3 (1.2 M
+tracemalloc peak is 10.5 B per signature, and 10.1 B at s = 3 (1.2 M
 signatures).  Sets are written into the incidence a block at a time
 (see :func:`_write_subsets`): for 100,000 sets of 10 from m = 100 the
 tracemalloc peak of :func:`sample_incidence` is 1.3 times its 9.6 MB
@@ -36,8 +36,9 @@ index subsets.  It gives the s-subset signatures, the pairs within each
 signature or group, and, through :func:`subset_keys`, the wedge keys of
 stats.  Every build writes its pair keys u * V + v, u < v (V the vertex
 count), into one array of the size its cap checked, and
-:meth:`Graph.from_edge_arrays` thresholds them in place: the sorted
-distinct keys are the :class:`Graph` as they stand.
+:meth:`Graph.from_edge_arrays` thresholds them in place: the distinct
+keys kept, moved to the front of the sorted array, are the
+:class:`Graph`.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ PAIR_CAP_DEFAULT = 200_000_000
 # bytes of set entries per block that the sampler draws or writes
 _BLOCK_BYTES = 1 << 20
 # keys that the subset enumerator fills, or that a decode reads, per slab
-_SLAB_CELLS = 1 << 16
+_SLAB_CELLS = 1 << 13
 # edges formatted per string by write_edge_list
 _EXPORT_BLOCK = 1 << 16
 
@@ -266,9 +267,15 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        # the ends u, then the ends v: one edge-sized temporary at a time
-        V, keys = self.vertex_count, self.keys
-        return np.bincount(keys // np.int64(V), minlength=V) + np.bincount(keys % np.int64(V), minlength=V)
+        # both ends of one slab of keys at a time: beside the result one
+        # slab-sized temporary, and O(slab) work per slab
+        V = np.int64(self.vertex_count)
+        deg = np.zeros(self.vertex_count, dtype=np.int64)
+        for lo in range(0, self.keys.size, _SLAB_CELLS):
+            keys = self.keys[lo : lo + _SLAB_CELLS]
+            np.add.at(deg, keys // V, 1)
+            np.add.at(deg, keys % V, 1)
+        return deg
 
     @property
     def edge_count(self) -> int:
@@ -284,16 +291,28 @@ class Graph:
         ``threshold`` times in ``keys``, in any order (sorted in place).
 
         After the sort, a key occurs at least t = ``threshold`` times iff
-        its run starts at some i with keys[i] == keys[i + t - 1]; the
-        distinct keys kept are the graph's keys as they stand.
+        its run starts at some i with keys[i] == keys[i + t - 1].  The
+        distinct keys kept are moved to the front of ``keys`` one slab of
+        ``_SLAB_CELLS`` run starts at a time; a slab reads only keys at
+        or after the last one written, since a slab of i run starts
+        writes at most i keys.  So beside ``keys`` only a slab's masks
+        and kept keys are live.  The graph holds the front of ``keys``
+        as it stands, or a copy when fewer than half the keys are kept,
+        so that a dropped majority is not kept alive through it.
         """
         keys.sort()
-        starts = keys.size - threshold + 1
-        if starts <= 0:
-            return Graph(vertex_count, keys[:0])
-        keep = keys[threshold - 1 :] == keys[:starts]
-        keep[1:] &= keys[1:starts] != keys[: starts - 1]
-        return Graph(vertex_count, keys[:starts][keep])
+        t = threshold
+        kept = 0
+        for lo in range(0, keys.size - t + 1, _SLAB_CELLS):
+            hi = min(lo + _SLAB_CELLS, keys.size - t + 1)
+            keep = keys[lo + t - 1 : hi + t - 1] == keys[lo:hi]
+            # ... and keys[i] != keys[i - 1], for i > 0
+            first = max(lo, 1)
+            keep[first - lo :] &= keys[first:hi] != keys[first - 1 : hi - 1]
+            hit = keys[lo:hi][keep]
+            keys[kept : kept + hit.size] = hit
+            kept += hit.size
+        return Graph(vertex_count, keys[:kept].copy() if 2 * kept < keys.size else keys[:kept])
 
     @staticmethod
     def empty(vertex_count: int) -> "Graph":
@@ -329,50 +348,66 @@ def _subset_table(size: int, t: int) -> np.ndarray:
     return table
 
 
-def _subset_rows(lens: np.ndarray, values: np.ndarray, t: int, base: int, out: np.ndarray):
-    """For each list length l >= t: the vertices whose list has length l
-    and the (C(l, t), count) array of their t-subsets, each read as t
-    digits in base ``base``, the first list entry the most significant.
-    Column j belongs to the j-th vertex, and its rows are that list's
-    t-subsets in colex order.
+def _index_dtype(limit: int) -> type:
+    """The narrower integer type that holds every index in [0, limit)."""
+    return np.int32 if limit <= 2**31 else np.int64
+
+
+def _subset_rows(
+    lens: np.ndarray, values: np.ndarray, t: int, base: int, vertex_count: int | None = None
+) -> np.ndarray:
+    """Every t-subset of every list, read as t digits in base ``base``,
+    the first list entry the most significant, and then, if
+    ``vertex_count`` is given, times it plus the list's vertex.
 
     Vertex v's list is the v-th run of ``values`` (runs of length
-    ``lens``).  ``out`` has size sum C(len, t), and each length's array
-    is a view of its next slice, written in place.  A class is filled in
-    slabs of vertices holding at most ``_SLAB_CELLS`` keys (at least one
-    vertex).  A slab's lists are gathered as (l, k) rows, entry i of
-    every list in row i, and one :func:`_subset_table` serves every
-    length: the first digit is taken into the slab's columns of the
-    array, which are then multiplied by ``base`` and given each later
-    digit through one slab-sized temporary.  So beside ``out`` the
-    transients are O(t * ``_SLAB_CELLS``) at any t, or one list's
+    ``lens``).  The lists of length l >= t, ascending l and ascending
+    vertex inside each l, are taken in slabs of at most
+    ``_SLAB_CELLS`` keys (at least one list), and each slab of k lists
+    is the next (C(l, t), k) block of the result: column j holds the
+    j-th list's t-subsets in colex order.  A slab's lists are gathered
+    as (l, k) int64 rows, entry i of every list in row i, and one
+    :func:`_subset_table` serves every length: the first digit is taken
+    into the block, which is then multiplied by ``base`` and given each
+    later digit through one slab-sized temporary.
+
+    The vertices are placed by length, and their list starts counted,
+    before the result is allocated, each in the narrower integer type
+    that holds it.  So beside the result the transients are these two
+    vertex-sized arrays and O(t * ``_SLAB_CELLS``), or one list's
     C(l, t) keys when those exceed the slab.
     """
-    offsets = np.concatenate([[0], np.cumsum(lens)])
+    hist = np.bincount(lens)
     listed = np.flatnonzero(lens >= t)
-    by_length = listed[np.argsort(lens[listed], kind="stable")]
-    hist = np.bincount(lens[listed])
-    del listed
-    ends = np.cumsum(hist)
+    # a stable sort of 16-bit keys is numpy's counting (radix) sort
+    order = np.argsort(lens[listed].astype(np.uint16 if hist.size <= 2**16 else np.int64), kind="stable")
+    by_length = listed[order].astype(_index_dtype(lens.size))
+    del listed, order  # freed before the keys are allocated
+    ends = np.cumsum(hist) - int(hist[:t].sum())
+    offsets = np.zeros(lens.size + 1, dtype=_index_dtype(values.size + 1))
+    np.cumsum(lens, out=offsets[1:])
     table = _subset_table(hist.size - 1, t)
+    out = np.empty(_comb_total(lens, t), dtype=np.int64)
     at = 0
     for length in np.flatnonzero(hist[t:]) + t:
         vertices = by_length[ends[length] - hist[length] : ends[length]]
         cols = table[:, : math.comb(int(length), t)]
-        size = vertices.size * cols.shape[1]
-        sig = out[at : at + size].reshape(-1, vertices.size)
-        at += size
         entries = np.arange(length)[:, None]
         step = max(1, _SLAB_CELLS // cols.shape[1])
         for lo in range(0, vertices.size, step):
-            rows = values[entries + offsets[vertices[lo : lo + step]]]
-            part = sig[:, lo : lo + step]
+            slab = vertices[lo : lo + step]
+            rows = values[entries + offsets[slab]].astype(np.int64, copy=False)
+            block = out[at : at + cols.shape[1] * slab.size].reshape(-1, slab.size)
+            at += block.size
             # mode "raise" would buffer the output; the table's indices are in range
-            np.take(rows, cols[0], axis=0, out=part, mode="clip")
+            np.take(rows, cols[0], axis=0, out=block, mode="clip")
             for j in range(1, t):
-                part *= np.int64(base)
-                part += np.take(rows, cols[j], axis=0)
-        yield vertices, sig
+                block *= np.int64(base)
+                block += np.take(rows, cols[j], axis=0)
+            if vertex_count is not None:
+                block *= np.int64(vertex_count)
+                block += slab
+    return out
 
 
 def subset_keys(
@@ -386,18 +421,14 @@ def subset_keys(
     as t digits in base ``group_count`` (see :func:`_subset_rows`).  The
     caller checks that group_count**t * V fits in int64.
 
-    Each list length's (C(l, t), count) keys are written straight into
-    the result (8 B per key), and the class's vertices are added as a
-    row.  Beside the result the transients are one slab's lists as rows
-    and one slab of keys (see :func:`_subset_rows`), and a few
-    vertex-sized arrays while the lists are sorted by length.  For 60k
-    lists of 6 the tracemalloc peak is 9.1 MB at t = 2 (900,000 keys,
-    10.1 B per key) and 11.5 MB at t = 3 (1.2 M keys, 9.6 B per key).
+    The keys are written straight into the result (8 B per key) a slab
+    at a time, then sorted in place.  Beside the result the transients
+    are the two vertex-sized arrays of :func:`_subset_rows`, one slab's
+    lists as rows and one slab of keys.  For 60k lists of 6 the
+    tracemalloc peak is 7.8 MB at t = 2 (900,000 keys, 8.7 B per key)
+    and 10.2 MB at t = 3 (1.2 M keys, 8.5 B per key).
     """
-    keys = np.empty(_comb_total(lens, t), dtype=np.int64)
-    for vertices, sig in _subset_rows(lens, groups, t, group_count, keys):
-        sig *= np.int64(vertex_count)
-        sig += vertices
+    keys = _subset_rows(lens, groups, t, group_count, vertex_count)
     keys.sort()
     return keys
 
@@ -427,10 +458,7 @@ def _edges_within(members: np.ndarray, runs: np.ndarray, vertex_count: int, thre
     ``threshold`` runs (``members`` in runs of length ``runs``, ascending
     inside each): the sum C(run, 2) 2-subsets of the runs, read in base
     V, are the edge keys a * V + b, a < b, written into one array."""
-    keys = np.empty(_comb_total(runs, 2), dtype=np.int64)
-    for _ in _subset_rows(runs, members, 2, vertex_count, keys):
-        pass
-    return Graph.from_edge_arrays(vertex_count, keys, threshold)
+    return Graph.from_edge_arrays(vertex_count, _subset_rows(runs, members, 2, vertex_count), threshold)
 
 
 def _check_cap(kind: str, count: int, what: str, pair_cap: int, method: str) -> None:
@@ -460,11 +488,12 @@ def _project(kind: str, inc: Incidence, s: int, pair_cap: int) -> Graph:
     sorted keys, 8 B per signature, and 2 B more for the repeat masks of
     :func:`_shared_signatures`, which decodes one slab of signatures at a
     time; the members, runs and pairs are sized by the repeated
-    signatures alone.  The peak, 10.9 B per signature at the scaled
-    example1 shape (10.2 B at s = 3), falls in
+    signatures alone.  The peak, 10.5 B per signature at the scaled
+    example1 shape (10.1 B at s = 3), falls in
     :func:`_shared_signatures`.  Either route's pair keys are one array,
-    8 B per checked pair, and the threshold's masks 2 B more: at the
-    example2 shape (10.7 M pairs at t = 1) the peak is 1.25 times the keys.
+    8 B per checked pair, which the threshold compacts in place a slab
+    at a time: at the example2 shape (10.7 M pairs at t = 1) the peak
+    is 1.09 times the keys.
     """
     active = kind == "active"
     attr_deg = np.bincount(inc.attrs, minlength=inc.m)

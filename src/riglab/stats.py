@@ -3,7 +3,8 @@
 Triangle counting orients every edge key u * V + v of the graph (V the
 vertex count) from its lower- to its higher-ranked end c as c * V + x,
 ranking vertices by (degree, id) as in Chiba and Nishizeki (1985) and
-Latapy (2008); one sort of these keys gives the out-lists.  Each
+Latapy (2008); one sort of these keys gives the out-lists.  An edge
+with a degree-1 end lies in no triangle and is not oriented.  Each
 triangle is then one wedge (a, b), a < b, of out-neighbors around its
 lowest-ranked corner, so only the sum_v C(d+(v), 2) oriented wedges are
 probed against the edge keys (d+ the out-degree, at most
@@ -16,14 +17,15 @@ The wedges of a block of centers are packed into one int64 key each,
 (a * V + b) * S + (c - lo) for a block [lo, lo + S): the sorted
 2-subset keys of the out-lists (:func:`riglab.sampler.subset_keys`).
 S is bounded so the packed keys fit in int64, and a block holds about
-``WEDGE_CHUNK`` wedges (4 MiB of keys).  The keys are probed
+``WEDGE_CHUNK`` wedges (2 MiB of keys).  The keys are probed
 ``PROBE_CHUNK`` at a time: the a * V + b of a chunk ascend, so each
 chunk searches only the slice of edge keys between its first and last
 one, which stays in cache.  Closed keys are gathered at the front of the
 block's array and decoded once.  Beside the graph, the count so holds
-one oriented copy of the edge keys (oriented ``PROBE_CHUNK`` edges at a
-time), a few vertex-sized arrays and one block of keys, never an array
-sized by all the wedges.
+the out-lists as int32 (4 B per edge), a few vertex-sized arrays and
+one block of keys, never an array sized by all the wedges; its peak is
+where the sorted oriented keys (8 B per edge) are reduced to the
+out-lists.
 
 The vertex-averaged clustering estimate skips vertices with no 2-star
 (degree < 2): the 0/0 terms are undefined and excluding them is the
@@ -56,8 +58,8 @@ __all__ = [
 ]
 
 DEFAULT_MIN_BUCKET = 30
-WEDGE_CHUNK = 2**19  # oriented wedges packed per block of centers (4 MiB of keys)
-PROBE_CHUNK = 2**16  # wedges probed, or edges oriented, per vectorized step
+WEDGE_CHUNK = 2**18  # oriented wedges packed per block of centers (2 MiB of keys)
+PROBE_CHUNK = 2**14  # wedges probed, or edges oriented, per vectorized step
 KEY_LIMIT = 2**63  # packed wedge keys stay below this (int64)
 ALPHA_HAT_CONVENTION = "vertices with no 2-star excluded from the average"
 
@@ -65,7 +67,8 @@ ALPHA_HAT_CONVENTION = "vertices with no 2-star excluded from the average"
 @dataclass(frozen=True)
 class LocalCounts:
     """Per-vertex degree, 2-star count n2 = C(d, 2) and triangle count n3
-    (edges among the neighborhood)."""
+    (edges among the neighborhood).  ``degree`` is the graph's own
+    degree array, not a copy."""
 
     degree: np.ndarray
     n2: np.ndarray
@@ -153,27 +156,28 @@ def local_counts(graph: Graph) -> LocalCounts:
     every block holds at least one center, which V**2 < 2**63 always
     allows.
 
-    Memory: beside the graph, the transients are 8 B per edge for the
-    oriented keys (twice that while the out-degrees are counted), 8 B
-    per vertex for each of six vertex arrays, and 8 B per wedge of the
-    current block, plus one slab of its out-lists as rows and of keys
+    Memory: beside the graph (whose degrees are read, not copied), the
+    transients are the oriented keys, 8 B per edge, until they are
+    reduced to the int32 out-lists, 4 B per edge; 8 B per vertex for
+    the out-degrees, then for each of three vertex arrays in the block
+    loop; and 8 B per wedge of the current block, plus the block's
+    vertex arrays and one slab of its out-lists as rows and of keys
     while :func:`riglab.sampler.subset_keys` writes the keys in place
-    (10.2 to 10.4 B per wedge of a full block at that peak on the
-    example5 graph, 14.8 B when the keys were assembled from copies);
-    everything else is sized by ``PROBE_CHUNK``.  On the example5 graph
-    (600 k edges, 1.8 M oriented wedges) the tracemalloc peak is 16.7 MB.
+    (8.8 to 9.4 B per wedge of a full block at that peak on the
+    example5 graph).  Everything else is sized by ``PROBE_CHUNK``, and
+    n2 is computed after the blocks.  On the example5 graph (600 k
+    edges, 1.8 M oriented wedges) the tracemalloc peak is 8.5 MB, at
+    the reduction to out-lists (12 B per edge beside the out-degrees).
     """
     n = graph.vertex_count
-    nn = np.int64(n)
-    deg = graph.degrees.astype(np.int64)
-    n2 = deg * (deg - 1) // 2
-    n3 = np.zeros(n, dtype=np.int64)
-    oriented = _oriented_keys(graph, deg)
-    outdeg = np.bincount(oriented // nn, minlength=n)
+    deg = graph.degrees
+    out, outdeg = _out_lists(graph, deg)
     # out-list of c: out[starts[c] : starts[c + 1]], sorted by id
-    out = np.remainder(oriented, nn, out=oriented)
     starts = np.concatenate([[0], np.cumsum(outdeg)])
-    ends = np.cumsum(outdeg * (outdeg - 1) // 2)
+    ends = outdeg * (outdeg - 1) // 2
+    np.cumsum(ends, out=ends)
+    del outdeg
+    n3 = np.zeros(n, dtype=np.int64)
     max_span = max((KEY_LIMIT - 1) // max(n * n, 1), 1)
     lo = 0
     while lo < n:
@@ -181,11 +185,11 @@ def local_counts(graph: Graph) -> LocalCounts:
         hi = max(int(np.searchsorted(ends, done + WEDGE_CHUNK, side="right")), lo + 1)
         hi = min(hi, lo + max_span)
         span = hi - lo
-        keys = subset_keys(outdeg[lo:hi], out[starts[lo] : starts[hi]], 2, n, span)
+        keys = subset_keys(np.diff(starts[lo : hi + 1]), out[starts[lo] : starts[hi]], 2, n, span)
         _credit_closed(n3, graph, keys, lo, span)
         del keys  # freed before the next block's keys are made
         lo = hi
-    return LocalCounts(degree=deg, n2=n2, n3=n3)
+    return LocalCounts(degree=deg, n2=deg * (deg - 1) // 2, n3=n3)
 
 
 def _credit_closed(n3: np.ndarray, graph: Graph, keys: np.ndarray, lo: int, span: int) -> None:
@@ -196,7 +200,9 @@ def _credit_closed(n3: np.ndarray, graph: Graph, keys: np.ndarray, lo: int, span
     The keys are probed ``PROBE_CHUNK`` at a time against the edge keys
     between the chunk's first and last a * V + b, a slice that stays in
     cache.  Closed keys are moved to the front of ``keys``, which the
-    chunks already probed have freed, and decoded there once.
+    chunks already probed have freed, and decoded there once: the
+    centers by a count over the block's span, the ends a and b by
+    ``np.add.at``, so the work is sized by the block, not by V.
     """
     kept = 0
     for at in range(0, keys.size, PROBE_CHUNK):
@@ -217,22 +223,41 @@ def _credit_closed(n3: np.ndarray, graph: Graph, keys: np.ndarray, lo: int, span
     n = np.int64(n3.size)
     n3[lo : lo + span] += np.bincount(wedges % span, minlength=span)
     wedges //= span  # a * V + b
-    n3 += np.bincount(wedges // n, minlength=n3.size)
-    n3 += np.bincount(wedges % n, minlength=n3.size)
+    np.add.at(n3, wedges // n, 1)
+    np.add.at(n3, wedges % n, 1)
 
 
-def _oriented_keys(graph: Graph, deg: np.ndarray) -> np.ndarray:
-    """Sorted keys c * V + x of the edges {c, x} oriented from the end c
-    of lower (degree, id) rank, built ``PROBE_CHUNK`` edges at a time."""
+def _out_lists(graph: Graph, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The out-lists x of the edges {c, x} oriented from the end c of
+    lower (degree, id) rank, ascending by c and then by x, in the
+    narrower integer type that holds a vertex, and the out-degrees.
+
+    An edge with a degree-1 end lies in no triangle and is left out.
+    The rest are oriented ``PROBE_CHUNK`` edges at a time into keys
+    c * V + x, and one sort of the keys gives the lists.  The sorted keys
+    are then split a chunk at a time: the x go into the lists, and the
+    c, which ascend, are counted over the chunk's own range of centers.
+    """
     nn = np.int64(graph.vertex_count)
     oriented = np.empty(graph.keys.size, dtype=np.int64)
-    for at in range(0, oriented.size, PROBE_CHUNK):
+    size = 0
+    for at in range(0, graph.keys.size, PROBE_CHUNK):
         keys = graph.keys[at : at + PROBE_CHUNK]
         u, v = np.divmod(keys, nn)
+        du, dv = deg[u], deg[v]
         # u < v, so u outranks v exactly when its degree is higher
-        oriented[at : at + keys.size] = np.where(deg[u] > deg[v], v * nn + u, keys)
+        kept = np.where(du > dv, v * nn + u, keys)[np.minimum(du, dv) > 1]
+        del u, v, du, dv  # freed before the lists are made
+        oriented[size : size + kept.size] = kept
+        size += kept.size
+    oriented = oriented[:size]
     oriented.sort()
-    return oriented
+    out = np.empty(size, dtype=np.int32 if graph.vertex_count <= 2**31 else np.int64)
+    outdeg = np.zeros(graph.vertex_count, dtype=np.int64)
+    for at in range(0, size, PROBE_CHUNK):
+        c, out[at : at + PROBE_CHUNK] = np.divmod(oriented[at : at + PROBE_CHUNK], nn)
+        outdeg[c[0] : c[-1] + 1] += np.bincount(c - c[0])
+    return out, outdeg
 
 
 def clustering_report(graph: Graph, min_bucket: int = DEFAULT_MIN_BUCKET) -> ClusteringReport:

@@ -557,11 +557,24 @@ class TestCommandLine:
         assert captured.err.startswith("config error: scenario.epsilon: "), captured.err
         assert preset_config("example2").epsilon == 0.1
 
-    def test_gen_into_a_directory_is_an_error_line(self, tmp_path, capsys):
+    def test_gen_into_a_directory_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        """--emit-graph naming a directory is an ``error:`` line, given
+        before the scenario is sampled."""
+        import riglab.cli as cli_mod
+
+        calls = []
+        inner = cli_mod.sample_incidence
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(cli_mod, "sample_incidence", counting)
         code = main(["gen", "--preset", "example4", "--emit-graph", str(tmp_path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (EXIT_USAGE, "")
-        assert captured.err.startswith("error: "), captured.err
+        assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert calls == []
 
     def test_run_out_on_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
         """--out naming an existing file is an ``error:`` line, given

@@ -331,29 +331,29 @@ def sampling_peak(params):
 
 
 def assert_subset_rows_layout(lists, t, base=12):
-    """Each length class of ``_subset_rows`` is a (C(l, t), count) array:
-    column j holds the t-subsets of vertex ``vertices[j]``'s list in
-    colex order, read as t digits in ``base``.  The classes come in
-    ascending length, cover every list of length >= t once, and are
-    consecutive slices of ``out``, which they fill."""
+    """``_subset_rows`` takes the lists of length l >= t, ascending l and
+    ascending vertex inside each l, in slabs of at most ``_SLAB_CELLS``
+    keys (at least one list), and writes each slab of k lists as the
+    next (C(l, t), k) block: column j holds the j-th list's t-subsets in
+    colex order, read as t digits in ``base``, and then, when a vertex
+    count V is given, times V plus the list's vertex."""
     lens = np.array([len(a) for a in lists], dtype=np.int64)
     values = np.array([g for a in lists for g in a], dtype=np.int64)
-    out = np.full(sampler._comb_total(lens, t), -1, dtype=np.int64)
-    seen, lengths, at = [], [], 0
-    for vertices, sig in sampler._subset_rows(lens, values, t, base, out):
-        length = len(lists[vertices[0]])
-        lengths.append(length)
-        assert sig.dtype == np.int64 and sig.shape == (math.comb(length, t), vertices.size)
-        assert np.shares_memory(sig, out) and np.array_equal(sig.ravel(), out[at : at + sig.size])
-        at += sig.size
-        for j, v in enumerate(vertices.tolist()):
-            assert len(lists[v]) == length
-            colex = sorted(itertools.combinations(lists[v], t), key=lambda c: c[::-1])
-            assert sig[:, j].tolist() == [sum(d * base ** (t - 1 - i) for i, d in enumerate(c)) for c in colex]
-        seen.extend(vertices.tolist())
-    assert lengths == sorted(set(lengths))
-    assert sorted(seen) == [v for v, a in enumerate(lists) if len(a) >= t]
-    assert at == out.size and np.all(out >= 0)
+    vertex_count = max(len(lists), 1)
+    want = []  # (subset read in base, vertex) in the written order
+    for length in sorted({len(a) for a in lists if len(a) >= t}):
+        vertices = [v for v, a in enumerate(lists) if len(a) == length]
+        step = max(1, sampler._SLAB_CELLS // math.comb(length, t))
+        for lo in range(0, len(vertices), step):
+            slab = vertices[lo : lo + step]
+            colex = [sorted(itertools.combinations(lists[v], t), key=lambda c: c[::-1]) for v in slab]
+            for row in range(math.comb(length, t)):
+                for v, subsets in zip(slab, colex):
+                    want.append((sum(d * base ** (t - 1 - i) for i, d in enumerate(subsets[row])), v))
+    got = sampler._subset_rows(lens, values, t, base)
+    assert got.dtype == np.int64 and got.tolist() == [sig for sig, _ in want]
+    keyed = sampler._subset_rows(lens, values, t, base, vertex_count)
+    assert keyed.dtype == np.int64 and keyed.tolist() == [sig * vertex_count + v for sig, v in want]
 
 
 class TestBatchedFloyd:
@@ -801,6 +801,25 @@ class TestSubsetProjection:
         assert g.edge_count > 0
         assert peak <= bound
 
+    def test_subset_keys_memory_within_1_1_keys(self):
+        """60k lists of 6 (the active-threshold sets) have 900,000
+        2-subsets.  The vertices are placed by length, and their list
+        starts counted, before the keys are allocated, as int32, so
+        beside the keys stay 8 B per vertex and one slab's rows and keys:
+        the tracemalloc peak stays within 1.1 times the keys.  Sorting
+        by length beside them with an int64 argsort would exceed it."""
+        n, m = 60_000, 6_000
+        params = ModelParams(n=n, m=m, s=2, size_dist=make_size_dist(Degenerate(6), m))
+        inc = sample_incidence(params, rng_stream(0, 0))
+        tracemalloc.start()
+        try:
+            keys = sampler.subset_keys(inc.sizes, inc.attrs, 2, m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keys.size == 900_000
+        assert peak <= 1.1 * keys.nbytes
+
     def test_pair_count_route_memory_stays_near_the_keys(self):
         """Sets of 24 from m = 40 at s = 20 (the example2 law at n = 300)
         take the single-group route; its pair keys are one array, sized
@@ -933,6 +952,63 @@ class TestGraph:
         g = Graph.from_edge_arrays(6, np.array(keys, dtype=np.int64), threshold)
         validate(g)
         assert g.keys.tolist() == sorted(k for k, c in counts.items() if c >= threshold)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        runs=st.lists(
+            st.tuples(st.sampled_from([u * 6 + v for u, v in itertools.combinations(range(6), 2)]), st.integers(1, 5)),
+            max_size=20,
+        ),
+        threshold=st.integers(1, 3),
+        slab=st.sampled_from([1, 2, 3, 5, sampler._SLAB_CELLS]),
+    )
+    # slabs of 2 run starts end inside the runs of 3: the second slab
+    # opens on a repeat of the first one's last key
+    @example(runs=[(1, 3), (2, 3), (3, 1), (4, 2)], threshold=2, slab=2)
+    @example(runs=[(1, 3), (2, 3), (3, 1), (4, 2)], threshold=3, slab=2)
+    def test_from_edge_arrays_in_slabs_matches_unique_counts(self, runs, threshold, slab):
+        """Runs of repeated keys, shuffled, compacted ``slab`` run starts
+        at a time, so that slab edges fall inside runs: the graph holds
+        the keys that ``np.unique`` counts at least ``threshold`` times."""
+        keys = np.array([key for key, size in runs for _ in range(size)], dtype=np.int64)
+        np.random.default_rng(keys.size).shuffle(keys)
+        values, counts = np.unique(keys, return_counts=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_SLAB_CELLS", slab)
+            g = Graph.from_edge_arrays(6, keys, threshold)
+        validate(g)
+        assert g.keys.tolist() == values[counts >= threshold].tolist()
+
+    def test_a_mostly_dropped_input_is_not_kept_alive(self):
+        """The graph's keys are the front of the sorted input while at
+        least half the keys are kept, and a copy once fewer are, so a
+        threshold that drops most pairs frees their array."""
+        many = np.arange(1, 100, dtype=np.int64)  # the edges {0, v} of 100 vertices
+        g = Graph.from_edge_arrays(100, many, 1)
+        assert g.edge_count == 99 and g.keys.base is many
+        few = np.concatenate([many, [5, 5]])
+        g = Graph.from_edge_arrays(100, few, 2)
+        assert g.keys.tolist() == [5] and g.keys.base is None
+
+    def test_degrees_memory_within_one_vertex_array_and_a_slab(self):
+        """The degrees of the example5 graph (replicate 0 at seed 0: 100k
+        vertices, 600k edges) are counted one slab of keys at a time, so
+        the tracemalloc peak stays within the degree array, one slab of
+        ends and 8 KiB for ``np.add.at``'s bookkeeping (0.87 MB).
+        Counting every end at once, through an edge-sized quotient,
+        peaks at 6.4 MB here."""
+        cfg = preset_config("example5")
+        g = build_passive(sample_incidence(cfg.params(), rng_stream(0, 0)), cfg.s)
+        assert (g.vertex_count, g.edge_count) == (100_000, 599_967)
+        bound = 8 * (g.vertex_count + sampler._SLAB_CELLS) + 8192
+        tracemalloc.start()
+        try:
+            degrees = g.degrees
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert degrees.sum() == 2 * g.edge_count
+        assert peak <= bound
 
     @pytest.mark.parametrize(
         "vertex_count, density",

@@ -243,16 +243,20 @@ class TestLocalCounts:
 
     def test_memory_stays_within_one_block_and_the_edges(self):
         """The tracemalloc peak of counting the example5 graph (replicate 0
-        at seed 0: 100k vertices, 600k edges, 1.8 M oriented wedges) stays
-        within two blocks of packed keys (a block and its out-lists as
-        rows while subset_keys writes it), twice the edge keys (their oriented
-        copy, with room to spare) and eight vertex-sized arrays.  One
-        wedge-sized array (14.4 MB here) would exceed it."""
+        at seed 0: V = 100k vertices, E = 600k edges, 1.8 M oriented
+        wedges) stays within 12 B per edge, one block of 2**18 packed
+        keys and one vertex-sized int64 array:
+        12 E + 8 * 2**18 + 8 V = 10.1 MB.  It peaks where the sorted
+        oriented keys (8 B per edge) are reduced to int32 out-lists (4 B
+        per edge) beside the out-degrees; in the block loop the
+        out-lists, three vertex-sized arrays, one block and the probe's
+        chunks stay below it.  One wedge-sized array (14.4 MB here), or
+        int64 out-lists (10.9 MB), would exceed it."""
         cfg = preset_config("example5")
         g = build_passive(sample_incidence(cfg.params(), rng_stream(0, 0)), cfg.s)
-        g.degrees  # counted by the build, outside the traced call
+        g.degrees  # counted outside the traced call
         assert (g.vertex_count, g.edge_count) == (100_000, 599_967)
-        bound = 24_388_080  # 8 B * (2 * 2**19 + 2 * 599_967 + 8 * 100_000)
+        bound = 10_096_756  # 12 * 599_967 + 8 * 2**18 + 8 * 100_000
         tracemalloc.start()
         try:
             local_counts(g)
