@@ -660,15 +660,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     cfg, seed = _load_scenario(args)
-    # a path that cannot be written fails before the run; a run that
-    # fails leaves no file there
+    # a path that cannot be written fails before the run; a run or a
+    # write that fails leaves no file there
     open(args.emit_graph, "w", encoding="ascii").close()
     try:
         graph = _build_graph(cfg, sample_incidence(cfg.params(), rng_stream(seed, 0)), 0)
+        write_edge_list(graph, args.emit_graph, kind=cfg.kind, n=cfg.n, m=cfg.m, s=cfg.s, seed=seed)
     except BaseException:
         os.remove(args.emit_graph)
         raise
-    write_edge_list(graph, args.emit_graph, kind=cfg.kind, n=cfg.n, m=cfg.m, s=cfg.s, seed=seed)
     print(f"{cfg.kind} graph with {graph.vertex_count} vertices, {graph.edge_count} edges -> {args.emit_graph}")
     return EXIT_PASS
 

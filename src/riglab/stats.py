@@ -66,13 +66,16 @@ ALPHA_HAT_CONVENTION = "vertices with no 2-star excluded from the average"
 
 @dataclass(frozen=True)
 class LocalCounts:
-    """Per-vertex degree, 2-star count n2 = C(d, 2) and triangle count n3
-    (edges among the neighborhood).  ``degree`` is the graph's own
-    degree array, not a copy."""
+    """Per-vertex degree and triangle count n3 (edges among the
+    neighborhood); the 2-star count n2 = C(d, 2) is read off the degree.
+    ``degree`` is the graph's own degree array, not a copy."""
 
     degree: np.ndarray
-    n2: np.ndarray
     n3: np.ndarray
+
+    @property
+    def n2(self) -> np.ndarray:
+        return self.degree * (self.degree - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -86,12 +89,12 @@ class SlopeFit:
 class ClusteringReport:
     """Clustering sums of one graph, or of a pool of replicate reports.
 
-    A report stores the per-degree sums of its vertices with degree
-    k >= 2: ``bucket_counts[k]`` vertices, whose triangle counts sum to
-    ``n3_by_degree[k]``; ``alpha_hat`` averages n3/n2 over the
-    ``alpha_hat_count`` vertices that have a 2-star.  A pool also keeps
-    its ``parts``, the reports it sums.  Every other estimate is read off
-    these fields: ``alpha_hat_hat`` is the ratio of sums, and
+    A report stores the per-degree integer sums of its vertices with
+    degree k >= 2: ``bucket_counts[k]`` vertices, whose triangle counts
+    sum to ``n3_by_degree[k]``.  A pool adds its ``parts``' sums, so it
+    sums the disjoint union of their graphs.  Every estimate is read off
+    these: ``alpha_hat`` averages n3/n2 = n3/C(k, 2) over the vertices
+    with a 2-star, ``alpha_hat_hat`` is the ratio of sums, and
     ``per_degree[k]`` estimates the clustering of degree-k vertices for
     the buckets holding at least ``min_bucket`` vertices.  Standard
     errors come from the spread of the parts, so only a pool has them.
@@ -99,10 +102,15 @@ class ClusteringReport:
 
     bucket_counts: dict[int, int]
     n3_by_degree: dict[int, int]
-    alpha_hat: float | None
-    alpha_hat_count: int
     min_bucket: int
     parts: tuple[ClusteringReport, ...] = ()
+
+    @property
+    def alpha_hat(self) -> float | None:
+        count = sum(self.bucket_counts.values())
+        if not count:
+            return None
+        return math.fsum(n3 / math.comb(k, 2) for k, n3 in self.n3_by_degree.items()) / count
 
     @property
     def n2_sum(self) -> int:
@@ -146,8 +154,8 @@ def degree_histogram(graph: Graph) -> DiscretePmf:
 
 
 def local_counts(graph: Graph) -> LocalCounts:
-    """Degrees, 2-star counts and per-vertex triangle counts, by the
-    oriented wedge probe of the module docstring.
+    """Degrees and per-vertex triangle counts, by the oriented wedge
+    probe of the module docstring.
 
     Centers are taken in blocks [lo, hi) whose sum of C(d+, 2) stays
     within ``WEDGE_CHUNK`` (a single center may exceed it, with at most
@@ -164,10 +172,10 @@ def local_counts(graph: Graph) -> LocalCounts:
     vertex arrays and one slab of its out-lists as rows and of keys
     while :func:`riglab.sampler.subset_keys` writes the keys in place
     (8.8 to 9.4 B per wedge of a full block at that peak on the
-    example5 graph).  Everything else is sized by ``PROBE_CHUNK``, and
-    n2 is computed after the blocks.  On the example5 graph (600 k
-    edges, 1.8 M oriented wedges) the tracemalloc peak is 8.5 MB, at
-    the reduction to out-lists (12 B per edge beside the out-degrees).
+    example5 graph).  Everything else is sized by ``PROBE_CHUNK``.  On
+    the example5 graph (600 k edges, 1.8 M oriented wedges) the
+    tracemalloc peak is 8.5 MB, at the reduction to out-lists (12 B per
+    edge beside the out-degrees).
     """
     n = graph.vertex_count
     deg = graph.degrees
@@ -189,7 +197,7 @@ def local_counts(graph: Graph) -> LocalCounts:
         _credit_closed(n3, graph, keys, lo, span)
         del keys  # freed before the next block's keys are made
         lo = hi
-    return LocalCounts(degree=deg, n2=deg * (deg - 1) // 2, n3=n3)
+    return LocalCounts(degree=deg, n3=n3)
 
 
 def _credit_closed(n3: np.ndarray, graph: Graph, keys: np.ndarray, lo: int, span: int) -> None:
@@ -261,23 +269,17 @@ def _out_lists(graph: Graph, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def clustering_report(graph: Graph, min_bucket: int = DEFAULT_MIN_BUCKET) -> ClusteringReport:
-    """Clustering estimates of one graph; see :class:`ClusteringReport`."""
+    """Clustering sums of one graph, exact in int64; see :class:`ClusteringReport`."""
     if min_bucket < 1:
         raise ValueError("min_bucket must be >= 1")
     lc = local_counts(graph)
-    has_wedge = lc.n2 > 0
-    count_w = int(has_wedge.sum())
-    alpha_hat = (
-        float(np.mean(lc.n3[has_wedge] / lc.n2[has_wedge])) if count_w else None
-    )
     counts = np.bincount(lc.degree)
-    n3_by_deg = np.bincount(lc.degree, weights=lc.n3.astype(float))
+    n3_by_deg = np.zeros(counts.size, dtype=np.int64)
+    np.add.at(n3_by_deg, lc.degree, lc.n3)
     ks = np.flatnonzero(counts[2:]) + 2
     return ClusteringReport(
         bucket_counts={int(k): int(counts[k]) for k in ks},
-        n3_by_degree={int(k): int(round(n3_by_deg[k])) for k in ks},
-        alpha_hat=alpha_hat,
-        alpha_hat_count=count_w,
+        n3_by_degree={int(k): int(n3_by_deg[k]) for k in ks},
         min_bucket=min_bucket,
     )
 
@@ -324,8 +326,8 @@ def _se(values: list[float]) -> float | None:
 
 
 def pooled_estimates(reports: list[ClusteringReport]) -> ClusteringReport:
-    """Pool replicate reports: their sums added, and ``alpha_hat`` the
-    count-weighted mean of theirs; one report is its own pool."""
+    """Pool replicate reports: their per-degree sums added, with the
+    reports kept as its parts; one report is its own pool."""
     if not reports:
         raise ValueError("need at least one report")
     if len(reports) == 1:
@@ -334,13 +336,9 @@ def pooled_estimates(reports: list[ClusteringReport]) -> ClusteringReport:
     for r in reports:
         bucket_counts.update(r.bucket_counts)
         n3_by_degree.update(r.n3_by_degree)
-    wsum = sum(r.alpha_hat_count for r in reports)
-    weighted = sum(r.alpha_hat * r.alpha_hat_count for r in reports if r.alpha_hat is not None)
     return ClusteringReport(
         bucket_counts=dict(sorted(bucket_counts.items())),
         n3_by_degree=dict(sorted(n3_by_degree.items())),
-        alpha_hat=weighted / wsum if wsum else None,
-        alpha_hat_count=wsum,
         min_bucket=reports[0].min_bucket,
         parts=tuple(reports),
     )

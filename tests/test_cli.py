@@ -1034,6 +1034,28 @@ class TestReportReproducibility:
         assert captured.err == "error: replicate 0: projected pairs exceed cap\n"
         assert not target.exists()
 
+    def test_gen_write_failure_removes_the_file(self, monkeypatch, tmp_path, capsys):
+        """A write that fails part way (a full disk) is an ``error:``
+        line and leaves no truncated edge list behind."""
+        import errno
+
+        import riglab.cli as cli_mod
+
+        def failing_write(graph, path, **meta):
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write("# rig-lab graph\n0 1\n")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli_mod, "write_edge_list", failing_write)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(small_scenario()))
+        target = tmp_path / "graph.txt"
+        code = main(["gen", "--config", str(path), "--emit-graph", str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err == "error: [Errno 28] No space left on device\n"
+        assert not target.exists()
+
     def test_sizes_only_outputs_build_no_graph(self, monkeypatch):
         """Outputs that read only the sampled sizes build no graph, so
         they cannot trip the pair cap."""

@@ -108,9 +108,10 @@ def complete_pairs(n):
 
 
 @st.composite
-def small_graphs(draw):
-    """(vertex count, sorted unique edges u < v) of a graph on <= 12 vertices."""
-    n = draw(st.integers(0, 12))
+def small_graphs(draw, min_n=0, max_n=12):
+    """(vertex count, sorted unique edges u < v) of a graph on
+    ``min_n`` to ``max_n`` vertices."""
+    n = draw(st.integers(min_n, max_n))
     if n < 2:
         return n, []
     return n, sorted(draw(st.lists(st.sampled_from(complete_pairs(n)), unique=True)))
@@ -334,6 +335,25 @@ class TestClusteringReport:
         assert sum(rep.bucket_counts.values()) == int((lc.degree >= 2).sum())
         assert rep.parts == () and rep.replicates == 1 and rep.per_degree_se == {}
 
+    def test_alpha_hat_is_the_vertex_mean(self):
+        """alpha_hat, read off the per-degree sums, is the mean of n3/n2
+        over the vertices with a 2-star."""
+        for seed in (35, 36, 37):
+            g = random_graph(seed, n=120)
+            lc = local_counts(g)
+            kept = [(int(d), int(t)) for d, t in zip(lc.degree, lc.n3) if d >= 2]
+            want = math.fsum(t / math.comb(d, 2) for d, t in kept) / len(kept)
+            assert clustering_report(g).alpha_hat == pytest.approx(want, rel=1e-14)
+
+    def test_n3_sums_exact_past_2_53(self, monkeypatch):
+        """Per-degree triangle sums are added as integers: three degree-3
+        vertices with n3 = 2**52 + 1 sum to 3 * 2**52 + 3, which a float
+        sum rounds."""
+        fake = stats.LocalCounts(degree=np.array([3, 3, 3]), n3=np.full(3, 2**52 + 1, dtype=np.int64))
+        monkeypatch.setattr(stats, "local_counts", lambda graph: fake)
+        rep = clustering_report(Graph.empty(3), min_bucket=1)
+        assert rep.n3_by_degree == {3: 3 * 2**52 + 3}
+
     def test_min_bucket_filters(self):
         g = k4_minus_edge()
         rep = clustering_report(g, min_bucket=3)
@@ -451,6 +471,24 @@ class TestPooledEstimates:
         assert nested.replicates == 3
         assert nested.bucket_counts == pooled_estimates(reps).bucket_counts
 
+    @settings(deadline=None, max_examples=200)
+    @given(graphs=st.lists(small_graphs(3, 29), min_size=2, max_size=4), split=st.integers(1, 3))
+    def test_pool_is_its_union_graph(self, graphs, split):
+        """A pool of reports, and a pool of pools, equals the report of
+        the disjoint union of the graphs in every estimate."""
+        reps = [clustering_report(graph_from_pairs(n, pairs), min_bucket=1) for n, pairs in graphs]
+        union_pairs, offset = [], 0
+        for n, pairs in graphs:
+            union_pairs += [(a + offset, b + offset) for a, b in pairs]
+            offset += n
+        union = clustering_report(graph_from_pairs(offset, union_pairs), min_bucket=1)
+        split = min(split, len(reps) - 1)
+        flat = pooled_estimates(reps)
+        nested = pooled_estimates([pooled_estimates(reps[:split]), pooled_estimates(reps[split:])])
+        for pool in (flat, nested):
+            for field in ("bucket_counts", "n3_by_degree", "alpha_hat", "alpha_hat_hat", "per_degree"):
+                assert getattr(pool, field) == getattr(union, field), field
+
 
 def clustering_report_like(n3, n2):
     """Minimal synthetic report for pooling arithmetic tests: n2 vertices
@@ -460,7 +498,5 @@ def clustering_report_like(n3, n2):
     return ClusteringReport(
         bucket_counts={2: n2},
         n3_by_degree={2: n3},
-        alpha_hat=n3 / n2,
-        alpha_hat_count=n2,
         min_bucket=30,
     )
