@@ -91,12 +91,17 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: Iterable[str] =
             raise ConfigError(f"{path}.{key}", "missing required key")
 
 
+def _int64(value: int, path: str) -> None:
+    """The bound on every model integer, from a config or a flag."""
+    if not -(2**63) <= value < 2**63:
+        raise ConfigError(path, "must fit in a signed 64-bit integer")
+
+
 def _int_field(obj: dict, key: str, path: str, minimum: int | None = None) -> int:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}.{key}", "expected an integer")
-    if not -(2**63) <= value < 2**63:
-        raise ConfigError(f"{path}.{key}", "must fit in a signed 64-bit integer")
+    _int64(value, f"{path}.{key}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}.{key}", f"must be >= {minimum}")
     return value
@@ -396,9 +401,7 @@ def _pooled_reads(cfg: ScenarioConfig, reads: frozenset, seed: int, jobs: int) -
             results = list(pool.map(work, range(count)))
     pooled = {}
     if "degrees" in reads:
-        total = np.zeros(max(res["degrees"].size for res in results))
-        for res in results:
-            total[: res["degrees"].size] += res["degrees"]
+        total = stats.stack_rows([res["degrees"] for res in results]).sum(axis=0)
         pooled["degrees"] = DiscretePmf(total / total.sum(), 0.0)
     if "clustering" in reads:
         pooled["clustering"] = stats.pooled_estimates([res["clustering"] for res in results])
@@ -772,11 +775,15 @@ ORACLE_COMMANDS = {
 
 
 def _cmd_table(law, shown, args: argparse.Namespace) -> int:
-    """Run one THEORY_COMMANDS/ORACLE_COMMANDS row and print its JSON."""
-    params = inspect.signature(law).parameters
-    if "dist" in params:
-        args.dist = _parse_size_dist_arg(args.dist, args.m)
-    result = law(**{name: getattr(args, name) for name in params})
+    """Run one THEORY_COMMANDS/ORACLE_COMMANDS row and print its JSON;
+    an integer flag must fit int64, as a config integer must."""
+    values = {name: getattr(args, name) for name in inspect.signature(law).parameters}
+    for name, value in values.items():
+        if isinstance(value, int):
+            _int64(value, _flag(name))
+    if "dist" in values:
+        values["dist"] = _parse_size_dist_arg(values["dist"], values["m"])
+    result = law(**values)
     doc = {shown: result} if isinstance(shown, str) else shown(result)
     print(json.dumps(doc, sort_keys=True, indent=2))
     return EXIT_PASS
@@ -824,8 +831,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceLimitError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

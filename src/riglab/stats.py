@@ -36,7 +36,6 @@ standard convention, recorded in report metadata.  The global estimate
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +53,7 @@ __all__ = [
     "tv_distance",
     "loglog_slope",
     "pooled_estimates",
+    "stack_rows",
     "DEFAULT_MIN_BUCKET",
 ]
 
@@ -87,23 +87,34 @@ class SlopeFit:
 
 @dataclass(frozen=True)
 class ClusteringReport:
-    """Clustering sums of one graph, or of a pool of replicate reports.
-
-    A report stores the per-degree integer sums of its vertices with
-    degree k >= 2: ``bucket_counts[k]`` vertices, whose triangle counts
-    sum to ``n3_by_degree[k]``.  A pool adds its ``parts``' sums, so it
-    sums the disjoint union of their graphs.  Every estimate is read off
-    these: ``alpha_hat`` averages n3/n2 = n3/C(k, 2) over the vertices
-    with a 2-star, ``alpha_hat_hat`` is the ratio of sums, and
-    ``per_degree[k]`` estimates the clustering of degree-k vertices for
-    the buckets holding at least ``min_bucket`` vertices.  Standard
-    errors come from the spread of the parts, so only a pool has them.
+    """Clustering sums of R replicate graphs: ``counts`` and ``n3`` are
+    int64 arrays of shape (R, K), 16 B per replicate per degree column,
+    whose row r, column k holds replicate r's degree-k vertices and the
+    sum of their triangle counts (columns 0 and 1 stay zero).  A pool
+    stacks rows, so it sums the disjoint union of the graphs.  Estimates
+    read the column sums as Python ints, so every ratio is exact:
+    ``alpha_hat`` averages n3/n2 = n3/C(k, 2) over the vertices with a
+    2-star, ``alpha_hat_hat`` is the ratio of sums, and ``per_degree[k]``
+    covers the buckets of at least ``min_bucket`` vertices.  Standard
+    errors are the spread of the rows' estimates, so only a pool has them.
     """
 
-    bucket_counts: dict[int, int]
-    n3_by_degree: dict[int, int]
+    counts: np.ndarray
+    n3: np.ndarray
     min_bucket: int
-    parts: tuple[ClusteringReport, ...] = ()
+
+    def _rows(self) -> list[ClusteringReport]:
+        """Each replicate as a one-row report that keeps every bucket."""
+        return [ClusteringReport(c[None], t[None], 1) for c, t in zip(self.counts, self.n3)]
+
+    @property
+    def bucket_counts(self) -> dict[int, int]:
+        return {k: cnt for k, cnt in enumerate(self.counts.sum(axis=0).tolist()) if cnt}
+
+    @property
+    def n3_by_degree(self) -> dict[int, int]:
+        n3 = self.n3.sum(axis=0).tolist()
+        return {k: n3[k] for k in self.bucket_counts}
 
     @property
     def alpha_hat(self) -> float | None:
@@ -127,23 +138,21 @@ class ClusteringReport:
 
     @property
     def replicates(self) -> int:
-        return sum(p.replicates for p in self.parts) if self.parts else 1
-
-    def _bucket_alpha(self, k: int) -> float:
-        """Clustering of this report's degree-k vertices."""
-        return self.n3_by_degree[k] / (math.comb(k, 2) * self.bucket_counts[k])
+        return len(self.counts)
 
     @property
     def per_degree(self) -> dict[int, float]:
-        return {k: self._bucket_alpha(k) for k, cnt in self.bucket_counts.items() if cnt >= self.min_bucket}
+        n3 = self.n3_by_degree
+        return {k: n3[k] / (math.comb(k, 2) * cnt) for k, cnt in self.bucket_counts.items() if cnt >= self.min_bucket}
 
     @property
     def se_alpha_hat_hat(self) -> float | None:
-        return _se([p.alpha_hat_hat for p in self.parts if p.alpha_hat_hat is not None])
+        return _se([row.alpha_hat_hat for row in self._rows() if row.alpha_hat_hat is not None])
 
     @property
     def per_degree_se(self) -> dict[int, float]:
-        ses = {k: _se([p._bucket_alpha(k) for p in self.parts if k in p.bucket_counts]) for k in self.per_degree}
+        rows = [row.per_degree for row in self._rows()]
+        ses = {k: _se([row[k] for row in rows if k in row]) for k in self.per_degree}
         return {k: se for k, se in ses.items() if se is not None}
 
 
@@ -274,24 +283,16 @@ def clustering_report(graph: Graph, min_bucket: int = DEFAULT_MIN_BUCKET) -> Clu
         raise ValueError("min_bucket must be >= 1")
     lc = local_counts(graph)
     counts = np.bincount(lc.degree)
-    n3_by_deg = np.zeros(counts.size, dtype=np.int64)
-    np.add.at(n3_by_deg, lc.degree, lc.n3)
-    ks = np.flatnonzero(counts[2:]) + 2
-    return ClusteringReport(
-        bucket_counts={int(k): int(counts[k]) for k in ks},
-        n3_by_degree={int(k): int(n3_by_deg[k]) for k in ks},
-        min_bucket=min_bucket,
-    )
+    counts[:2] = 0
+    n3 = np.zeros(counts.size, dtype=np.int64)
+    np.add.at(n3, lc.degree, lc.n3)
+    return ClusteringReport(counts=counts[None], n3=n3[None], min_bucket=min_bucket)
 
 
 def tv_distance(p: DiscretePmf, q: DiscretePmf) -> float:
     """Total variation: half the L1 gap over {0..max k} plus half the
     tail-mass gap."""
-    size = max(p.probs.size, q.probs.size)
-    pa = np.zeros(size)
-    qa = np.zeros(size)
-    pa[: p.probs.size] = p.probs
-    qa[: q.probs.size] = q.probs
+    pa, qa = stack_rows([p.probs, q.probs])
     return float(0.5 * np.abs(pa - qa).sum() + 0.5 * abs(p.tail_mass - q.tail_mass))
 
 
@@ -325,20 +326,19 @@ def _se(values: list[float]) -> float | None:
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
+def stack_rows(rows: list[np.ndarray]) -> np.ndarray:
+    """Rows, or (R, K) blocks of rows, stacked in order and zero-padded to the widest."""
+    rows = [np.atleast_2d(r) for r in rows]
+    width = max(r.shape[1] for r in rows)
+    return np.concatenate([np.pad(r, ((0, 0), (0, width - r.shape[1]))) for r in rows])
+
+
 def pooled_estimates(reports: list[ClusteringReport]) -> ClusteringReport:
-    """Pool replicate reports: their per-degree sums added, with the
-    reports kept as its parts; one report is its own pool."""
+    """Pool reports: their rows stacked in order, so a pool of pools is the same stack."""
     if not reports:
         raise ValueError("need at least one report")
-    if len(reports) == 1:
-        return reports[0]
-    bucket_counts, n3_by_degree = Counter(), Counter()
-    for r in reports:
-        bucket_counts.update(r.bucket_counts)
-        n3_by_degree.update(r.n3_by_degree)
     return ClusteringReport(
-        bucket_counts=dict(sorted(bucket_counts.items())),
-        n3_by_degree=dict(sorted(n3_by_degree.items())),
+        counts=stack_rows([r.counts for r in reports]),
+        n3=stack_rows([r.n3 for r in reports]),
         min_bucket=reports[0].min_bucket,
-        parts=tuple(reports),
     )

@@ -389,18 +389,21 @@ def alpha_passive_finite(dist: SizeDistribution, n: int, m: int) -> float:
 
 
 def alpha_passive_limit(spec: CompoundPoissonSpec) -> float:
-    """Limit clustering of the attribute graph from degree moments:
+    """Limit clustering of the attribute graph from degree moments,
 
-        (E[(d)_2] - (E d)^2) / E[(d)_2]
+        (E[(d)_2] - (E d)^2) / E[(d)_2] = E[(J)_2] / (E[(J)_2] + lam (E J)^2),
 
-    computed via the compound Poisson moment identities.
+    by the compound Poisson moment identities E[(d)_2] - (E d)^2 =
+    lam E[(J)_2] and (E d)^2 = lam^2 (E J)^2 for the jump J.  The right
+    side has no difference of moments to cancel, so it reads exactly 0
+    when every jump is 0 or 1.
     """
-    ed = spec.mean()
-    ed2m = spec.second_moment()
-    fall2 = ed2m - ed
-    if fall2 <= 0.0:
+    js = np.arange(spec.jump_pmf.probs.size)
+    fall2 = float(np.dot(js * (js - 1), spec.jump_pmf.probs))  # E[(J)_2]
+    denom = fall2 + spec.lam * spec.jump_pmf.mean() ** 2
+    if spec.lam == 0.0 or denom == 0.0:
         raise ValueError("clustering undefined: E[(d)_2] <= 0 (no two-stars)")
-    return (fall2 - ed * ed) / fall2
+    return fall2 / denom
 
 
 def alpha_k_passive_curve(

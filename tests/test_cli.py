@@ -834,6 +834,47 @@ class TestCommandLine:
             assert (code, captured.out) == (EXIT_USAGE, ""), argv
             assert captured.err.startswith("error: "), (argv, captured.err)
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["oracle", "intersection-tail", "--m", str(10**30), "--d1", "3", "--d2", "3", "--s", "1"], "--m"),
+            (["oracle", "intersection-tail", "--m", str(2**63), "--d1", "3", "--d2", "3", "--s", "1"], "--m"),
+            (
+                ["theory", "degree-stats", "--m", "100", "--s", "1", "--uniform-size", str(10**30), "--count", "3"],
+                "--uniform-size",
+            ),
+            (["theory", "alpha", "--m", "10", "--s", str(-(2**63) - 1), "--size-dist", PAIR], "--s"),
+        ],
+    )
+    def test_integer_flag_past_int64_is_usage_error(self, argv, flag, capsys):
+        """An integer flag has the config's signed 64-bit bound: past it
+        the command exits 1 with a usage error naming the flag, never an
+        OverflowError traceback."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err == f"config error: {flag}: must fit in a signed 64-bit integer\n"
+
+    def test_integer_flag_at_int64_max_runs(self, capsys):
+        argv = ["oracle", "intersection-tail", "--m", str(2**63 - 1), "--d1", "3", "--d2", "3", "--s", "1"]
+        assert main(argv) == EXIT_PASS
+        assert math.isfinite(json.loads(capsys.readouterr().out)["tail"])
+
+    def test_memory_error_is_an_error_line(self, capsys):
+        """A 7.11 PiB table, which numpy refuses before touching memory,
+        prints one ``error:`` line and exits 1, not a traceback."""
+        code = main(["theory", "compound-pmf", "--lam", "1e8", "--jump-probs", "0,1", "--k-max", str(10**15)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("error: Unable to allocate") and captured.err.count("\n") == 1
+
+    def test_bare_memory_error_names_itself(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("riglab.theory.compound_poisson_pmf", exhausted)
+        code = main(["theory", "compound-pmf", "--lam", "1", "--jump-probs", "0,1"])
+        assert (code, capsys.readouterr().err) == (EXIT_USAGE, "error: MemoryError\n")
 
     @pytest.mark.parametrize(
         "argv, name",

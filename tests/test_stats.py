@@ -20,6 +20,7 @@ from riglab.sampler import (
     sample_incidence,
 )
 from riglab.stats import (
+    ClusteringReport,
     clustering_report,
     degree_histogram,
     local_counts,
@@ -333,7 +334,9 @@ class TestClusteringReport:
         assert rep.n2_sum == int(lc.n2.sum())
         assert rep.n3_sum == int(lc.n3.sum())
         assert sum(rep.bucket_counts.values()) == int((lc.degree >= 2).sum())
-        assert rep.parts == () and rep.replicates == 1 and rep.per_degree_se == {}
+        assert rep.counts.shape == rep.n3.shape == (1, int(lc.degree.max()) + 1)
+        assert rep.counts.dtype == rep.n3.dtype == np.int64 and not rep.counts[:, :2].any()
+        assert rep.replicates == 1 and rep.per_degree_se == {}
 
     def test_alpha_hat_is_the_vertex_mean(self):
         """alpha_hat, read off the per-degree sums, is the mean of n3/n2
@@ -433,7 +436,9 @@ class TestPooledEstimates:
         g = k4_minus_edge()
         rep = clustering_report(g, min_bucket=1)
         pooled = pooled_estimates([rep])
-        assert pooled is rep
+        np.testing.assert_array_equal(pooled.counts, rep.counts)
+        np.testing.assert_array_equal(pooled.n3, rep.n3)
+        assert pooled.replicates == 1
         assert pooled.se_alpha_hat_hat is None
 
     def test_two_identical_reports(self):
@@ -460,16 +465,48 @@ class TestPooledEstimates:
             assert value == pytest.approx(n3 / (math.comb(k, 2) * cnt), abs=1e-12)
         assert pooled.n3_sum == sum(r.n3_sum for r in reps)
 
-    def test_pool_keeps_its_parts(self):
-        """A pool sums its parts, and a pool of pools counts the leaf
-        replicates."""
+    def test_pool_stacks_its_rows(self):
+        """A pool's ``counts`` and ``n3`` are its reports' rows stacked in
+        order, zero-padded to the widest, and a pool of pools is the same
+        stack."""
         reps = [clustering_report(random_graph(s, n=80), min_bucket=1) for s in (4, 5, 6)]
-        pooled = pooled_estimates(reps[:2])
-        assert pooled.parts == tuple(reps[:2])
-        assert pooled.n2_sum == reps[0].n2_sum + reps[1].n2_sum
-        nested = pooled_estimates([pooled, reps[2]])
+        widths = [r.counts.shape[1] for r in reps]
+        assert len(set(widths)) > 1  # some rows are padded
+        pooled = pooled_estimates(reps)
+        for field in ("counts", "n3"):
+            stacked = getattr(pooled, field)
+            assert stacked.dtype == np.int64 and stacked.shape == (3, max(widths))
+            for row, r, k in zip(stacked, reps, widths):
+                np.testing.assert_array_equal(row[:k], getattr(r, field)[0])
+                assert not row[k:].any()
+        nested = pooled_estimates([pooled_estimates(reps[:2]), reps[2]])
+        np.testing.assert_array_equal(nested.counts, pooled.counts)
+        np.testing.assert_array_equal(nested.n3, pooled.n3)
         assert nested.replicates == 3
-        assert nested.bucket_counts == pooled_estimates(reps).bucket_counts
+        assert nested.n2_sum == sum(r.n2_sum for r in reps)
+
+    def test_nested_pool_spread_runs_over_replicates(self):
+        """A pool of pools has the flat pool's standard errors: the spread
+        of its three replicates, not of its two sub-pools."""
+        reps = [clustering_report(random_graph(s, n=80), min_bucket=1) for s in (7, 8, 9)]
+        flat = pooled_estimates(reps)
+        nested = pooled_estimates([pooled_estimates(reps[:2]), reps[2]])
+        ratios = [r.alpha_hat_hat for r in reps]
+        assert flat.se_alpha_hat_hat == float(np.std(ratios, ddof=1) / math.sqrt(3))
+        assert nested.se_alpha_hat_hat == flat.se_alpha_hat_hat
+        assert flat.per_degree_se and nested.per_degree_se == flat.per_degree_se
+
+    def test_per_degree_se_skips_an_empty_bucket(self):
+        """A replicate with no degree-3 vertex (its row is narrower, and
+        padded with zeros) adds nothing to the degree-3 spread."""
+        a = ClusteringReport(counts=np.array([[0, 0, 10, 5]]), n3=np.array([[0, 0, 4, 6]]), min_bucket=1)
+        b = ClusteringReport(counts=np.array([[0, 0, 10, 5]]), n3=np.array([[0, 0, 6, 9]]), min_bucket=1)
+        c = ClusteringReport(counts=np.array([[0, 0, 10]]), n3=np.array([[0, 0, 5]]), min_bucket=1)
+        pooled = pooled_estimates([a, b, c])
+        assert pooled.bucket_counts == {2: 30, 3: 10}
+        assert pooled.per_degree_se[2] == pytest.approx(0.1 / math.sqrt(3))
+        assert pooled.per_degree_se[3] == pytest.approx(0.1)
+        assert pooled_estimates([a, c]).per_degree_se == {2: pytest.approx(0.05)}
 
     @settings(deadline=None, max_examples=200)
     @given(graphs=st.lists(small_graphs(3, 29), min_size=2, max_size=4), split=st.integers(1, 3))
@@ -493,10 +530,4 @@ class TestPooledEstimates:
 def clustering_report_like(n3, n2):
     """Minimal synthetic report for pooling arithmetic tests: n2 vertices
     of degree 2, n3 of them closed."""
-    from riglab.stats import ClusteringReport
-
-    return ClusteringReport(
-        bucket_counts={2: n2},
-        n3_by_degree={2: n3},
-        min_bucket=30,
-    )
+    return ClusteringReport(counts=np.array([[0, 0, n2]]), n3=np.array([[0, 0, n3]]), min_bucket=30)

@@ -441,6 +441,13 @@ class TestAlphaPassive:
         spec = theory.CompoundPoissonSpec(3.0, DiscretePmf.point_mass(2))
         assert theory.alpha_passive_limit(spec) == pytest.approx(1 / 7, rel=1e-12)
 
+    def test_limit_is_zero_when_every_jump_is_one(self):
+        """Sets of size 2 at n = 1, m = 10**15: every jump J is 1, so
+        E[(J)_2] = 0 and the limit is exactly 0.  The difference of
+        degree moments E[(d)_2] - (E d)^2 cancelled here to -0.0141."""
+        d = make_size_dist(Degenerate(2), 10**15)
+        assert theory.alpha_passive_limit(theory.passive_compound_spec(d, 1, 10**15)) == 0.0
+
     def test_limit_degenerate_error(self):
         spec = theory.CompoundPoissonSpec(3.0, DiscretePmf.point_mass(0))
         with pytest.raises(ValueError, match="no two-stars"):
