@@ -31,17 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import oracle, stats, theory
-from .model import (
-    BinomialSizes,
-    Degenerate,
-    DiscretePmf,
-    ModelParams,
-    SizeDistribution,
-    SizeSpec,
-    Table,
-    TruncatedPowerLaw,
-    make_size_dist,
-)
+from .model import SIZE_KINDS, DiscretePmf, ModelParams, SizeDistribution, SizeSpec, make_size_dist
 from .sampler import (
     ResourceLimitError,
     build_active,
@@ -107,14 +97,6 @@ def _int_field(obj: dict, key: str, path: str, minimum: int | None = None) -> in
     return value
 
 
-SIZE_KINDS = {
-    "degenerate": Degenerate,
-    "table": Table,
-    "truncated_power_law": TruncatedPowerLaw,
-    "binomial": BinomialSizes,
-}
-
-
 def _number(value, path: str) -> float:
     """A finite JSON number as a float; bool, null, strings, NaN and
     numbers past the float range are rejected."""
@@ -158,10 +140,15 @@ def parse_size_spec(obj: dict, path: str) -> SizeSpec:
         raise ConfigError(f"{path}.kind", f"unknown size distribution kind {kind!r}")
     names = [f.name for f in fields(cls)]
     _check_keys(obj, path, required=("kind", *names))
-    values = {name: _SIZE_FIELDS[name](obj, name, path) for name in names}
+    return cls(**{name: _SIZE_FIELDS[name](obj, name, path) for name in names})
+
+
+def parse_size_dist(obj: dict, path: str, m: int) -> tuple[SizeSpec, SizeDistribution]:
+    """A size-law object read at ``path`` and its law on {0..m}."""
+    spec = parse_size_spec(obj, path)
     try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
+        return spec, make_size_dist(spec, m)
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -229,8 +216,7 @@ class ScenarioConfig:
     def echo(self, seed: int) -> dict:
         """The scenario as a config document body: every key, ``None``
         where unset, and ``seed`` the resolved one."""
-        kind = next(name for name, cls in SIZE_KINDS.items() if isinstance(self.size_spec, cls))
-        sd = {"kind": kind, **asdict(self.size_spec)}
+        sd = {"kind": self.size_spec.kind, **asdict(self.size_spec)}
         options = {key: copy.copy(getattr(self, key)) for key in _SCENARIO_OPTIONS}
         return {
             "model": {"kind": self.kind, "n": self.n, "m": self.m, "s": self.s, "size_dist": sd},
@@ -254,10 +240,9 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     n = _int_field(model, "n", "scenario.model", 1)
     m = _int_field(model, "m", "scenario.model", 1)
     s = _int_field(model, "s", "scenario.model", 1)
-    spec = parse_size_spec(model["size_dist"], "scenario.model.size_dist")
+    spec, dist = parse_size_dist(model["size_dist"], "scenario.model.size_dist", m)
     try:
-        dist = make_size_dist(spec, m)
-        params = ModelParams(n=n, m=m, s=s, size_dist=dist, kind=kind)
+        ModelParams(n=n, m=m, s=s, size_dist=dist, kind=kind)
     except ValueError as exc:
         raise ConfigError("scenario.model", str(exc)) from exc
     replicates = _int_field(sc, "replicates", "scenario", 1)
@@ -632,11 +617,7 @@ def _parse_size_dist_arg(text: str, m: int) -> SizeDistribution:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("--size-dist", f"invalid JSON: {exc}") from exc
-    spec = parse_size_spec(obj, "--size-dist")
-    try:
-        return make_size_dist(spec, m)
-    except ValueError as exc:
-        raise ConfigError("--size-dist", str(exc)) from exc
+    return parse_size_dist(obj, "--size-dist", m)[1]
 
 
 def _load_scenario(args: argparse.Namespace) -> tuple[ScenarioConfig, int]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union, get_args
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "TruncatedPowerLaw",
     "BinomialSizes",
     "SizeSpec",
+    "SIZE_KINDS",
     "make_size_dist",
     "moments",
     "scale_constants",
@@ -292,64 +293,26 @@ class Moments:
 class Degenerate:
     """All sets share the fixed size ``x``."""
 
+    kind: ClassVar[str] = "degenerate"
     x: int
+
+    def pmf(self, m: int) -> SizeDistribution:
+        if not 0 <= self.x <= m:
+            raise ValueError(f"degenerate size {self.x} outside [0, {m}]")
+        w = np.zeros(self.x + 1)
+        w[self.x] = 1.0
+        return DiscretePmf(w)
 
 
 @dataclass(frozen=True)
 class Table:
     """Explicit weight table indexed from size 0; renormalized."""
 
+    kind: ClassVar[str] = "table"
     weights: Sequence[float]
 
-
-@dataclass(frozen=True)
-class TruncatedPowerLaw:
-    """Weights proportional to x^(-gamma) on [x_min, x_max]."""
-
-    gamma: float
-    x_min: int
-    x_max: int
-
-
-@dataclass(frozen=True)
-class BinomialSizes:
-    """Sizes follow Binomial(trials, p)."""
-
-    trials: int
-    p: float
-
-
-SizeSpec = Union[Degenerate, Table, TruncatedPowerLaw, BinomialSizes]
-
-
-def _binomial_term(t: int, k: int, p: float) -> float:
-    """C(t, k) p**k (1 - p)**(t - k), in log space where C(t, k) exceeds
-    a float (t > 1029); that needs 0 < k < t, so the term is 0 at p = 0 or 1."""
-    try:
-        return math.comb(t, k) * p**k * (1 - p) ** (t - k)
-    except OverflowError:
-        if not 0.0 < p < 1.0:
-            return 0.0
-        return math.exp(math.log(math.comb(t, k)) + k * math.log(p) + (t - k) * math.log1p(-p))
-
-
-def make_size_dist(spec: SizeSpec, m: int) -> SizeDistribution:
-    """Build the size law on {0..m} of a spec: a :class:`DiscretePmf`
-    with no tail mass.
-
-    Raises ``ValueError`` when the requested support exceeds m or the
-    parameters cannot be normalized into a distribution.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if isinstance(spec, Degenerate):
-        if not 0 <= spec.x <= m:
-            raise ValueError(f"degenerate size {spec.x} outside [0, {m}]")
-        w = np.zeros(spec.x + 1)
-        w[spec.x] = 1.0
-        return DiscretePmf(w)
-    if isinstance(spec, Table):
-        w = np.asarray(list(spec.weights), dtype=float)
+    def pmf(self, m: int) -> SizeDistribution:
+        w = np.asarray(list(self.weights), dtype=float)
         if w.size == 0 or np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("table weights must be finite and nonnegative")
         if w.size > m + 1 and np.any(w[m + 1 :] > 0):
@@ -362,27 +325,71 @@ def make_size_dist(spec: SizeSpec, m: int) -> SizeDistribution:
         if total <= 0:
             raise ValueError("table weights sum to zero; not normalizable")
         return DiscretePmf(w / total)
-    if isinstance(spec, TruncatedPowerLaw):
-        if spec.gamma <= 1:
+
+
+@dataclass(frozen=True)
+class TruncatedPowerLaw:
+    """Weights proportional to x^(-gamma) on [x_min, x_max]."""
+
+    kind: ClassVar[str] = "truncated_power_law"
+    gamma: float
+    x_min: int
+    x_max: int
+
+    def pmf(self, m: int) -> SizeDistribution:
+        if self.gamma <= 1:
             raise ValueError("power-law exponent gamma must exceed 1")
-        if spec.x_min < 1 or spec.x_min > spec.x_max:
+        if self.x_min < 1 or self.x_min > self.x_max:
             raise ValueError("power law requires 1 <= x_min <= x_max")
-        if spec.x_max > m:
-            raise ValueError(f"power-law support [{spec.x_min}, {spec.x_max}] exceeds m={m}")
-        xs = np.arange(spec.x_min, spec.x_max + 1, dtype=float)
-        raw = xs ** (-spec.gamma)
-        w = np.zeros(spec.x_max + 1)
-        w[spec.x_min :] = raw / raw.sum()
+        if self.x_max > m:
+            raise ValueError(f"power-law support [{self.x_min}, {self.x_max}] exceeds m={m}")
+        xs = np.arange(self.x_min, self.x_max + 1, dtype=float)
+        # relative to x_min the largest weight is 1, so the sum never underflows to 0
+        raw = (xs / self.x_min) ** (-self.gamma)
+        w = np.zeros(self.x_max + 1)
+        w[self.x_min :] = raw / raw.sum()
         return DiscretePmf(w)
-    if isinstance(spec, BinomialSizes):
-        if not 0.0 <= spec.p <= 1.0:
+
+
+@dataclass(frozen=True)
+class BinomialSizes:
+    """Sizes follow Binomial(trials, p)."""
+
+    kind: ClassVar[str] = "binomial"
+    trials: int
+    p: float
+
+    def pmf(self, m: int) -> SizeDistribution:
+        if not 0.0 <= self.p <= 1.0:
             raise ValueError("binomial p must lie in [0, 1]")
-        if spec.trials < 0 or spec.trials > m:
-            raise ValueError(f"binomial trials {spec.trials} outside [0, {m}]")
-        t = spec.trials
-        w = np.array([_binomial_term(t, k, spec.p) for k in range(t + 1)])
+        if self.trials < 0 or self.trials > m:
+            raise ValueError(f"binomial trials {self.trials} outside [0, {m}]")
+        t, p = self.trials, self.p
+        if t <= 1029:  # every C(t, k) fits a float: the exact term
+            w = np.array([math.comb(t, k) * p**k * (1 - p) ** (t - k) for k in range(t + 1)])
+        elif 0.0 < p < 1.0:  # each term in log space, O(1) per k
+            lp, lq = math.log(p), math.log1p(-p)
+            w = np.array([math.exp(log_binomial(t, k) + k * lp + (t - k) * lq) for k in range(t + 1)])
+        else:  # p in {0, 1}: an exact point mass
+            w = np.zeros(t + 1)
+            w[t if p == 1.0 else 0] = 1.0
         return DiscretePmf(w / w.sum())
-    raise TypeError(f"unknown size spec {type(spec).__name__}")
+
+
+SizeSpec = Union[Degenerate, Table, TruncatedPowerLaw, BinomialSizes]
+SIZE_KINDS = {cls.kind: cls for cls in get_args(SizeSpec)}  # each size law by its config name
+
+
+def make_size_dist(spec: SizeSpec, m: int) -> SizeDistribution:
+    """Build the size law on {0..m} of a spec, through its ``pmf``: a
+    :class:`DiscretePmf` with no tail mass.
+
+    Raises ``ValueError`` when the requested support exceeds m or the
+    parameters cannot be normalized into a distribution.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return spec.pmf(m)
 
 
 def moments(dist: SizeDistribution, s: int) -> Moments:

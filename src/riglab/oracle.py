@@ -270,7 +270,9 @@ def brute_force_degree_pmf(params: ModelParams) -> DiscretePmf:
     """
     dist, n, m, s = params.size_dist, params.n, params.m, params.s
     per_actor = sum(math.comb(m, int(x)) for x in dist.support)
-    if per_actor**n > BRUTE_FORCE_BUDGET:
+    # past the budget's bit length a per_actor >= 2 always exceeds it, so a
+    # huge n never forms the power
+    if per_actor ** min(n, BRUTE_FORCE_BUDGET.bit_length()) > BRUTE_FORCE_BUDGET:
         raise ValueError(
             f"enumeration budget exceeded: {per_actor}^{n} configurations "
             f"> {BRUTE_FORCE_BUDGET}"

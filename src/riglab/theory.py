@@ -115,10 +115,6 @@ class CompoundPoissonSpec:
     def mean(self) -> float:
         return self.lam * self.jump_pmf.mean()
 
-    def second_moment(self) -> float:
-        ej, ej2 = self.jump_pmf.mean(), self.jump_pmf.second_moment()
-        return self.lam * ej2 + (self.lam * ej) ** 2
-
 
 @dataclass(frozen=True)
 class RegimeReport:

@@ -994,7 +994,7 @@ class TestCommandLine:
         assert captured.err.startswith("config error: --size-dist: table weights sum past"), captured.err
         doc = small_scenario()
         doc["scenario"]["model"]["size_dist"] = table
-        with pytest.raises(ConfigError, match=r"scenario\.model: table weights sum past"):
+        with pytest.raises(ConfigError, match=r"scenario\.model\.size_dist: table weights sum past"):
             parse_scenario(doc)
 
 

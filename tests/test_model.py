@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from riglab.model import (
     Degenerate,
     DiscretePmf,
     ModelParams,
+    SIZE_KINDS,
     Table,
     TruncatedPowerLaw,
     binomial,
@@ -182,6 +184,38 @@ class TestMakeSizeDist:
         d = make_size_dist(BinomialSizes(2000, p), 2000)
         assert abs(d.probs.sum() - 1.0) < 1e-12
         assert d.mean() == pytest.approx(2000 * p, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 1.0])
+    def test_binomial_million_trials(self, p):
+        """Past 1029 trials each term is one log_binomial call, so 10^6
+        trials build at once; p in {0, 1} is an exact point mass."""
+        t = 10**6
+        d = make_size_dist(BinomialSizes(t, p), t)
+        assert d.k_max == t
+        if p in (0.0, 1.0):
+            assert d.support.tolist() == [round(p * t)] and d.prob(round(p * t)) == 1.0
+        else:
+            assert abs(d.probs.sum() - 1.0) < 1e-12
+            assert d.mean() == pytest.approx(t * p, rel=1e-12)
+
+    def test_binomial_exact_up_to_float_coefficients(self):
+        """While every C(t, k) fits a float the term is the exact one."""
+        t, p = 1029, 0.3
+        want = np.array([math.comb(t, k) * p**k * (1 - p) ** (t - k) for k in range(t + 1)])
+        np.testing.assert_array_equal(make_size_dist(BinomialSizes(t, p), t).probs, want / want.sum())
+
+    def test_power_law_underflow_is_a_point_mass(self):
+        """Every x^-gamma underflows at gamma = 1e9; weighted relative to
+        x_min the law is the point mass at x_min, with no 0/0 warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = make_size_dist(TruncatedPowerLaw(1e9, 2, 3), 1000)
+        assert d.support.tolist() == [2] and d.prob(2) == 1.0
+
+    @pytest.mark.parametrize("cls", [Degenerate, Table, TruncatedPowerLaw, BinomialSizes])
+    def test_size_kind_names_its_class(self, cls):
+        assert SIZE_KINDS[cls.kind] is cls
+        assert "kind" not in {f.name for f in dataclasses.fields(cls)}
 
     def test_table_renormalizes(self):
         d = make_size_dist(Table([2.0, 2.0]), 5)

@@ -247,6 +247,13 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="budget"):
             oracle.brute_force_degree_pmf(params)
 
+    def test_budget_refused_without_the_power(self):
+        """120^(10^9) configurations are refused at once, not after
+        forming a billion-digit integer."""
+        params = ModelParams(n=10**9, m=10, s=1, size_dist=make_size_dist(Degenerate(3), 10))
+        with pytest.raises(ValueError, match=r"^enumeration budget exceeded: 120\^1000000000 configurations > 10000000$"):
+            oracle.brute_force_degree_pmf(params)
+
 
 class TestDenseOverlapDiagnostics:
     def test_reference_point(self):

@@ -454,7 +454,8 @@ class TestAlphaPassive:
             theory.alpha_passive_limit(spec)
 
     def test_size_moment_identities(self):
-        """E[(X)_2] = beta E[d] and E[(X)_3] = beta (E[(d)_2] - (E d)^2)."""
+        """E[(X)_2] = beta lam E[J] and E[(X)_3] = beta lam E[(J)_2] for
+        the jump law J of the passive degree."""
         rng = np.random.default_rng(12)
         for _ in range(20):
             d = random_dist(rng)
@@ -462,12 +463,9 @@ class TestAlphaPassive:
             beta = m / n
             mom = moments(d, 1)
             spec = theory.passive_compound_spec(d, n, m)
-            ed = spec.mean()
-            fall2 = spec.second_moment() - ed
-            assert mom.f2 == pytest.approx(beta * ed, abs=1e-10, rel=1e-10)
-            assert mom.f3 == pytest.approx(
-                beta * (fall2 - ed * ed), abs=1e-9, rel=1e-9
-            )
+            ej, ej2 = spec.jump_pmf.mean(), spec.jump_pmf.second_moment()
+            assert mom.f2 == pytest.approx(beta * spec.lam * ej, abs=1e-10, rel=1e-10)
+            assert mom.f3 == pytest.approx(beta * spec.lam * (ej2 - ej), abs=1e-9, rel=1e-9)
 
 
 def dp_alpha_k_curve(spec, k_max, count_tail_tol=1e-12):
