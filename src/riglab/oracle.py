@@ -208,7 +208,12 @@ def exact_passive_links_pmf(
     probability P(x) * x / m (it must cover the attribute) and 0 links
     otherwise; the total is the n-fold convolution, computed by binary
     powering with trailing mass below ``CONV_TAIL_TOL`` tracked in
-    ``tail_mass``.
+    ``tail_mass``.  Entry k of a convolution reads only the entries
+    <= k of its factors, so with ``k_max`` every factor keeps its first
+    ``k_max + 1`` entries and one entry after them that holds the mass
+    past them: the products' first entries and the trailing mass that
+    the truncation weighs are those of the uncut convolution, and the
+    work no longer grows with n.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -225,15 +230,23 @@ def exact_passive_links_pmf(
         base[max(x - 1, 0)] += p_cover
     base[0] += 1.0 - cover
     step_tol = CONV_TAIL_TOL / max(1, 2 * n.bit_length())
+
+    def lumped(probs: np.ndarray) -> np.ndarray:
+        # with k_max, the mass past entry k_max lumped into entry k_max + 1
+        if k_max is None or probs.size <= k_max + 2:
+            return probs
+        probs[k_max + 1] = probs[k_max + 1 :].sum()
+        return probs[: k_max + 2]
+
     result = np.array([1.0])
-    power = base
+    power = lumped(base)
     e = n
     while e:
         if e & 1:
-            result = trim_tail(np.convolve(result, power), step_tol)
+            result = trim_tail(lumped(np.convolve(result, power)), step_tol)
         e >>= 1
         if e:
-            power = trim_tail(np.convolve(power, power), step_tol)
+            power = trim_tail(lumped(np.convolve(power, power)), step_tol)
     if k_max is not None:
         return DiscretePmf.truncated(result[: k_max + 1])
     return DiscretePmf.truncated(result, CONV_TAIL_TOL)

@@ -25,10 +25,13 @@ decoded a slab at a time to find the repeats, and only the keys whose
 signature repeats go on.  At the scaled example1 shape (60k sets of 6,
 s = 2: 900,000 signatures, of which 43,869 repeat) the build's
 tracemalloc peak is 10.5 B per signature, and 10.1 B at s = 3 (1.2 M
-signatures).  Sets are written into the incidence a block at a time
-(see :func:`_write_subsets`): for 100,000 sets of 10 from m = 100 the
-tracemalloc peak of :func:`sample_incidence` is 1.3 times its 9.6 MB
-result, and for 100,000 sets of 4 from m = 100,000 1.7 times its 4.8 MB.
+signatures).  Sets are drawn into the incidence a block at a time
+(see :func:`_write_subsets`): a size class of consecutive actors, as
+every class of a fixed-size law is, fills its rows of ``attrs`` in
+place, and any other class fills a scratch block that it scatters by
+index.  For 100,000 sets of 10 from m = 100 the tracemalloc peak of
+:func:`sample_incidence` is 1.3 times its 9.6 MB result, and for
+100,000 sets of 4 from m = 100,000 1.4 times its 4.8 MB.
 
 Every subset is listed by one enumerator: the lists of one length are
 read a slab of vertices at a time against one colex-ordered table of
@@ -144,8 +147,9 @@ class Incidence:
         return Incidence(m=m, sizes=sizes, offsets=offsets, attrs=attrs)
 
 
-def _floyd_rows(gen: np.random.Generator, m: int, x: int, count: int) -> np.ndarray:
-    """(count, x) matrix of Floyd subsets for 0 < x < m, rows sorted.
+def _floyd_rows(gen: np.random.Generator, m: int, x: int, rows: np.ndarray) -> None:
+    """Fill the (count, x) array ``rows`` with Floyd subsets for
+    0 < x < m, each row sorted.
 
     Column c holds step j = m - x + c of every row, all drawn by one
     ``integers`` call, which consumes the stream as ``count`` calls of
@@ -157,13 +161,11 @@ def _floyd_rows(gen: np.random.Generator, m: int, x: int, count: int) -> np.ndar
     columns before it: C(x, 2) compares per set.
     """
     top = m - x
-    rows = gen.integers(0, np.arange(top + 1, m + 1), size=(count, x), dtype=np.int64)
-    cols = rows.T.copy()
+    cols = gen.integers(0, np.arange(top + 1, m + 1), size=rows.shape, dtype=np.int64).T.copy()
     for c in range(1, x):
         cols[c][(cols[:c] == cols[c]).any(axis=0)] = top + c
     rows[...] = cols.T
     rows.sort(axis=1)
-    return rows
 
 
 def _has_repeat(rows: np.ndarray) -> np.ndarray:
@@ -180,13 +182,18 @@ def _write_subsets(
 ) -> None:
     """Write an independent uniform x-subset, sorted, into
     ``attrs[offsets[a] : offsets[a] + x]`` for each actor a of
-    ``actors`` in turn, ``_BLOCK_BYTES`` of rows at a time.
+    ``actors`` (ascending) in turn, ``_BLOCK_BYTES`` of rows at a time.
 
-    A full set (x == m) takes no draws.  Sparse sizes (x(x-1) <= m // 2)
-    draw, sort and write each block and note its rows with a repeated
-    value; after the last block those rows are redrawn, in rounds, until
-    none repeats.  Every redraw thus follows all first draws, as when
-    the class is drawn in one call.  Larger sizes draw each block by
+    Each block of rows is filled in its target: when the actors are
+    consecutive ids (every class of a fixed-size law), their rows lie
+    side by side in ``attrs`` and the target is a block of that
+    (count, x) view; otherwise it is a block-sized scratch array,
+    scattered by index into ``attrs`` once filled.  A full set (x == m)
+    takes no draws.  Sparse sizes (x(x-1) <= m // 2) copy each block's
+    draws in, sort them there and note the rows with a repeated value;
+    after the last block those rows are redrawn, in rounds, until none
+    repeats.  Every redraw thus follows all first draws, as when the
+    class is drawn in one call.  Larger sizes fill each block by
     :func:`_floyd_rows`, which draws what per-row :func:`sample_subset`
     would.  Split calls consume the stream as one call would, since
     Philox keeps its spare 32-bit half-draw in its state.
@@ -194,39 +201,57 @@ def _write_subsets(
     count = actors.size
     block = max(1, _BLOCK_BYTES // (8 * x))
     span = np.arange(x, dtype=np.int64)
+    if actors[-1] - actors[0] == count - 1:
+        start = int(offsets[actors[0]])
+        view = attrs[start : start + count * x].reshape(count, x)
+    else:
+        view, scratch = None, np.empty((min(block, count), x), dtype=np.int64)
 
-    def at(lo: int) -> np.ndarray:
-        return offsets[actors[lo : lo + block], None] + span
+    def write(rows, values: np.ndarray) -> None:
+        # ``values`` into the class's rows ``rows``, a slice or indices
+        if view is None:
+            attrs[offsets[actors[rows], None] + span] = values
+        else:
+            view[rows] = values
+
+    def blocks():
+        # (rows, target) per block; a scratch target is scattered once filled
+        for lo in range(0, count, block):
+            rows = slice(lo, min(lo + block, count))
+            target = scratch[: rows.stop - lo] if view is None else view[rows]
+            yield rows, target
+            if view is None:
+                write(rows, target)
 
     if x == m:
-        for lo in range(0, count, block):
-            attrs[at(lo)] = span
+        for _, target in blocks():
+            target[...] = span
     elif x * (x - 1) <= m // 2:
         bad = []
-        for lo in range(0, count, block):
-            rows = gen.integers(0, m, size=(min(block, count - lo), x), dtype=np.int64)
-            rows.sort(axis=1)
-            attrs[at(lo)] = rows
-            bad.append(lo + np.flatnonzero(_has_repeat(rows)))
+        for rows, target in blocks():
+            target[...] = gen.integers(0, m, size=target.shape, dtype=np.int64)
+            target.sort(axis=1)
+            bad.append(rows.start + np.flatnonzero(_has_repeat(target)))
         bad = np.concatenate(bad)
         while bad.size:
-            rows = gen.integers(0, m, size=(bad.size, x), dtype=np.int64)
-            rows.sort(axis=1)
-            attrs[offsets[actors[bad], None] + span] = rows
-            bad = bad[_has_repeat(rows)]
+            redraw = gen.integers(0, m, size=(bad.size, x), dtype=np.int64)
+            redraw.sort(axis=1)
+            write(bad, redraw)
+            bad = bad[_has_repeat(redraw)]
     else:
-        for lo in range(0, count, block):
-            attrs[at(lo)] = _floyd_rows(gen, m, x, min(block, count - lo))
+        for _, target in blocks():
+            _floyd_rows(gen, m, x, target)
 
 
 def sample_incidence(params: ModelParams, gen: np.random.Generator) -> Incidence:
     """Draw n independent attribute sets: a size from the size law, then
     a uniform subset of that size.
 
-    Each size class is drawn and written straight into ``attrs`` a block
-    at a time (see :func:`_write_subsets`), so beside the result and the
-    sets' draw order (8 B per set) only one block of rows and their
-    positions are live.
+    Each size class is drawn straight into ``attrs`` a block at a time
+    (see :func:`_write_subsets`), so beside the result and the sets'
+    draw order (8 B per set) only one block of draws is live (two on
+    the Floyd route), and for a class of scattered actors a scratch
+    block and its positions.
     """
     n, m, dist = params.n, params.m, params.size_dist
     support = dist.support
@@ -234,7 +259,7 @@ def sample_incidence(params: ModelParams, gen: np.random.Generator) -> Incidence
         raise ValueError("size distribution has empty support")
     probs = dist.probs[support]
     probs = probs / probs.sum()
-    sizes = gen.choice(support, size=n, p=probs).astype(np.int64)
+    sizes = gen.choice(support, size=n, p=probs).astype(np.int64, copy=False)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     attrs = np.empty(int(offsets[-1]), dtype=np.int64)
     # draw order: size classes ascending, actors ascending inside each

@@ -187,8 +187,10 @@ def _mixed_poisson_columns(scale: DerivedParams, lo: int, hi: int) -> np.ndarray
     lams, logs = scale.lam, scale.log_lam
     # a one-column reduce would sum pairwise, not row by row
     width = max(hi - lo + 1, 2)
+    # allocated before the lgamma loop, so an impossible width fails at once
+    log_fact = np.empty(width)
+    log_fact[:] = [math.lgamma(k + 1) for k in range(lo, lo + width)]
     ks = np.arange(lo, lo + width, dtype=float)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(lo, lo + width)])
     rows = max(1, _PMF_BLOCK_BYTES // (8 * width) - 1)
     buf = np.zeros((min(rows, lams.size) + 1, width))
     for first in range(0, lams.size, rows):
@@ -245,12 +247,16 @@ def alpha_active_beta_form(dist: SizeDistribution, n: int, m: int, s: int) -> fl
     """Clustering via the scale ratio: (1/sqrt(beta)) E[z] / E[z^2].
 
     Algebraically identical to :func:`alpha_active`; kept as a separate
-    route so the identity can be checked numerically.
+    route so the identity can be checked numerically.  The value a1/a2
+    is at most 1: every C(x, s) is 0 or at least 1, so C(x, s)^2 >=
+    C(x, s) term by term and a2 >= a1.  The rounding of the scale
+    constants can carry this route a few ulps past 1, so it returns at
+    most 1.0.
     """
     scale = scale_constants(dist, n, m, s)
     if scale.ez2 <= 0.0:
         raise ValueError("clustering undefined: E[z^2] = 0")
-    return (1.0 / math.sqrt(scale.beta_active)) * scale.mu1 / scale.ez2
+    return min((1.0 / math.sqrt(scale.beta_active)) * scale.mu1 / scale.ez2, 1.0)
 
 
 def alpha_active_from_degree_moments(beta: float, ed: float, ed2: float) -> float:

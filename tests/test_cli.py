@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import os
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from riglab.cli import (
     preset_config,
     run_scenario,
 )
+from riglab.oracle import CONV_TAIL_TOL
 
 # argv, exit code and exact stdout of every theory/oracle subcommand,
 # including the optional-flag paths and the usage errors
@@ -875,6 +877,58 @@ class TestCommandLine:
         monkeypatch.setattr("riglab.theory.compound_poisson_pmf", exhausted)
         code = main(["theory", "compound-pmf", "--lam", "1", "--jump-probs", "0,1"])
         assert (code, capsys.readouterr().err) == (EXIT_USAGE, "error: MemoryError\n")
+
+    def test_impossible_degree_window_fails_at_once(self, capsys):
+        """--k-max 2^63 - 1 asks for a 2^63-column pmf window: its buffer
+        is refused before any column is computed, so the command prints
+        one ``error:`` line within a second, not a ``MemoryError`` after
+        seconds of lgamma calls."""
+        start = time.perf_counter()
+        code = main(["theory", "degree-pmf", "--n", "100", "--m", "100", "--s", "1",
+                     "--size-dist", PAIR, "--k-max", str(2**63 - 1)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert elapsed < 1.0
+
+    def test_links_pmf_with_k_max_does_not_grow_with_n(self, capsys):
+        """With --k-max 5 the convolution keeps six entries and the lumped
+        mass past them, so n = 10^15 sets finish within a second; every
+        entry up to 5 underflows to 0."""
+        start = time.perf_counter()
+        code = main(["oracle", "links-pmf", "--n", str(10**15), "--m", "10", "--k-max", "5",
+                     "--size-dist", '{"kind": "degenerate", "x": 3}'])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_PASS, "")
+        out = json.loads(captured.out)
+        assert out["probs"] == [0.0] * 6 and out["tail_mass"] == 1.0
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n, m, k_max", [(100, 100, 5), (40, 12, 3), (3000, 50, 40), (7, 9, 30)])
+    def test_links_pmf_k_max_keeps_the_uncut_entries(self, n, m, k_max, capsys):
+        """The products cut past --k-max still give the first k_max + 1
+        entries of the uncut convolution, within its truncation tolerance."""
+        size = ["--size-dist", '{"kind": "table", "weights": [0.1, 0.3, 0.4, 0.2]}']
+        argv = ["oracle", "links-pmf", "--n", str(n), "--m", str(m), *size]
+        probs = []
+        for extra in (["--k-max", str(k_max)], []):
+            assert main([*argv, *extra]) == EXIT_PASS
+            probs.append(json.loads(capsys.readouterr().out)["probs"])
+        cut, full = probs
+        assert len(cut) == min(k_max + 1, n * 2 + 1)
+        full = (full + [0.0] * len(cut))[: len(cut)]
+        np.testing.assert_allclose(cut, full, rtol=0, atol=CONV_TAIL_TOL)
+
+    def test_beta_form_alpha_is_at_most_one(self, capsys):
+        """Sets of 3 at s = 3 share their one 3-subset: a1/a2 = 1 exactly,
+        which the scale-ratio route, rounded, read as 1.0000000000000009."""
+        code = main(["theory", "alpha-beta-form", "--n", "100", "--m", "100", "--s", "3",
+                     "--size-dist", '{"kind": "degenerate", "x": 3}'])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_PASS, "")
+        assert json.loads(captured.out) == {"alpha": 1.0}
 
     @pytest.mark.parametrize(
         "argv, name",

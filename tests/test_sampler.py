@@ -225,6 +225,16 @@ def dense_shapes(draw):
     return m, draw(st.integers(x_min, m)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
 
 
+@st.composite
+def sparse_shapes(draw):
+    """(m, x, count, block_rows) on the redraw route, 0 < x < m and
+    x(x-1) <= m // 2, with m small enough that many rows repeat a value;
+    blocks of 1-4 rows."""
+    m = draw(st.integers(2, 60))
+    x_max = max(x for x in range(1, m) if x * (x - 1) <= m // 2)
+    return m, draw(st.integers(1, x_max)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+
+
 def assert_same_position(gen, twin):
     """The two generators stand at the same place of their stream,
     spare 32-bit half-draw included."""
@@ -233,7 +243,9 @@ def assert_same_position(gen, twin):
 
 def written_rows(gen, m, x, count):
     """The rows :func:`sampler._write_subsets` writes for ``count``
-    actors laid out in reverse, read back in draw order."""
+    actors laid out in reverse, read back in draw order: their ids are
+    not consecutive, so each block is filled in scratch and scattered
+    by index."""
     offsets = np.arange(count + 1, dtype=np.int64) * x
     actors = np.arange(count)[::-1]
     attrs = np.full(count * x, -1, dtype=np.int64)
@@ -241,32 +253,80 @@ def written_rows(gen, m, x, count):
     return attrs.reshape(count, x)[actors]
 
 
+def consecutive_rows(gen, m, x, count):
+    """Twin of :func:`written_rows` whose actors are the consecutive ids
+    1..count, between two actors of size 1, so each block is filled in
+    place in a view of their rows; the rows of the two others stay
+    unwritten."""
+    offsets = np.concatenate([[0], 1 + np.arange(count + 1, dtype=np.int64) * x, [2 + count * x]])
+    attrs = np.full(2 + count * x, -1, dtype=np.int64)
+    sampler._write_subsets(gen, m, x, attrs, offsets, np.arange(1, count + 1))
+    assert attrs[0] == attrs[-1] == -1
+    return attrs[1:-1].reshape(count, x)
+
+
 def floyd_blocks(gen, m, x, count):
     """:func:`sampler._floyd_rows` called once per block of rows, as
-    :func:`sampler._write_subsets` calls it, the blocks stacked."""
+    :func:`sampler._write_subsets` calls it, each block filled in place."""
     block = max(1, sampler._BLOCK_BYTES // (8 * x))
-    return np.concatenate([sampler._floyd_rows(gen, m, x, min(block, count - lo)) for lo in range(0, count, block)])
+    rows = np.full((count, x), -1, dtype=np.int64)
+    for lo in range(0, count, block):
+        sampler._floyd_rows(gen, m, x, rows[lo : lo + block])
+    return rows
 
 
-def assert_matches_scalar(draw, m, x, count, block_rows, seed):
+def scalar_rows(gen, m, x, count):
+    """``count`` rows of :func:`sample_subset`, stacked."""
+    return np.stack([sample_subset(m, x, gen) for _ in range(count)])
+
+
+def whole_class_rows(gen, m, x, count):
+    """Reference rows of one size class drawn whole: each route by one
+    call over all its rows, the redraw route's repeats found by
+    ``np.diff``, Floyd's rule applied row by row to one call's draws."""
+    if x == m:
+        return np.tile(np.arange(m, dtype=np.int64), (count, 1))
+    if x * (x - 1) <= m // 2:
+        rows = np.sort(gen.integers(0, m, size=(count, x), dtype=np.int64), axis=1)
+        bad = np.flatnonzero((np.diff(rows, axis=1) == 0).any(axis=1))
+        while bad.size:
+            redraw = np.sort(gen.integers(0, m, size=(bad.size, x), dtype=np.int64), axis=1)
+            rows[bad] = redraw
+            bad = bad[(np.diff(redraw, axis=1) == 0).any(axis=1)]
+        return rows
+    draws = gen.integers(0, np.arange(m - x + 1, m + 1), size=(count, x), dtype=np.int64)
+    rows = np.empty_like(draws)
+    for i, row in enumerate(draws.tolist()):
+        chosen = set()
+        for j, t in enumerate(row, start=m - x):
+            chosen.add(j if t in chosen else t)
+        rows[i] = sorted(chosen)
+    return rows
+
+
+def assert_matches(draw, reference, m, x, count, block_rows, seed):
     """``draw``, with blocks of ``block_rows`` rows, gives row for row
-    the stacked :func:`sample_subset` rows of a twin generator, and
-    leaves it where they leave the twin."""
+    the rows ``reference`` draws from a twin generator, and leaves it
+    where ``reference`` leaves the twin."""
     gen, twin = rng_stream(seed), rng_stream(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "_BLOCK_BYTES", 8 * x * block_rows)
         rows = draw(gen, m, x, count)
-    want = np.stack([sample_subset(m, x, twin) for _ in range(count)])
+    want = reference(twin, m, x, count)
     assert rows.dtype == want.dtype and np.array_equal(rows, want)
     assert_same_position(gen, twin)
     assert gen.integers(2**63 - 1) == twin.integers(2**63 - 1)
 
 
+def assert_matches_scalar(draw, m, x, count, block_rows, seed):
+    """:func:`assert_matches` against per-row :func:`sample_subset`."""
+    assert_matches(draw, scalar_rows, m, x, count, block_rows, seed)
+
+
 def whole_class_incidence(params, gen):
-    """Reference sampler: each size class drawn whole, each route by one
-    call over all its rows, the redraw route's repeats found by
-    ``np.diff``, Floyd's rule applied row by row to one call's draws,
-    and every class scattered into ``attrs`` through one index."""
+    """Reference sampler: each size class drawn whole by
+    :func:`whole_class_rows` and scattered into ``attrs`` through one
+    index."""
     n, m, dist = params.n, params.m, params.size_dist
     probs = dist.probs[dist.support]
     sizes = gen.choice(dist.support, size=n, p=probs / probs.sum()).astype(np.int64)
@@ -275,23 +335,7 @@ def whole_class_incidence(params, gen):
     by_size = np.argsort(sizes, kind="stable")
     for x in np.unique(sizes[sizes > 0]).tolist():
         idx = by_size[sizes[by_size] == x]
-        if x == m:
-            rows = np.tile(np.arange(m, dtype=np.int64), (idx.size, 1))
-        elif x * (x - 1) <= m // 2:
-            rows = np.sort(gen.integers(0, m, size=(idx.size, x), dtype=np.int64), axis=1)
-            bad = np.flatnonzero((np.diff(rows, axis=1) == 0).any(axis=1))
-            while bad.size:
-                redraw = np.sort(gen.integers(0, m, size=(bad.size, x), dtype=np.int64), axis=1)
-                rows[bad] = redraw
-                bad = bad[(np.diff(redraw, axis=1) == 0).any(axis=1)]
-        else:
-            draws = gen.integers(0, np.arange(m - x + 1, m + 1), size=(idx.size, x), dtype=np.int64)
-            rows = np.empty_like(draws)
-            for i, row in enumerate(draws.tolist()):
-                chosen = set()
-                for j, t in enumerate(row, start=m - x):
-                    chosen.add(j if t in chosen else t)
-                rows[i] = sorted(chosen)
+        rows = whole_class_rows(gen, m, x, idx.size)
         attrs[(offsets[idx][:, None] + np.arange(x)).ravel()] = rows.ravel()
     return Incidence(m=m, sizes=sizes, offsets=offsets, attrs=attrs)
 
@@ -366,9 +410,26 @@ class TestBatchedFloyd:
     # m above 2**32: 64-bit bounds, and the smallest dense x there
     @example(shape=(2**32 + 1000, 46342, 2, 1), seed=2)
     def test_dense_route_matches_scalar(self, shape, seed):
+        """Full sets and Floyd rows, written through scratch blocks and
+        in place, match per-row :func:`sample_subset`."""
         m, x, count, block_rows = shape
         assert x * (x - 1) > m // 2
-        assert_matches_scalar(written_rows, m, x, count, block_rows, seed)
+        for layout in (written_rows, consecutive_rows):
+            assert_matches_scalar(layout, m, x, count, block_rows, seed)
+
+    @settings(deadline=None, max_examples=200)
+    @given(shape=sparse_shapes(), seed=st.integers(0, 2**32))
+    # rows 7 and 8 repeat a value, in two blocks of 2 rows, and a redraw
+    # repeats one again
+    @example(shape=(12, 3, 9, 2), seed=1)
+    def test_sparse_route_matches_whole_class(self, shape, seed):
+        """Sparse rows, written through scratch blocks and in place, with
+        their repeats redrawn after the last block, match the class drawn
+        whole."""
+        m, x, count, block_rows = shape
+        assert x * (x - 1) <= m // 2 and x < m
+        for layout in (written_rows, consecutive_rows):
+            assert_matches(layout, whole_class_rows, m, x, count, block_rows, seed)
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -384,10 +445,11 @@ class TestBatchedFloyd:
         assert_matches_scalar(floyd_blocks, m, x, count, block_rows, seed)
 
     def test_dense_sets_memory_stays_within_a_block_of_the_result(self):
-        """100,000 sets of 10 from m = 100 written into a preallocated
-        incidence: beside it the temporaries are one block of draws, its
-        copy as columns and one column compare, then the block and its
-        positions, so the tracemalloc peak stays under 2.4 blocks.
+        """100,000 sets of 10 from m = 100, consecutive actors, written
+        into a preallocated incidence: each block is filled in place in
+        its rows, with no positions array, so beside the incidence the
+        temporaries are one block of draws, its copy as columns and one
+        column compare, and the tracemalloc peak stays under 2.4 blocks.
         Drawing the class whole before writing it exceeds that."""
         m, x, count = 100, 10, 100_000
         offsets = np.arange(count + 1, dtype=np.int64) * x
@@ -457,9 +519,9 @@ class TestSampleIncidence:
         calls = []
         floyd_rows = sampler._floyd_rows
 
-        def spy(gen, m, x, count):
-            calls.append((m, x, count))
-            return floyd_rows(gen, m, x, count)
+        def spy(gen, m, x, rows):
+            calls.append((m, x, rows.shape[0]))
+            floyd_rows(gen, m, x, rows)
 
         monkeypatch.setattr(sampler, "_floyd_rows", spy)
         p = ModelParams(
